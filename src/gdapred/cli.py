@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override every configured seed (stage seeds "
                              "become SEED, SEED+1, ...)")
-    common.add_argument("--deterministic", action="store_true", default=None,
-                        help="force single-threaded deterministic execution")
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="stage", required=True)
     descriptions = {
@@ -53,8 +51,7 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     try:
         config = PipelineConfig.from_file(
-            args.config, out_override=args.out, seed_override=args.seed,
-            deterministic=args.deterministic)
+            args.config, out_override=args.out, seed_override=args.seed)
         STAGE_FUNCTIONS[args.stage](config)
     except GdapredError as err:
         logger.error("%s", err)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class KgeTrainConfig:
             raise ConfigurationError("learning_rate must be positive")
         if self.margin <= 0:
             raise ConfigurationError("margin must be positive")
-
-    def with_seed(self, seed: int) -> "KgeTrainConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass

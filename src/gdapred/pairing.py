@@ -66,16 +66,21 @@ class PairFeatures:
     pairs: list[tuple[EntityId, EntityId]]
 
 
-def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
-                        operator: str) -> PairFeatures:
-    """Apply a pair operator to every dataset pair's embedding vectors."""
-    if operator not in PAIR_OPERATORS:
-        raise ValueError(f"unknown pair operator {operator!r}")
+def check_vectors(dataset: "AssociationDataset", table: "EmbeddingTable") -> None:
+    """Raise IntegrityError naming the dataset entities ``table`` lacks."""
     missing = sorted(
         {p.gene.node_id for p in dataset.pairs if p.gene.node_id not in table.vectors}
         | {p.disease.node_id for p in dataset.pairs if p.disease.node_id not in table.vectors})
     if missing:
         raise IntegrityError("entities without embedding vectors: " + ", ".join(missing))
+
+
+def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
+                        operator: str) -> PairFeatures:
+    """Apply a pair operator to every dataset pair's embedding vectors."""
+    if operator not in PAIR_OPERATORS:
+        raise ValueError(f"unknown pair operator {operator!r}")
+    check_vectors(dataset, table)
     rows = np.stack([
         combine(table.vectors[p.gene.node_id], table.vectors[p.disease.node_id], operator)
         for p in dataset.pairs

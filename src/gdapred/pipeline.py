@@ -10,6 +10,7 @@ cell name.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -50,6 +51,7 @@ from .learn import (
     load_model,
     make_classifier,
 )
+from .learn.base import _plain
 from .ontology import (
     AnnotationMap,
     EntityId,
@@ -67,6 +69,7 @@ from .ontology import (
 from .pairing import (
     PAIR_OPERATORS,
     build_pair_features,
+    check_vectors,
     cosine_unit_score,
     read_pair_features,
     write_pair_features,
@@ -101,7 +104,6 @@ class PipelineConfig:
     classifier_params: dict = field(default_factory=dict)
     grid_folds: int = 5
     train_fraction: float = 0.7
-    deterministic: bool = True
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -146,11 +148,14 @@ class PipelineConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError(
                 "train_fraction must lie strictly between 0 and 1")
+        try:
+            self.kge_config(0)
+        except TypeError as err:
+            raise ConfigurationError(f"embedding: {err}") from err
 
     @classmethod
     def from_file(cls, path, out_override: str | None = None,
-                  seed_override: int | None = None,
-                  deterministic: bool | None = None) -> "PipelineConfig":
+                  seed_override: int | None = None) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if seed_override is not None:
@@ -158,8 +163,6 @@ class PipelineConfig:
                             for i, name in enumerate(SEED_NAMES)}
         if out_override is not None:
             raw["output_dir"] = out_override
-        if deterministic is not None:
-            raw["deterministic"] = deterministic
         if "output_dir" not in raw:
             raise ConfigurationError("config needs an output_dir")
         return cls(
@@ -179,13 +182,11 @@ class PipelineConfig:
             classifier_params=dict(raw.get("classifier_params", {})),
             grid_folds=int(raw.get("grid_folds", 5)),
             train_fraction=float(raw.get("train_fraction", 0.7)),
-            deterministic=bool(raw.get("deterministic", True)),
             raw=raw,
         )
 
     def kge_config(self, seed: int) -> KgeTrainConfig:
-        params = {k: v for k, v in self.embedding.items() if k != "methods"}
-        return KgeTrainConfig(**params, seed=seed)
+        return KgeTrainConfig(**self.embedding, seed=seed)
 
     def out(self) -> Path:
         return Path(self.output_dir)
@@ -211,39 +212,81 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_manifest(stage_dir: Path, stage: str, config: PipelineConfig,
                    inputs: list, outputs: list, details: dict) -> None:
-    manifest = {
+    _write_json(stage_dir / "manifest.json", {
         "stage": stage,
         "tool_version": __version__,
         "config": config.echo(),
         "inputs": {str(p): file_digest(p) for p in sorted(inputs, key=str)},
         "outputs": {p.name: file_digest(p) for p in sorted(outputs, key=str)},
         "details": details,
-    }
-    with open(stage_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def write_timings(stage_dir: Path, stage: str, seconds: float) -> None:
     # separate file: wall-clock numbers must not break manifest determinism
-    with open(stage_dir / "timings.json", "w", encoding="utf-8") as fh:
-        json.dump({"stage": stage, "seconds": seconds}, fh)
-        fh.write("\n")
+    _write_json(stage_dir / "timings.json", {"stage": stage, "seconds": seconds})
 
 
-def _stage_dir(config: PipelineConfig, stage: str) -> Path:
-    path = config.out() / stage
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class StageRun:
+    """The files one execution of a stage reads and writes.
+
+    Every file a stage reads goes through ``read`` or ``need`` and every
+    file it writes through ``output``, so the manifest lists exactly the
+    files the stage used.
+    """
+
+    def __init__(self, config: PipelineConfig, dirname: str):
+        self.config = config
+        self.dir = config.out() / dirname
+        self.inputs: list[Path] = []
+        self.outputs: list[Path] = []
+        #: manifest details, when they differ from what the stage returns
+        self.details: dict | None = None
+
+    def read(self, path) -> Path:
+        path = Path(path)
+        self.inputs.append(path)
+        return path
+
+    def need(self, dirname: str, name: str, producer: str) -> Path:
+        """An artifact of an earlier stage, which must exist, as an input."""
+        path = self.config.out() / dirname / name
+        if not path.exists():
+            raise StageDependencyError(
+                f"missing artifact {path}; run the {producer} stage first")
+        return self.read(path)
+
+    def output(self, name: str) -> Path:
+        path = self.dir / name
+        self.outputs.append(path)
+        return path
 
 
-def _need(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise StageDependencyError(
-            f"missing artifact {path}; run the {producer} stage first")
-    return path
+def _stage(name: str, dirname: str):
+    """Turn a body ``(config, run) -> result`` into the stage ``(config) ->
+    result``: it creates the stage directory, times the body and writes
+    ``manifest.json`` and ``timings.json``."""
+    def decorate(body):
+        @functools.wraps(body)
+        def run_stage(config: PipelineConfig):
+            t0 = time.perf_counter()
+            run = StageRun(config, dirname)
+            run.dir.mkdir(parents=True, exist_ok=True)
+            result = body(config, run)
+            details = result if run.details is None else run.details
+            write_manifest(run.dir, name, config, run.inputs, run.outputs, details)
+            write_timings(run.dir, name, time.perf_counter() - t0)
+            return result
+        return run_stage
+    return decorate
 
 
 def write_annotation_tsv(amap: AnnotationMap, path: Path) -> None:
@@ -264,51 +307,52 @@ def read_annotation_tsv(path: Path, kind: str) -> AnnotationMap:
     return amap
 
 
-def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _parse_input(parser, path, *args, **kwargs):
-    """Run a parser on a file, prefixing any error with the file path."""
+def _parse_input(run: StageRun, parser, name: str, *args):
+    """Parse the configured input ``name``, prefixing any error with its path."""
+    path = run.read(run.config.inputs[name])
     try:
-        return parser(_read_text(path), *args, **kwargs)
+        return parser(path.read_text(encoding="utf-8"), *args)
     except GdapredError as err:
         raise type(err)(f"{path}: {err}") from err
+
+
+def _read_annotations(run: StageRun, kind: str, ontology: str) -> AnnotationMap:
+    path = run.need("ingest", f"annotations_{kind}_{ontology}.tsv", "ingest")
+    return read_annotation_tsv(path, kind)
 
 
 # ---------------------------------------------------------------------------
 # stages
 
 
-def cmd_ingest(config: PipelineConfig) -> dict:
+@_stage("ingest", "ingest")
+def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
     """Parse inputs, filter association pairs, sample negatives, split."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "ingest")
-    dataset_path = stage_dir / "dataset.tsv"
+    dataset_path = run.output("dataset.tsv")
     if dataset_path.exists():
         raise ConfigurationError(
             f"{dataset_path} already exists; remove it to resample "
             "(the persisted split is reused by every downstream stage)")
 
-    hp = _parse_input(parse_obo, config.inputs["hp_obo"])
+    hp = _parse_input(run, parse_obo, "hp_obo")
     go = None
     if "go_obo" in config.inputs:
-        go = _parse_input(parse_obo, config.inputs["go_obo"])
+        go = _parse_input(run, parse_obo, "go_obo")
 
-    accession_map = parse_mapping(_read_text(config.inputs["gene_accession_map"]))
-    disease_map = parse_mapping(_read_text(config.inputs["disease_map"]))
-    gene_go = _parse_input(parse_gaf, config.inputs["gaf"], accession_map,
+    accession_map = _parse_input(run, parse_mapping, "gene_accession_map")
+    disease_map = _parse_input(run, parse_mapping, "disease_map")
+    gene_go = _parse_input(run, parse_gaf, "gaf", accession_map,
                            config.exclude_evidence or None)
-    gene_hp = _parse_input(parse_gene_phenotype, config.inputs["gene_phenotype"])
-    disease_hp = _parse_input(parse_disease_phenotype,
-                              config.inputs["disease_phenotype"], disease_map)
+    gene_hp = _parse_input(run, parse_gene_phenotype, "gene_phenotype")
+    disease_hp = _parse_input(run, parse_disease_phenotype,
+                              "disease_phenotype", disease_map)
 
     gene_hp = prune_annotations(gene_hp, [hp])
     disease_hp = prune_annotations(disease_hp, [hp])
     if go is not None:
         gene_go = prune_annotations(gene_go, [go])
 
-    associations = _parse_input(parse_associations, config.inputs["associations"])
+    associations = _parse_input(run, parse_associations, "associations")
     kept = filter_associations(associations, config.excluded_sources,
                                gene_go, gene_hp, disease_hp)
     logger.info("ingest: %d/%d association pairs kept", len(kept), len(associations))
@@ -318,102 +362,70 @@ def cmd_ingest(config: PipelineConfig) -> dict:
                                seed=config.seeds["split"])
     write_dataset(dataset, dataset_path)
 
-    positives_path = stage_dir / "positives.tsv"
-    with open(positives_path, "w", encoding="utf-8") as fh:
+    with open(run.output("positives.tsv"), "w", encoding="utf-8") as fh:
         fh.write("gene\tdisease\tsources\n")
         for assoc in kept:
             fh.write(f"{assoc.gene.id}\t{assoc.disease.id}\t"
                      f"{';'.join(sorted(assoc.sources))}\n")
 
     genes, diseases = dataset.entities()
-    gene_hp = restrict_annotations(gene_hp, genes)
-    disease_hp = restrict_annotations(disease_hp, diseases)
-    gene_go = restrict_annotations(gene_go, genes)
     files = {
-        "annotations_gene_hp.tsv": gene_hp,
-        "annotations_disease_hp.tsv": disease_hp,
-        "annotations_gene_go.tsv": gene_go,
+        "annotations_gene_hp.tsv": restrict_annotations(gene_hp, genes),
+        "annotations_disease_hp.tsv": restrict_annotations(disease_hp, diseases),
+        "annotations_gene_go.tsv": restrict_annotations(gene_go, genes),
     }
     for name, amap in files.items():
-        write_annotation_tsv(amap, stage_dir / name)
+        write_annotation_tsv(amap, run.output(name))
 
-    counts = {
+    return {
         "genes": len({a.gene for a in kept}),
         "diseases": len({a.disease for a in kept}),
         "positive_pairs": len(kept),
         "dataset_pairs": len(dataset.pairs),
         "raw_association_pairs": len(associations),
     }
-    outputs = [dataset_path, positives_path] + [stage_dir / n for n in files]
-    write_manifest(stage_dir, "ingest", config,
-                   [Path(p) for p in config.inputs.values()], outputs, counts)
-    write_timings(stage_dir, "ingest", time.perf_counter() - t0)
-    return counts
 
 
-def _load_ingest(config: PipelineConfig):
-    ingest_dir = config.out() / "ingest"
-    dataset = read_dataset(_need(ingest_dir / "dataset.tsv", "ingest"))
-    gene_hp = read_annotation_tsv(
-        _need(ingest_dir / "annotations_gene_hp.tsv", "ingest"), "gene")
-    disease_hp = read_annotation_tsv(
-        _need(ingest_dir / "annotations_disease_hp.tsv", "ingest"), "disease")
-    gene_go = read_annotation_tsv(
-        _need(ingest_dir / "annotations_gene_go.tsv", "ingest"), "gene")
-    return dataset, gene_hp, disease_hp, gene_go
-
-
-def cmd_build_kg(config: PipelineConfig) -> dict:
+@_stage("build-kg", "kg")
+def cmd_build_kg(config: PipelineConfig, run: StageRun) -> dict:
     """Assemble every requested KG variant from ontologies + annotations."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "kg")
-    _, gene_hp, disease_hp, gene_go = _load_ingest(config)
-    hp = parse_obo(_read_text(config.inputs["hp_obo"]))
-    go = parse_obo(_read_text(config.inputs["go_obo"])) \
-        if "go_obo" in config.inputs else None
+    gene_hp = _read_annotations(run, "gene", "hp")
+    disease_hp = _read_annotations(run, "disease", "hp")
+    hp = _parse_input(run, parse_obo, "hp_obo")
+    go = gene_go = None
+    if any(variant != "HP" for variant in config.kg_variants):
+        go = _parse_input(run, parse_obo, "go_obo")
+        gene_go = _read_annotations(run, "gene", "go")
 
     details = {}
-    outputs = []
     for variant in config.kg_variants:
         if variant == "HP":
             kg = build_kg(variant, hp, gene_hp=gene_hp, disease_hp=disease_hp)
         else:
             kg = build_kg(variant, hp, go, gene_hp=gene_hp,
                           disease_hp=disease_hp, gene_go=gene_go)
-        path = stage_dir / f"kg_{variant}.tsv"
-        write_triples(kg, path)
-        outputs.append(path)
+        write_triples(kg, run.output(f"kg_{variant}.tsv"))
         details[variant] = {"nodes": kg.node_count, "triples": kg.triple_count,
                             **kg.notes}
         logger.info("build-kg: %s has %d nodes, %d triples",
                     variant, kg.node_count, kg.triple_count)
-
-    inputs = [Path(config.inputs["hp_obo"])]
-    if go is not None:
-        inputs.append(Path(config.inputs["go_obo"]))
-    inputs += [config.out() / "ingest" / n for n in (
-        "annotations_gene_hp.tsv", "annotations_disease_hp.tsv",
-        "annotations_gene_go.tsv")]
-    write_manifest(stage_dir, "build-kg", config, inputs, outputs, details)
-    write_timings(stage_dir, "build-kg", time.perf_counter() - t0)
     return details
 
 
-def cmd_baseline(config: PipelineConfig) -> dict:
+@_stage("baseline", "baseline")
+def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     """Six-measure similarity baseline on the single-ontology KG."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "baseline")
-    dataset, gene_hp, disease_hp, _ = _load_ingest(config)
+    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
     hp_kg_path = config.out() / "kg" / "kg_HP.tsv"
     if not hp_kg_path.exists():
         raise StageDependencyError(
             f"missing artifact {hp_kg_path}; the baseline runs on the HP "
             'variant, so include "HP" in kg_variants and rerun build-kg')
-    kg = read_triples(hp_kg_path, "HP")
-    annotations = merge_annotation_maps(gene_hp, disease_hp)
+    kg = read_triples(run.read(hp_kg_path), "HP")
+    annotations = merge_annotation_maps(_read_annotations(run, "gene", "hp"),
+                                        _read_annotations(run, "disease", "hp"))
 
     rows = {}
-    outputs = []
     for ssm_config in SSM_CONFIGS:
         if ssm_config.name not in config.ssm_measures:
             continue
@@ -423,16 +435,12 @@ def cmd_baseline(config: PipelineConfig) -> dict:
                 "baseline cannot score the persisted dataset: entities "
                 "without annotations: " + ", ".join(
                     e.node_id for e in scored.excluded_entities))
-        scored_path = stage_dir / f"scored_{ssm_config.name}.tsv"
-        write_scored_pairs(scored, scored_path)
+        write_scored_pairs(scored, run.output(f"scored_{ssm_config.name}.tsv"))
         report = evaluate_run(
             dataset, "score_threshold", scores=scored.normalized_scores(),
             config={"measure": ssm_config.name}, seed=config.seeds["split"])
-        report_path = stage_dir / f"eval_{ssm_config.name}.json"
-        report.write(report_path)
-        roc_path = stage_dir / f"roc_{ssm_config.name}.tsv"
-        write_roc_tsv(report.roc, roc_path)
-        outputs += [scored_path, report_path, roc_path]
+        report.write(run.output(f"eval_{ssm_config.name}.json"))
+        write_roc_tsv(report.roc, run.output(f"roc_{ssm_config.name}.tsv"))
         rows[ssm_config.name] = {"waf": report.waf, "auc": report.auc,
                                  "threshold": report.threshold}
         logger.info("baseline %s: WAF=%.4f AUC=%.4f", ssm_config.name,
@@ -440,14 +448,10 @@ def cmd_baseline(config: PipelineConfig) -> dict:
 
     best = max(rows, key=lambda name: (rows[name]["waf"], name)) if rows else None
     summary = {"measures": rows, "best": best}
-    summary_path = stage_dir / "baseline.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run.output("baseline.json"), summary)
     # one column per measure, the best WAF starred
     ordered = [c.name for c in SSM_CONFIGS if c.name in rows]
-    table_path = stage_dir / "baseline.tsv"
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with open(run.output("baseline.tsv"), "w", encoding="utf-8") as fh:
         fh.write("metric\t" + "\t".join(ordered) + "\n")
         fh.write("waf\t" + "\t".join(
             repr(rows[n]["waf"]) + ("*" if n == best else "")
@@ -455,96 +459,67 @@ def cmd_baseline(config: PipelineConfig) -> dict:
         fh.write("auc\t" + "\t".join(repr(rows[n]["auc"]) for n in ordered) + "\n")
         fh.write("threshold\t" + "\t".join(
             repr(rows[n]["threshold"]) for n in ordered) + "\n")
-    outputs += [summary_path, table_path]
-
-    inputs = [config.out() / "ingest" / "dataset.tsv",
-              config.out() / "kg" / "kg_HP.tsv"]
-    write_manifest(stage_dir, "baseline", config, inputs, outputs, summary)
-    write_timings(stage_dir, "baseline", time.perf_counter() - t0)
     return summary
 
 
-def cmd_embed(config: PipelineConfig) -> dict:
+@_stage("embed", "embed")
+def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
     """Train an embedding table per (variant, method) grid cell."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "embed")
     details = {}
-    outputs = []
-    inputs = []
     ontologies = None
     for variant in config.kg_variants:
-        kg_path = _need(config.out() / "kg" / f"kg_{variant}.tsv", "build-kg")
-        inputs.append(kg_path)
-        kg = read_triples(kg_path, variant)
+        kg = read_triples(run.need("kg", f"kg_{variant}.tsv", "build-kg"), variant)
         for method in config.methods:
             seed = derive_seed(config.seeds["embedding"], f"{variant}/{method}")
-            kge_config = config.kge_config(seed)
             if method == "walk_lexical" and ontologies is None:
-                ontologies = [parse_obo(_read_text(config.inputs["hp_obo"]))]
+                ontologies = [_parse_input(run, parse_obo, "hp_obo")]
                 if "go_obo" in config.inputs:
-                    ontologies.append(parse_obo(_read_text(config.inputs["go_obo"])))
-            table = embed(kg, method, kge_config, ontologies or ())
-            path = stage_dir / f"embeddings_{variant}_{method}.txt"
-            write_embeddings(table, path)
-            outputs.append(path)
+                    ontologies.append(_parse_input(run, parse_obo, "go_obo"))
+            table = embed(kg, method, config.kge_config(seed), ontologies or ())
+            write_embeddings(table, run.output(f"embeddings_{variant}_{method}.txt"))
             details[f"{variant}/{method}"] = {
                 "seed": seed, "dimension": table.dimension,
                 "nodes": len(table.vectors),
             }
             logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
                         len(table.vectors), table.dimension)
-    write_manifest(stage_dir, "embed", config, inputs, outputs, details)
-    write_timings(stage_dir, "embed", time.perf_counter() - t0)
     return details
 
 
-def cmd_pair(config: PipelineConfig) -> dict:
+@_stage("pair", "pair")
+def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     """Combine gene/disease vectors for every (variant, method, operator)."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "pair")
-    dataset, _, _, _ = _load_ingest(config)
+    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
     details = {}
-    outputs = []
-    inputs = [config.out() / "ingest" / "dataset.tsv"]
     for variant in config.kg_variants:
         for method in config.methods:
-            emb_path = _need(
-                config.out() / "embed" / f"embeddings_{variant}_{method}.txt",
-                "embed")
-            inputs.append(emb_path)
-            table = read_embeddings(emb_path, method=method)
+            table = read_embeddings(
+                run.need("embed", f"embeddings_{variant}_{method}.txt", "embed"),
+                method=method)
             for operator in config.operators:
                 features = build_pair_features(dataset, table, operator)
-                path = stage_dir / f"features_{variant}_{method}_{operator}.tsv"
-                write_pair_features(features, path)
-                outputs.append(path)
+                write_pair_features(features, run.output(
+                    f"features_{variant}_{method}_{operator}.tsv"))
                 details[f"{variant}/{method}/{operator}"] = {
                     "rows": int(features.rows.shape[0]),
                     "columns": int(features.rows.shape[1]),
                 }
-    write_manifest(stage_dir, "pair", config, inputs, outputs, details)
-    write_timings(stage_dir, "pair", time.perf_counter() - t0)
     return details
 
 
-def cmd_train(config: PipelineConfig) -> dict:
+@_stage("train", "train")
+def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
     """Fit every requested classifier on the training partition only."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "train")
-    dataset, _, _, _ = _load_ingest(config)
+    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
     train_idx = dataset.partition_indices("train")
     labels = dataset.labels()
     details = {}
-    outputs = []
-    inputs = [config.out() / "ingest" / "dataset.tsv"]
     for variant in config.kg_variants:
         for method in config.methods:
             for operator in config.operators:
-                feat_path = _need(
-                    config.out() / "pair"
-                    / f"features_{variant}_{method}_{operator}.tsv", "pair")
-                inputs.append(feat_path)
-                features = read_pair_features(feat_path, operator, method)
+                features = read_pair_features(run.need(
+                    "pair", f"features_{variant}_{method}_{operator}.tsv", "pair"),
+                    operator, method)
                 X_train = features.rows[train_idx]
                 y_train = labels[train_idx]
                 for kind in config.learners:
@@ -564,50 +539,35 @@ def cmd_train(config: PipelineConfig) -> dict:
                         model = make_classifier(kind, params, seed).fit(
                             X_train, y_train)
                         best_params = dict(params)
-                    path = stage_dir / f"model_{cell}.json"
-                    model.save(path)
-                    outputs.append(path)
-                    details[cell] = {"seed": seed, "best_params":
-                                     {k: _json_safe(v) for k, v in best_params.items()}}
+                    model.save(run.output(f"model_{cell}.json"))
+                    details[cell] = {"seed": seed, "best_params": _plain(best_params)}
                     logger.info("train %s done", cell)
-    write_manifest(stage_dir, "train", config, inputs, outputs, details)
-    write_timings(stage_dir, "train", time.perf_counter() - t0)
     return details
 
 
-def _json_safe(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def cmd_evaluate(config: PipelineConfig) -> dict:
+@_stage("evaluate", "evaluate")
+def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
     """Score every grid cell; cosine cells reuse the baseline protocol."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "evaluate")
-    dataset, _, _, _ = _load_ingest(config)
+    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
     details = {}
     summary_rows = []
-    outputs = []
-    inputs = [config.out() / "ingest" / "dataset.tsv"]
     for variant in config.kg_variants:
         for method in config.methods:
             cosine_scores = None
             for operator in config.operators:
-                feat_path = _need(
-                    config.out() / "pair"
-                    / f"features_{variant}_{method}_{operator}.tsv", "pair")
-                features = read_pair_features(feat_path, operator, method)
+                features = read_pair_features(run.need(
+                    "pair", f"features_{variant}_{method}_{operator}.tsv", "pair"),
+                    operator, method)
                 for learner in config.learners:
                     cell = f"{variant}_{method}_{operator}_{learner}"
                     cell_config = {"variant": variant, "method": method,
                                    "operator": operator, "learner": learner}
                     if learner == COSINE:
                         if cosine_scores is None:
-                            emb_path = _need(
-                                config.out() / "embed"
-                                / f"embeddings_{variant}_{method}.txt", "embed")
-                            table = read_embeddings(emb_path, method=method)
+                            table = read_embeddings(run.need(
+                                "embed", f"embeddings_{variant}_{method}.txt",
+                                "embed"), method=method)
+                            check_vectors(dataset, table)
                             cosine_scores = np.array([
                                 cosine_unit_score(table.vectors[p.gene.node_id],
                                                   table.vectors[p.disease.node_id])
@@ -616,57 +576,43 @@ def cmd_evaluate(config: PipelineConfig) -> dict:
                             dataset, "score_threshold", scores=cosine_scores,
                             config=cell_config, seed=config.seeds["split"])
                     else:
-                        model_path = _need(
-                            config.out() / "train" / f"model_{cell}.json", "train")
-                        inputs.append(model_path)
-                        model = load_model(model_path)
+                        model = load_model(
+                            run.need("train", f"model_{cell}.json", "train"))
                         report = evaluate_run(
                             dataset, "classifier", model=model, features=features,
                             config=cell_config,
                             seed=derive_seed(config.seeds["training"], cell))
-                    report_path = stage_dir / f"eval_{cell}.json"
-                    report.write(report_path)
-                    roc_path = stage_dir / f"roc_{cell}.tsv"
-                    write_roc_tsv(report.roc, roc_path)
-                    outputs += [report_path, roc_path]
+                    report.write(run.output(f"eval_{cell}.json"))
+                    write_roc_tsv(report.roc, run.output(f"roc_{cell}.tsv"))
                     details[cell] = {"waf": report.waf, "auc": report.auc,
                                      "threshold": report.threshold}
                     summary_rows.append(
                         (variant, method, operator, learner, details[cell]))
                     logger.info("evaluate %s: WAF=%.4f AUC=%.4f", cell,
                                 report.waf, report.auc)
-    summary_path = stage_dir / "summary.tsv"
     summary_rows.sort(key=lambda r: r[:4])
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(run.output("summary.tsv"), "w", encoding="utf-8") as fh:
         fh.write("variant\tmethod\toperator\tlearner\twaf\tauc\tthreshold\n")
         for variant, method, operator, learner, row in summary_rows:
             fh.write(f"{variant}\t{method}\t{operator}\t{learner}\t"
                      f"{row['waf']!r}\t{row['auc']!r}\t{row['threshold']!r}\n")
-    outputs.append(summary_path)
-    write_manifest(stage_dir, "evaluate", config, inputs, outputs, details)
-    write_timings(stage_dir, "evaluate", time.perf_counter() - t0)
     return details
 
 
-def cmd_report(config: PipelineConfig) -> dict:
+@_stage("report", "report")
+def cmd_report(config: PipelineConfig, run: StageRun) -> dict:
     """Rank all results by WAF, with improvement over the best baseline."""
-    t0 = time.perf_counter()
-    stage_dir = _stage_dir(config, "report")
     baseline_path = config.out() / "baseline" / "baseline.json"
     baseline = None
-    inputs = []
     if baseline_path.exists():
-        with open(baseline_path, encoding="utf-8") as fh:
+        with open(run.read(baseline_path), encoding="utf-8") as fh:
             baseline = json.load(fh)
-        inputs.append(baseline_path)
 
     grid_rows = {}
-    eval_dir = config.out() / "evaluate"
-    manifest_path = eval_dir / "manifest.json"
+    manifest_path = config.out() / "evaluate" / "manifest.json"
     if manifest_path.exists():
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(run.read(manifest_path), encoding="utf-8") as fh:
             grid_rows = json.load(fh)["details"]
-        inputs.append(manifest_path)
     if baseline is None and not grid_rows:
         raise StageDependencyError(
             "nothing to report: run the baseline and/or evaluate stages first")
@@ -690,12 +636,8 @@ def cmd_report(config: PipelineConfig) -> dict:
     rows.sort(key=lambda r: (-r["waf"], r["name"]))
 
     report = {"best_baseline_waf": best_baseline_waf, "ranking": rows}
-    json_path = stage_dir / "report.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    text_path = stage_dir / "report.md"
-    with open(text_path, "w", encoding="utf-8") as fh:
+    _write_json(run.output("report.json"), report)
+    with open(run.output("report.md"), "w", encoding="utf-8") as fh:
         fh.write("| rank | name | WAF | AUC | vs best baseline |\n")
         fh.write("|---|---|---|---|---|\n")
         for i, row in enumerate(rows, start=1):
@@ -703,9 +645,7 @@ def cmd_report(config: PipelineConfig) -> dict:
             delta_str = f"{delta:+.1%}" if delta is not None else "n/a"
             fh.write(f"| {i} | {row['name']} | {row['waf']:.4f} | "
                      f"{row['auc']:.4f} | {delta_str} |\n")
-    write_manifest(stage_dir, "report", config, inputs, [json_path, text_path],
-                   {"rows": len(rows)})
-    write_timings(stage_dir, "report", time.perf_counter() - t0)
+    run.details = {"rows": len(rows)}
     return report
 
 

@@ -139,8 +139,9 @@ def sim_groupwise(gene_terms: set[str], disease_terms: set[str],
     if config.aggregation == "SIMGIC":
         anc_a = _closure_union(gene_terms, kg)
         anc_b = _closure_union(disease_terms, kg)
-        inter = sum(ic.values[t] for t in anc_a & anc_b if t in ic.values)
-        union = sum(ic.values[t] for t in anc_a | anc_b if t in ic.values)
+        # fsum is exact, so the result does not depend on set iteration order
+        inter = math.fsum(ic.values[t] for t in anc_a & anc_b if t in ic.values)
+        union = math.fsum(ic.values[t] for t in anc_a | anc_b if t in ic.values)
         return inter / union if union > 0 else 0.0
     a_list = sorted(gene_terms)
     b_list = sorted(disease_terms)

@@ -23,10 +23,10 @@ def as_labels(y, n_rows: int | None = None) -> np.ndarray:
         raise ValueError(f"labels must be 1-dimensional, got shape {arr.shape}")
     if n_rows is not None and arr.shape[0] != n_rows:
         raise ValueError(f"row/label count mismatch: {n_rows} rows, {arr.shape[0]} labels")
-    out = arr.astype(np.int64)
-    if not np.isin(out, (0, 1)).all():
+    # checked before the cast, which would truncate 0.5 to 0
+    if not np.isin(arr, (0, 1)).all():
         raise ValueError("labels must be binary (0/1)")
-    return out
+    return arr.astype(np.int64)
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:

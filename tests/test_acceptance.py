@@ -325,8 +325,12 @@ def test_criterion_7_kg_variant_contracts(tmp_path):
     config = PipelineConfig.from_file(
         write_config(config_dict, tmp_path / "config.json"))
     cmd_ingest(config)
-    from gdapred.pipeline import _load_ingest
-    _, gene_hp, disease_hp, gene_go = _load_ingest(config)
+    from gdapred.pipeline import read_annotation_tsv
+    ingest_dir = config.out() / "ingest"
+    gene_hp, disease_hp, gene_go = (
+        read_annotation_tsv(ingest_dir / f"annotations_{name}.tsv", kind)
+        for name, kind in (("gene_hp", "gene"), ("disease_hp", "disease"),
+                           ("gene_go", "gene")))
     from gdapred.ontology import parse_obo
     hp = parse_obo(Path(config.inputs["hp_obo"]).read_text())
     go = parse_obo(Path(config.inputs["go_obo"]).read_text())

@@ -128,13 +128,35 @@ class TestStages:
                 assert names == sorted(names)
 
     def test_manifests_list_every_output(self, pipeline_run):
-        out_dir, _, _ = pipeline_run
-        for stage in ("ingest", "kg", "baseline", "embed", "pair", "train",
-                      "evaluate", "report"):
+        out_dir, config_path, _ = pipeline_run
+        config = json.loads(config_path.read_text())
+        cells = [f"{v}_{m}" for v in config["kg_variants"] for m in config["methods"]]
+        cells_op = [f"{c}_{op}" for c in cells for op in config["operators"]]
+        dataset = {"ingest/dataset.tsv"}
+        hp_annotations = {"ingest/annotations_gene_hp.tsv",
+                          "ingest/annotations_disease_hp.tsv"}
+        ontologies = {config["inputs"]["hp_obo"], config["inputs"]["go_obo"]}
+        embeddings = {f"embed/embeddings_{c}.txt" for c in cells}
+        features = {f"pair/features_{c}.tsv" for c in cells_op}
+        models = {f"train/model_{c}_random_forest.json" for c in cells_op}
+        # exactly the files each stage read
+        read = {
+            "ingest": set(config["inputs"].values()),
+            "kg": hp_annotations | {"ingest/annotations_gene_go.tsv"} | ontologies,
+            "baseline": dataset | hp_annotations | {"kg/kg_HP.tsv"},
+            "embed": {f"kg/kg_{v}.tsv" for v in config["kg_variants"]} | ontologies,
+            "pair": dataset | embeddings,
+            "train": dataset | features,
+            "evaluate": dataset | features | embeddings | models,
+            "report": {"baseline/baseline.json", "evaluate/manifest.json"},
+        }
+        for stage, inputs in read.items():
             manifest = json.loads((out_dir / stage / "manifest.json").read_text())
             produced = {p.name for p in (out_dir / stage).iterdir()}
             produced -= {"manifest.json", "timings.json"}
             assert set(manifest["outputs"]) == produced
+            # configured inputs are absolute paths, which the join keeps
+            assert set(manifest["inputs"]) == {str(out_dir / p) for p in inputs}
 
 
 class TestDeterminismAndIsolation:
@@ -255,6 +277,26 @@ class TestCliSurface:
             small_config(corpus, tmp_path / "out"), tmp_path / "config.json")
         assert main(["evaluate", "--config", str(config_path)]) == 1
 
+    def test_cosine_cell_missing_vector_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], operators=["hadamard"],
+                         learners=["cosine"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        gene = "GENE:" + (tmp_path / "out" / "ingest" / "dataset.tsv") \
+            .read_text().splitlines()[1].split("\t")[0]
+        emb_path = tmp_path / "out" / "embed" / "embeddings_HP_walk.txt"
+        header, *rows = emb_path.read_text().splitlines()
+        rows = [r for r in rows if r.split(" ")[0] != gene]
+        count, dim = header.split()
+        assert len(rows) == int(count) - 1
+        emb_path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n")
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert gene in caplog.text
+
     def test_parser_errors_carry_file_context(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")
         config_dict = small_config(corpus, tmp_path / "out")
@@ -309,6 +351,10 @@ class TestCliSurface:
         bad["grids"] = {"random_forest": "everything"}
         with pytest.raises(ConfigurationError, match="default"):
             PipelineConfig.from_file(write_config(bad, tmp_path / "bad4.json"))
+        bad = dict(good)
+        bad["embedding"] = {**good["embedding"], "dimensions": 8}
+        with pytest.raises(ConfigurationError, match="dimensions"):
+            PipelineConfig.from_file(write_config(bad, tmp_path / "bad5.json"))
 
     def test_default_grid_resolution(self, tmp_path):
         # "default" resolves to the documented candidate lists; gaussian_nb

@@ -222,6 +222,14 @@ class _ConstantFeatureForest:
         return np.full((X.shape[0], 2), 0.5)
 
 
+class TestLabelValidation:
+    def test_fractional_labels_rejected(self):
+        from gdapred.validation import as_labels
+        assert as_labels([0.0, 1.0, 1]).tolist() == [0, 1, 1]
+        with pytest.raises(ValueError, match="binary"):
+            as_labels([0.5, 1.0])
+
+
 class TestPersistence:
     def roundtrip(self, model, X, tmp_path):
         path = tmp_path / "model.json"

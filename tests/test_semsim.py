@@ -1,6 +1,10 @@
 """Information-content and similarity-measure contracts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,29 @@ class TestSimGroupwise:
                 s = sim_groupwise(gene_terms, disease_terms,
                                   SimilarityConfig("SIMGIC", "seco"), kg, ic)
                 assert 0.0 <= s <= 1.0
+
+    def test_simgic_independent_of_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED; the score must not
+        script = (
+            "import numpy as np\n"
+            "from helpers import random_hp_kg\n"
+            "from gdapred.semsim import SimilarityConfig, ic_seco, sim_groupwise\n"
+            "kg, _, genes, diseases = random_hp_kg(np.random.default_rng(0), 300, 40, 30)\n"
+            "ic = ic_seco(kg)\n"
+            "config = SimilarityConfig('SIMGIC', 'seco')\n"
+            "print(repr([sim_groupwise(g, d, config, kg, ic)\n"
+            "            for g in genes.entries.values()\n"
+            "            for d in diseases.entries.values()]))\n")
+        tests_dir = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests_dir), str(tests_dir.parent / "src"),
+                                os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_all_configs_match_oracle(self):
         rng = np.random.default_rng(73)
