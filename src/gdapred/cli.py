@@ -8,7 +8,7 @@ import sys
 
 from . import __version__
 from .errors import GdapredError
-from .pipeline import STAGE_FUNCTIONS, STAGES, PipelineConfig
+from .pipeline import STAGE_FUNCTIONS, PipelineConfig
 
 logger = logging.getLogger("gdapred")
 
@@ -29,18 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "become SEED, SEED+1, ...)")
     common.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="stage", required=True)
-    descriptions = {
-        "ingest": "parse inputs, filter pairs, sample negatives, split",
-        "build-kg": "assemble the requested knowledge-graph variants",
-        "baseline": "similarity baselines with threshold selection",
-        "embed": "train node embeddings per variant and method",
-        "pair": "combine gene/disease vectors with pair operators",
-        "train": "fit classifiers (grid search on the training split)",
-        "evaluate": "score every grid cell and export ROC curves",
-        "report": "rank all results against the best baseline",
-    }
-    for stage in STAGES:
-        sub.add_parser(stage, parents=[common], help=descriptions[stage])
+    for stage, function in STAGE_FUNCTIONS.items():
+        # the first docstring line; Python drops docstrings under -OO
+        summary = (function.__doc__ or "").partition("\n")[0]
+        sub.add_parser(stage, parents=[common], help=summary)
     return parser
 
 

@@ -277,31 +277,12 @@ class EvalReport:
     roc: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "config": self.config,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "waf": self.waf,
-            "auc": self.auc,
-            "per_label": self.per_label,
-            "roc": [[t, fpr, tpr] for t, fpr, tpr in self.roc],
-        }
-        return json.dumps(payload, indent=2)
+        # vars, not asdict: asdict deep-copies every ROC point
+        return json.dumps(vars(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        data = json.loads(text)
-        return cls(
-            mode=data["mode"],
-            config=data["config"],
-            seed=data["seed"],
-            threshold=data["threshold"],
-            waf=data["waf"],
-            auc=data["auc"],
-            per_label=data["per_label"],
-            roc=[(t, fpr, tpr) for t, fpr, tpr in data["roc"]],
-        )
+        return cls(**json.loads(text))
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -113,7 +113,8 @@ def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
     `is_a` edges become subClassOf triples, other ontology relationships
     keep their labels, and every annotated entity gains hasAnnotation
     triples. Dual-ontology variants are joined under a virtual root;
-    the LD variant additionally receives equivalence bridges.
+    the LD variant additionally receives equivalence bridges. The HP
+    variant leaves out terms that no triple touches.
     """
     if variant not in KG_VARIANTS:
         raise ConfigurationError(f"unknown KG variant {variant!r}")
@@ -153,6 +154,10 @@ def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
             "annotations reference terms missing from the ontologies: "
             + ", ".join(sorted(missing)))
 
+    if variant == "HP":
+        # the triples file is the graph's only record, so a term that no
+        # triple touches would not survive write_triples/read_triples
+        term_nodes &= {node for s, _, o in triples for node in (s, o)}
     kg = KnowledgeGraph(variant, triples, term_nodes, entity_nodes)
     if variant != "HP":
         kg = add_virtual_root(kg)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +78,6 @@ from .semsim import SSM_CONFIGS, ssm_baseline, write_scored_pairs
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("ingest", "build-kg", "baseline", "embed", "pair", "train",
-          "evaluate", "report")
 COSINE = "cosine"
 SEED_NAMES = ("sampling", "split", "embedding", "training")
 
@@ -89,9 +87,9 @@ REQUIRED_INPUTS = ("hp_obo", "gaf", "gene_accession_map", "gene_phenotype",
 
 @dataclass
 class PipelineConfig:
-    inputs: dict[str, str]
-    seeds: dict[str, int]
     output_dir: str
+    inputs: dict[str, str] = field(default_factory=dict)
+    seeds: dict[str, int] = field(default_factory=dict)
     excluded_sources: set[str] = field(default_factory=set)
     exclude_evidence: set[str] = field(default_factory=set)
     kg_variants: list[str] = field(default_factory=lambda: ["HP"])
@@ -107,6 +105,9 @@ class PipelineConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        # JSON has no sets
+        self.excluded_sources = set(self.excluded_sources)
+        self.exclude_evidence = set(self.exclude_evidence)
         for name in REQUIRED_INPUTS:
             if name not in self.inputs:
                 raise ConfigurationError(f"missing input path {name!r}")
@@ -117,24 +118,17 @@ class PipelineConfig:
             if name not in self.seeds:
                 raise ConfigurationError(
                     f"seeds must be explicit; missing seeds.{name}")
-        for variant in self.kg_variants:
-            if variant not in KG_VARIANTS:
-                raise ConfigurationError(f"unknown KG variant {variant!r}")
+        for values, known, what in (
+                (self.kg_variants, KG_VARIANTS, "KG variant"),
+                (self.ssm_measures, [c.name for c in SSM_CONFIGS], "SSM measure"),
+                (self.methods, KGE_METHODS, "embedding method"),
+                (self.operators, PAIR_OPERATORS, "pair operator"),
+                (self.learners, (*CLASSIFIER_KINDS, COSINE), "learner")):
+            for value in values:
+                if value not in known:
+                    raise ConfigurationError(f"unknown {what} {value!r}")
         if any(v != "HP" for v in self.kg_variants) and "go_obo" not in self.inputs:
             raise ConfigurationError("GO-based variants need inputs.go_obo")
-        known_measures = {c.name for c in SSM_CONFIGS}
-        for measure in self.ssm_measures:
-            if measure not in known_measures:
-                raise ConfigurationError(f"unknown SSM measure {measure!r}")
-        for method in self.methods:
-            if method not in KGE_METHODS:
-                raise ConfigurationError(f"unknown embedding method {method!r}")
-        for op in self.operators:
-            if op not in PAIR_OPERATORS:
-                raise ConfigurationError(f"unknown pair operator {op!r}")
-        for learner in self.learners:
-            if learner != COSINE and learner not in CLASSIFIER_KINDS:
-                raise ConfigurationError(f"unknown learner {learner!r}")
         for section_name, section in (("grids", self.grids),
                                       ("classifier_params", self.classifier_params)):
             for kind, value in section.items():
@@ -156,6 +150,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, out_override: str | None = None,
                   seed_override: int | None = None) -> "PipelineConfig":
+        """Load a JSON config; keys that name no field are ignored."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
         if seed_override is not None:
@@ -165,25 +160,8 @@ class PipelineConfig:
             raw["output_dir"] = out_override
         if "output_dir" not in raw:
             raise ConfigurationError("config needs an output_dir")
-        return cls(
-            inputs=dict(raw.get("inputs", {})),
-            seeds=dict(raw.get("seeds", {})),
-            output_dir=raw["output_dir"],
-            excluded_sources=set(raw.get("excluded_sources", [])),
-            exclude_evidence=set(raw.get("exclude_evidence", [])),
-            kg_variants=list(raw.get("kg_variants", ["HP"])),
-            ssm_measures=list(raw.get("ssm_measures",
-                                      [c.name for c in SSM_CONFIGS])),
-            embedding=dict(raw.get("embedding", {})),
-            methods=list(raw.get("methods", ["walk"])),
-            operators=list(raw.get("operators", ["hadamard"])),
-            learners=list(raw.get("learners", ["random_forest", COSINE])),
-            grids=dict(raw.get("grids", {})),
-            classifier_params=dict(raw.get("classifier_params", {})),
-            grid_folds=int(raw.get("grid_folds", 5)),
-            train_fraction=float(raw.get("train_fraction", 0.7)),
-            raw=raw,
-        )
+        names = {f.name for f in fields(cls)} - {"raw"}
+        return cls(**{k: v for k, v in raw.items() if k in names}, raw=raw)
 
     def kge_config(self, seed: int) -> KgeTrainConfig:
         return KgeTrainConfig(**self.embedding, seed=seed)
@@ -218,14 +196,13 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def write_manifest(stage_dir: Path, stage: str, config: PipelineConfig,
-                   inputs: list, outputs: list, details: dict) -> None:
-    _write_json(stage_dir / "manifest.json", {
-        "stage": stage,
+def write_manifest(run: StageRun, details: dict) -> None:
+    _write_json(run.dir / "manifest.json", {
+        "stage": run.stage,
         "tool_version": __version__,
-        "config": config.echo(),
-        "inputs": {str(p): file_digest(p) for p in sorted(inputs, key=str)},
-        "outputs": {p.name: file_digest(p) for p in sorted(outputs, key=str)},
+        "config": run.config.echo(),
+        "inputs": {str(p): file_digest(p) for p in sorted(run.inputs, key=str)},
+        "outputs": {p.name: file_digest(p) for p in sorted(run.outputs, key=str)},
         "details": details,
     })
 
@@ -233,6 +210,12 @@ def write_manifest(stage_dir: Path, stage: str, config: PipelineConfig,
 def write_timings(stage_dir: Path, stage: str, seconds: float) -> None:
     # separate file: wall-clock numbers must not break manifest determinism
     _write_json(stage_dir / "timings.json", {"stage": stage, "seconds": seconds})
+
+
+#: stage name -> its stage function, in run order; ``_stage`` fills it
+STAGE_FUNCTIONS: dict = {}
+#: stage name -> the directory under ``output_dir`` that holds its files
+_STAGE_DIRS: dict[str, str] = {}
 
 
 class StageRun:
@@ -243,9 +226,10 @@ class StageRun:
     files the stage used.
     """
 
-    def __init__(self, config: PipelineConfig, dirname: str):
+    def __init__(self, config: PipelineConfig, stage: str):
         self.config = config
-        self.dir = config.out() / dirname
+        self.stage = stage
+        self.dir = config.out() / _STAGE_DIRS[stage]
         self.inputs: list[Path] = []
         self.outputs: list[Path] = []
         #: manifest details, when they differ from what the stage returns
@@ -256,13 +240,16 @@ class StageRun:
         self.inputs.append(path)
         return path
 
-    def need(self, dirname: str, name: str, producer: str) -> Path:
-        """An artifact of an earlier stage, which must exist, as an input."""
-        path = self.config.out() / dirname / name
-        if not path.exists():
+    def need(self, stage: str, name: str, required: bool = True) -> Path | None:
+        """The artifact ``name`` of an earlier ``stage``, as an input. A
+        missing one raises, or gives None when it is not ``required``."""
+        path = self.config.out() / _STAGE_DIRS[stage] / name
+        if path.exists():
+            return self.read(path)
+        if required:
             raise StageDependencyError(
-                f"missing artifact {path}; run the {producer} stage first")
-        return self.read(path)
+                f"missing artifact {path}; run the {stage} stage first")
+        return None
 
     def output(self, name: str) -> Path:
         path = self.dir / name
@@ -271,20 +258,22 @@ class StageRun:
 
 
 def _stage(name: str, dirname: str):
-    """Turn a body ``(config, run) -> result`` into the stage ``(config) ->
-    result``: it creates the stage directory, times the body and writes
-    ``manifest.json`` and ``timings.json``."""
+    """Register a body ``(config, run) -> result`` as the stage ``name``,
+    whose files live in ``dirname``. The stage ``(config) -> result``
+    creates the directory, times the body and writes ``manifest.json``
+    and ``timings.json``."""
     def decorate(body):
         @functools.wraps(body)
         def run_stage(config: PipelineConfig):
             t0 = time.perf_counter()
-            run = StageRun(config, dirname)
+            run = StageRun(config, name)
             run.dir.mkdir(parents=True, exist_ok=True)
             result = body(config, run)
-            details = result if run.details is None else run.details
-            write_manifest(run.dir, name, config, run.inputs, run.outputs, details)
+            write_manifest(run, result if run.details is None else run.details)
             write_timings(run.dir, name, time.perf_counter() - t0)
             return result
+        STAGE_FUNCTIONS[name] = run_stage
+        _STAGE_DIRS[name] = dirname
         return run_stage
     return decorate
 
@@ -317,12 +306,56 @@ def _parse_input(run: StageRun, parser, name: str, *args):
 
 
 def _read_annotations(run: StageRun, kind: str, ontology: str) -> AnnotationMap:
-    path = run.need("ingest", f"annotations_{kind}_{ontology}.tsv", "ingest")
+    path = run.need("ingest", f"annotations_{kind}_{ontology}.tsv")
     return read_annotation_tsv(path, kind)
 
 
-# ---------------------------------------------------------------------------
-# stages
+def _grid(config: PipelineConfig):
+    """Each (variant, method) cell with the name of its embeddings file and
+    the names of its features files, by pair operator."""
+    for variant in config.kg_variants:
+        for method in config.methods:
+            yield variant, method, f"embeddings_{variant}_{method}.txt", {
+                op: f"features_{variant}_{method}_{op}.tsv"
+                for op in config.operators}
+
+
+def _cell_name(cell_config: dict) -> str:
+    return "_".join(cell_config.values())
+
+
+def _classifier_cells(run: StageRun, config: PipelineConfig, dataset):
+    """Each grid cell of a classifier learner, with the pair features it
+    uses, its model file name and its seed. The features must list the
+    dataset's pairs in order. Cosine cells use neither features nor a
+    model, so a cosine-only grid reads no features file."""
+    kinds = [kind for kind in config.learners if kind != COSINE]
+    if not kinds:
+        return
+    pairs = [p.key for p in dataset.pairs]
+    for variant, method, _, features_names in _grid(config):
+        for operator, features_name in features_names.items():
+            path = run.need("pair", features_name)
+            features = read_pair_features(path, operator, method)
+            if features.pairs != pairs:
+                raise IntegrityError(
+                    f"{path} does not hold the pairs of the current "
+                    "dataset.tsv in order; rerun the pair stage")
+            for kind in kinds:
+                cell_config = {"variant": variant, "method": method,
+                               "operator": operator, "learner": kind}
+                cell = _cell_name(cell_config)
+                yield (features, cell_config, f"model_{cell}.json",
+                       derive_seed(config.seeds["training"], cell))
+
+
+def _write_eval(run: StageRun, cell: str, report) -> dict:
+    """Write one cell's report and ROC curve; return its summary row."""
+    report.write(run.output(f"eval_{cell}.json"))
+    write_roc_tsv(report.roc, run.output(f"roc_{cell}.tsv"))
+    logger.info("%s %s: WAF=%.4f AUC=%.4f", run.stage, cell,
+                report.waf, report.auc)
+    return {"waf": report.waf, "auc": report.auc, "threshold": report.threshold}
 
 
 @_stage("ingest", "ingest")
@@ -415,13 +448,8 @@ def cmd_build_kg(config: PipelineConfig, run: StageRun) -> dict:
 @_stage("baseline", "baseline")
 def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     """Six-measure similarity baseline on the single-ontology KG."""
-    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
-    hp_kg_path = config.out() / "kg" / "kg_HP.tsv"
-    if not hp_kg_path.exists():
-        raise StageDependencyError(
-            f"missing artifact {hp_kg_path}; the baseline runs on the HP "
-            'variant, so include "HP" in kg_variants and rerun build-kg')
-    kg = read_triples(run.read(hp_kg_path), "HP")
+    dataset = read_dataset(run.need("ingest", "dataset.tsv"))
+    kg = read_triples(run.need("build-kg", "kg_HP.tsv"), "HP")
     annotations = merge_annotation_maps(_read_annotations(run, "gene", "hp"),
                                         _read_annotations(run, "disease", "hp"))
 
@@ -439,12 +467,7 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
         report = evaluate_run(
             dataset, "score_threshold", scores=scored.normalized_scores(),
             config={"measure": ssm_config.name}, seed=config.seeds["split"])
-        report.write(run.output(f"eval_{ssm_config.name}.json"))
-        write_roc_tsv(report.roc, run.output(f"roc_{ssm_config.name}.tsv"))
-        rows[ssm_config.name] = {"waf": report.waf, "auc": report.auc,
-                                 "threshold": report.threshold}
-        logger.info("baseline %s: WAF=%.4f AUC=%.4f", ssm_config.name,
-                    report.waf, report.auc)
+        rows[ssm_config.name] = _write_eval(run, ssm_config.name, report)
 
     best = max(rows, key=lambda name: (rows[name]["waf"], name)) if rows else None
     summary = {"measures": rows, "best": best}
@@ -466,134 +489,104 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
 def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
     """Train an embedding table per (variant, method) grid cell."""
     details = {}
-    ontologies = None
-    for variant in config.kg_variants:
-        kg = read_triples(run.need("kg", f"kg_{variant}.tsv", "build-kg"), variant)
-        for method in config.methods:
-            seed = derive_seed(config.seeds["embedding"], f"{variant}/{method}")
-            if method == "walk_lexical" and ontologies is None:
-                ontologies = [_parse_input(run, parse_obo, "hp_obo")]
-                if "go_obo" in config.inputs:
-                    ontologies.append(_parse_input(run, parse_obo, "go_obo"))
-            table = embed(kg, method, config.kge_config(seed), ontologies or ())
-            write_embeddings(table, run.output(f"embeddings_{variant}_{method}.txt"))
-            details[f"{variant}/{method}"] = {
-                "seed": seed, "dimension": table.dimension,
-                "nodes": len(table.vectors),
-            }
-            logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
-                        len(table.vectors), table.dimension)
+    kg = ontologies = None
+    for variant, method, name, _ in _grid(config):
+        if kg is None or kg.variant != variant:
+            kg = read_triples(run.need("build-kg", f"kg_{variant}.tsv"), variant)
+        seed = derive_seed(config.seeds["embedding"], f"{variant}/{method}")
+        if method == "walk_lexical" and ontologies is None:
+            ontologies = [_parse_input(run, parse_obo, "hp_obo")]
+            if "go_obo" in config.inputs:
+                ontologies.append(_parse_input(run, parse_obo, "go_obo"))
+        table = embed(kg, method, config.kge_config(seed), ontologies or ())
+        write_embeddings(table, run.output(name))
+        details[f"{variant}/{method}"] = {
+            "seed": seed, "dimension": table.dimension,
+            "nodes": len(table.vectors),
+        }
+        logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
+                    len(table.vectors), table.dimension)
     return details
 
 
 @_stage("pair", "pair")
 def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     """Combine gene/disease vectors for every (variant, method, operator)."""
-    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
+    dataset = read_dataset(run.need("ingest", "dataset.tsv"))
     details = {}
-    for variant in config.kg_variants:
-        for method in config.methods:
-            table = read_embeddings(
-                run.need("embed", f"embeddings_{variant}_{method}.txt", "embed"),
-                method=method)
-            for operator in config.operators:
-                features = build_pair_features(dataset, table, operator)
-                write_pair_features(features, run.output(
-                    f"features_{variant}_{method}_{operator}.tsv"))
-                details[f"{variant}/{method}/{operator}"] = {
-                    "rows": int(features.rows.shape[0]),
-                    "columns": int(features.rows.shape[1]),
-                }
+    for variant, method, name, features_names in _grid(config):
+        table = read_embeddings(run.need("embed", name), method=method)
+        for operator, features_name in features_names.items():
+            features = build_pair_features(dataset, table, operator)
+            write_pair_features(features, run.output(features_name))
+            details[f"{variant}/{method}/{operator}"] = {
+                "rows": int(features.rows.shape[0]),
+                "columns": int(features.rows.shape[1]),
+            }
     return details
 
 
 @_stage("train", "train")
 def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
     """Fit every requested classifier on the training partition only."""
-    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
+    dataset = read_dataset(run.need("ingest", "dataset.tsv"))
     train_idx = dataset.partition_indices("train")
-    labels = dataset.labels()
+    y_train = dataset.labels()[train_idx]
     details = {}
-    for variant in config.kg_variants:
-        for method in config.methods:
-            for operator in config.operators:
-                features = read_pair_features(run.need(
-                    "pair", f"features_{variant}_{method}_{operator}.tsv", "pair"),
-                    operator, method)
-                X_train = features.rows[train_idx]
-                y_train = labels[train_idx]
-                for kind in config.learners:
-                    if kind == COSINE:
-                        continue
-                    cell = f"{variant}_{method}_{operator}_{kind}"
-                    seed = derive_seed(config.seeds["training"], cell)
-                    grid = config.grids.get(kind)
-                    if grid == "default":
-                        grid = DEFAULT_GRIDS[kind]
-                    if grid:
-                        spec = GridSpec(dict(grid), fold_count=config.grid_folds)
-                        best_params, model = grid_search(
-                            kind, X_train, y_train, spec, seed)
-                    else:
-                        params = config.classifier_params.get(kind, {})
-                        model = make_classifier(kind, params, seed).fit(
-                            X_train, y_train)
-                        best_params = dict(params)
-                    model.save(run.output(f"model_{cell}.json"))
-                    details[cell] = {"seed": seed, "best_params": _plain(best_params)}
-                    logger.info("train %s done", cell)
+    for features, cell_config, model_name, seed in _classifier_cells(
+            run, config, dataset):
+        kind, cell = cell_config["learner"], _cell_name(cell_config)
+        X_train = features.rows[train_idx]
+        grid = config.grids.get(kind)
+        if grid == "default":
+            grid = DEFAULT_GRIDS[kind]
+        if grid:
+            spec = GridSpec(dict(grid), fold_count=config.grid_folds)
+            best_params, model = grid_search(kind, X_train, y_train, spec, seed)
+        else:
+            params = config.classifier_params.get(kind, {})
+            model = make_classifier(kind, params, seed).fit(X_train, y_train)
+            best_params = dict(params)
+        model.save(run.output(model_name))
+        details[cell] = {"seed": seed, "best_params": _plain(best_params)}
+        logger.info("train %s done", cell)
     return details
 
 
 @_stage("evaluate", "evaluate")
 def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
     """Score every grid cell; cosine cells reuse the baseline protocol."""
-    dataset = read_dataset(run.need("ingest", "dataset.tsv", "ingest"))
+    dataset = read_dataset(run.need("ingest", "dataset.tsv"))
     details = {}
-    summary_rows = []
-    for variant in config.kg_variants:
-        for method in config.methods:
-            cosine_scores = None
-            for operator in config.operators:
-                features = read_pair_features(run.need(
-                    "pair", f"features_{variant}_{method}_{operator}.tsv", "pair"),
-                    operator, method)
-                for learner in config.learners:
-                    cell = f"{variant}_{method}_{operator}_{learner}"
-                    cell_config = {"variant": variant, "method": method,
-                                   "operator": operator, "learner": learner}
-                    if learner == COSINE:
-                        if cosine_scores is None:
-                            table = read_embeddings(run.need(
-                                "embed", f"embeddings_{variant}_{method}.txt",
-                                "embed"), method=method)
-                            check_vectors(dataset, table)
-                            cosine_scores = np.array([
-                                cosine_unit_score(table.vectors[p.gene.node_id],
-                                                  table.vectors[p.disease.node_id])
-                                for p in dataset.pairs])
-                        report = evaluate_run(
-                            dataset, "score_threshold", scores=cosine_scores,
-                            config=cell_config, seed=config.seeds["split"])
-                    else:
-                        model = load_model(
-                            run.need("train", f"model_{cell}.json", "train"))
-                        report = evaluate_run(
-                            dataset, "classifier", model=model, features=features,
-                            config=cell_config,
-                            seed=derive_seed(config.seeds["training"], cell))
-                    report.write(run.output(f"eval_{cell}.json"))
-                    write_roc_tsv(report.roc, run.output(f"roc_{cell}.tsv"))
-                    details[cell] = {"waf": report.waf, "auc": report.auc,
-                                     "threshold": report.threshold}
-                    summary_rows.append(
-                        (variant, method, operator, learner, details[cell]))
-                    logger.info("evaluate %s: WAF=%.4f AUC=%.4f", cell,
-                                report.waf, report.auc)
-    summary_rows.sort(key=lambda r: r[:4])
+    summary = []
+
+    def record(report) -> None:
+        cell = _cell_name(report.config)
+        details[cell] = _write_eval(run, cell, report)
+        summary.append((*report.config.values(), details[cell]))
+
+    cosine_cells = _grid(config) if COSINE in config.learners else ()
+    for variant, method, name, features_names in cosine_cells:
+        table = read_embeddings(run.need("embed", name), method=method)
+        check_vectors(dataset, table)
+        scores = np.array([cosine_unit_score(table.vectors[p.gene.node_id],
+                                             table.vectors[p.disease.node_id])
+                           for p in dataset.pairs])
+        for operator in features_names:
+            record(evaluate_run(
+                dataset, "score_threshold", scores=scores,
+                config={"variant": variant, "method": method,
+                        "operator": operator, "learner": COSINE},
+                seed=config.seeds["split"]))
+    for features, cell_config, model_name, seed in _classifier_cells(
+            run, config, dataset):
+        record(evaluate_run(
+            dataset, "classifier", model=load_model(run.need("train", model_name)),
+            features=features, config=cell_config, seed=seed))
+    summary.sort(key=lambda r: r[:4])
     with open(run.output("summary.tsv"), "w", encoding="utf-8") as fh:
         fh.write("variant\tmethod\toperator\tlearner\twaf\tauc\tthreshold\n")
-        for variant, method, operator, learner, row in summary_rows:
+        for variant, method, operator, learner, row in summary:
             fh.write(f"{variant}\t{method}\t{operator}\t{learner}\t"
                      f"{row['waf']!r}\t{row['auc']!r}\t{row['threshold']!r}\n")
     return details
@@ -602,31 +595,22 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
 @_stage("report", "report")
 def cmd_report(config: PipelineConfig, run: StageRun) -> dict:
     """Rank all results by WAF, with improvement over the best baseline."""
-    baseline_path = config.out() / "baseline" / "baseline.json"
-    baseline = None
-    if baseline_path.exists():
-        with open(run.read(baseline_path), encoding="utf-8") as fh:
-            baseline = json.load(fh)
-
-    grid_rows = {}
-    manifest_path = config.out() / "evaluate" / "manifest.json"
-    if manifest_path.exists():
-        with open(run.read(manifest_path), encoding="utf-8") as fh:
-            grid_rows = json.load(fh)["details"]
-    if baseline is None and not grid_rows:
+    results = {}  # row-name prefix -> {name: {"waf": ..., "auc": ...}}
+    for prefix, stage, name, key in (
+            ("baseline", "baseline", "baseline.json", "measures"),
+            ("grid", "evaluate", "manifest.json", "details")):
+        path = run.need(stage, name, required=False)
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                results[prefix] = json.load(fh)[key]
+    if "baseline" not in results and not results.get("grid"):
         raise StageDependencyError(
             "nothing to report: run the baseline and/or evaluate stages first")
 
-    best_baseline_waf = None
-    rows = []
-    if baseline is not None:
-        for name, row in baseline["measures"].items():
-            rows.append({"name": f"baseline/{name}", "waf": row["waf"],
-                         "auc": row["auc"]})
-        if baseline["measures"]:
-            best_baseline_waf = max(r["waf"] for r in baseline["measures"].values())
-    for cell, row in grid_rows.items():
-        rows.append({"name": f"grid/{cell}", "waf": row["waf"], "auc": row["auc"]})
+    best_baseline_waf = max(
+        (row["waf"] for row in results.get("baseline", {}).values()), default=None)
+    rows = [{"name": f"{prefix}/{name}", "waf": row["waf"], "auc": row["auc"]}
+            for prefix, named in results.items() for name, row in named.items()]
     for row in rows:
         if best_baseline_waf:
             row["improvement_over_best_baseline"] = (
@@ -649,13 +633,4 @@ def cmd_report(config: PipelineConfig, run: StageRun) -> dict:
     return report
 
 
-STAGE_FUNCTIONS = {
-    "ingest": cmd_ingest,
-    "build-kg": cmd_build_kg,
-    "baseline": cmd_baseline,
-    "embed": cmd_embed,
-    "pair": cmd_pair,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-}
+STAGES = tuple(STAGE_FUNCTIONS)

@@ -86,12 +86,7 @@ def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationCont
         raise DegenerateDataError("no annotated entities in the corpus")
     counts: dict[str, int] = {}
     for terms in annotations.entries.values():
-        closure: set[str] = set()
-        for t in terms:
-            if t not in kg.term_nodes:
-                raise UnknownNodeError(f"annotation term {t} is not in the graph")
-            closure |= kg.ancestor_set(t)
-        for t in closure:
+        for t in _closure_union(terms, kg):
             counts[t] = counts.get(t, 0) + 1
     log_n = math.log(n_entities)
     values = {t: log_n - math.log(c) for t, c in counts.items()}
@@ -176,9 +171,6 @@ class ScoredPairs:
 
     def normalized_scores(self) -> list[float]:
         return [r.normalized_score for r in self.rows]
-
-    def labels(self) -> list[int]:
-        return [r.label for r in self.rows]
 
 
 def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,

@@ -6,9 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from gdapred.cli import main
+from gdapred.cli import build_parser, main
 from gdapred.errors import ConfigurationError, StageDependencyError
-from gdapred.pipeline import PipelineConfig, cmd_ingest, derive_seed
+from gdapred.pipeline import (
+    STAGE_FUNCTIONS,
+    STAGES,
+    PipelineConfig,
+    cmd_ingest,
+    derive_seed,
+)
 
 from corpus import PlantedCorpus, write_config
 
@@ -296,6 +302,46 @@ class TestCliSurface:
         emb_path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n")
         assert main(["evaluate", "--config", str(config_path)]) == 1
         assert gene in caplog.text
+
+    def test_stale_pair_features_exit_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], operators=["hadamard"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        # a resampled dataset no longer matches the pair stage's rows
+        shutil.rmtree(tmp_path / "out" / "ingest")
+        assert main(["ingest", "--config", str(config_path), "--seed", "99"]) == 0
+        for stage in ("train", "evaluate"):
+            caplog.clear()
+            assert main([stage, "--config", str(config_path)]) == 1
+            assert "rerun the pair stage" in caplog.text
+
+    def test_cosine_only_grid_needs_no_pair_stage(self, tmp_path):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], operators=["hadamard", "average"],
+                         learners=["cosine"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "evaluate"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        manifest = json.loads(
+            (tmp_path / "out" / "evaluate" / "manifest.json").read_text())
+        assert not any("features_" in path for path in manifest["inputs"])
+        assert sorted(manifest["details"]) == [
+            "HP_walk_average_cosine", "HP_walk_hadamard_cosine"]
+
+    def test_stage_registry_order_and_help(self):
+        assert STAGES == ("ingest", "build-kg", "baseline", "embed", "pair",
+                          "train", "evaluate", "report")
+        assert list(STAGE_FUNCTIONS) == list(STAGES)
+        helptext = " ".join(build_parser().format_help().split())
+        for stage, function in STAGE_FUNCTIONS.items():
+            summary = function.__doc__.splitlines()[0]
+            assert f"{stage} {' '.join(summary.split())}" in helptext
 
     def test_parser_errors_carry_file_context(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")

@@ -18,6 +18,7 @@ from gdapred.kg import (
     write_triples,
 )
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
+from gdapred.semsim import ic_seco
 
 from helpers import oracle_reachable_up, random_hp_kg
 
@@ -248,6 +249,21 @@ class TestTripleExport:
         assert back.triples == kg.triples
         assert back.term_nodes == kg.term_nodes
         assert back.entity_nodes == kg.entity_nodes
+
+    @pytest.mark.parametrize("variant", ["HP", "HP_GO"])
+    def test_roundtrip_with_isolated_term(self, tmp_path, variant):
+        # HP:4 has no edge and no annotation
+        hp = make_ontology(["HP:1", "HP:2", "HP:3", "HP:4"],
+                           [("HP:2", "HP:1"), ("HP:3", "HP:2")])
+        go = {} if variant == "HP" else {
+            "go": GO2, "gene_go": annotations(g1=["GO:2"])}
+        kg = build_kg(variant, hp, gene_hp=annotations(g1=["HP:3"]),
+                      disease_hp=annotations(d1=["HP:2"]), **go)
+        path = tmp_path / "kg.tsv"
+        write_triples(kg, path)
+        back = read_triples(path, variant)
+        assert back.term_nodes == kg.term_nodes
+        assert ic_seco(back).values == ic_seco(kg).values
 
     def test_sorted_lines(self, tmp_path):
         kg = KnowledgeGraph("HP", {("HP:2", SUBCLASS_OF, "HP:1"),
