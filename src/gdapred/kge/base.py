@@ -58,6 +58,20 @@ def decayed_rate(base: float, progress: float) -> float:
     return base * max(1.0 - progress, 1e-4)
 
 
+def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(table, index, rows)`` for 2-D ``table`` and ``rows``.
+
+    Rows that share an index are summed by one ``np.bincount`` over
+    (touched rows x columns), in input order, and each touched row of
+    ``table`` is updated once; rows not in ``index`` are never read.
+    """
+    touched, slot = np.unique(index, return_inverse=True)
+    dim = table.shape[1]
+    flat = np.add.outer(slot * dim, np.arange(dim)).ravel()
+    sums = np.bincount(flat, np.ravel(rows), minlength=touched.size * dim)
+    table[touched] += sums.reshape(touched.size, dim)
+
+
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """`node_count dimension` header, then one space-separated row per node."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ import numpy as np
 from ..errors import DivergenceError
 from ..kg import KnowledgeGraph
 from ..validation import as_vector, check_same_dimension
-from .base import EmbeddingTable, KgeTrainConfig, decayed_rate
+from .base import EmbeddingTable, KgeTrainConfig, decayed_rate, scatter_add
 
 L1 = "L1"
 L2 = "L2"
@@ -173,11 +173,11 @@ def train_transe(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable:
             w = active.astype(np.float64)
             u_pos_rep = np.repeat(u_pos, k, axis=0) * w[:, None]
             u_neg_w = u_neg * w[:, None]
-            np.add.at(E, np.repeat(h, k), -scale * u_pos_rep)
-            np.add.at(E, np.repeat(t, k), scale * u_pos_rep)
-            np.add.at(Rel, r2, -scale * (u_pos_rep - u_neg_w))
-            np.add.at(E, h2, scale * u_neg_w)
-            np.add.at(E, t2, -scale * u_neg_w)
+            scatter_add(E, np.repeat(h, k), -scale * u_pos_rep)
+            scatter_add(E, np.repeat(t, k), scale * u_pos_rep)
+            scatter_add(Rel, r2, -scale * (u_pos_rep - u_neg_w))
+            scatter_add(E, h2, scale * u_neg_w)
+            scatter_add(E, t2, -scale * u_neg_w)
             _project_to_unit_ball(E)
         mean_loss = margin_objective()
         if not np.isfinite(mean_loss):
@@ -225,9 +225,9 @@ def train_distmult(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable
             samples += m
             factor = (-labels / (1.0 + np.exp(-z)))[:, None]
             scale = lr / m
-            np.add.at(E, hh, -scale * (factor * (vr * vt) + 2.0 * lam * vh))
-            np.add.at(Rel, rr, -scale * (factor * (vh * vt) + 2.0 * lam * vr))
-            np.add.at(E, tt, -scale * (factor * (vh * vr) + 2.0 * lam * vt))
+            scatter_add(E, hh, -scale * (factor * (vr * vt) + 2.0 * lam * vh))
+            scatter_add(Rel, rr, -scale * (factor * (vh * vt) + 2.0 * lam * vr))
+            scatter_add(E, tt, -scale * (factor * (vh * vr) + 2.0 * lam * vt))
         mean_loss = epoch_loss / samples
         if not np.isfinite(mean_loss):
             raise DivergenceError(

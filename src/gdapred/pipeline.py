@@ -502,7 +502,7 @@ def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
         write_embeddings(table, run.output(name))
         details[f"{variant}/{method}"] = {
             "seed": seed, "dimension": table.dimension,
-            "nodes": len(table.vectors),
+            "nodes": len(table.vectors), "loss_history": table.loss_history,
         }
         logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
                     len(table.vectors), table.dimension)

@@ -1,6 +1,7 @@
 """Pipeline staging and CLI surface, on a small planted corpus."""
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -132,6 +133,18 @@ class TestStages:
                 by_value.setdefault(r["waf"], []).append(r["name"])
             for names in by_value.values():
                 assert names == sorted(names)
+
+    def test_embed_manifest_records_loss_history(self, pipeline_run):
+        out_dir, config_path, _ = pipeline_run
+        config = json.loads(config_path.read_text())
+        details = json.loads(
+            (out_dir / "embed" / "manifest.json").read_text())["details"]
+        assert sorted(details) == sorted(
+            f"{v}/{m}" for v in config["kg_variants"] for m in config["methods"])
+        for cell in details.values():
+            history = cell["loss_history"]
+            assert len(history) == config["embedding"]["epochs"]
+            assert all(math.isfinite(x) and x > 0 for x in history)
 
     def test_manifests_list_every_output(self, pipeline_run):
         out_dir, config_path, _ = pipeline_run
@@ -302,6 +315,18 @@ class TestCliSurface:
         emb_path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n")
         assert main(["evaluate", "--config", str(config_path)]) == 1
         assert gene in caplog.text
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_embedding_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                              methods=["walk"], learners=["cosine"])
+        config["embedding"]["learning_rate"] = 1.0
+        config_path = write_config(config, tmp_path / "config.json")
+        for stage in ("ingest", "build-kg"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        assert main(["embed", "--config", str(config_path)]) == 1
+        assert "non-finite" in caplog.text
 
     def test_stale_pair_features_exit_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")

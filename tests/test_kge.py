@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gdapred.errors import ConfigurationError, DegenerateDataError
+from gdapred.errors import ConfigurationError, DegenerateDataError, DivergenceError
 from gdapred.kg import KnowledgeGraph
 from gdapred.kge import (
     EmbeddingTable,
@@ -25,9 +27,13 @@ from gdapred.kge import (
     transe_score,
     write_embeddings,
 )
+from gdapred.kge.base import scatter_add
+from gdapred.kge.corpus import WalkCorpus
+from gdapred.kge.skipgram import _BLOCK_SENTENCES
 from gdapred.ontology import Ontology, OntologyTerm
 
 from helpers import finite_difference, max_relative_error
+from sgns_reference import train_skipgram_reference
 
 
 def ring_kg(n=12):
@@ -361,10 +367,62 @@ class TestTrainSkipgram:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_degenerate_vocabulary(self):
-        from gdapred.kge.corpus import WalkCorpus
         corpus = WalkCorpus([["N:a"]], frozenset({"N:a"}))
         with pytest.raises(DegenerateDataError):
             train_skipgram(corpus, KgeTrainConfig(**self.CFG, seed=0))
+
+    def test_matches_per_pair_reference(self):
+        """The dense per-sentence update equals the per-pair ``np.add.at``
+        stream up to summation order."""
+        kg, nodes = self.two_cliques()
+        walks = generate_walks(kg, 16, 6, seed=2)
+        # longer than 2 * window + 1, with repeated tokens
+        repeats = [["A:0", "linked", "A:1", "linked", "A:0", "linked", "A:0",
+                    "A:0", "linked", "B:1", "linked", "A:0", "A:1"]] * 3
+        corpus = WalkCorpus(walks.sentences + repeats, walks.node_tokens)
+        config = KgeTrainConfig(dimension=12, epochs=3, learning_rate=0.025,
+                                window=2, negatives_per_positive=4, seed=9)
+        assert len(corpus.sentences) > _BLOCK_SENTENCES
+        assert max(len(s) for s in corpus.sentences) > 2 * config.window + 1
+
+        got = train_skipgram(corpus, config)
+        ref = train_skipgram_reference(corpus, config)
+        assert set(got.vectors) == set(ref.vectors) == set(nodes)
+        for node, vec in ref.vectors.items():
+            assert np.max(np.abs(got.vectors[node] - vec)) <= 1e-9, node
+        assert len(got.loss_history) == config.epochs
+        assert np.max(np.abs(np.subtract(got.loss_history,
+                                         ref.loss_history))) <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_typed(self):
+        kg, _ = self.two_cliques()
+        config = KgeTrainConfig(**{**self.CFG, "learning_rate": 1.0}, seed=0)
+        corpus = generate_walks(kg, config.walks_per_node, config.walk_depth,
+                                config.seed)
+        with pytest.raises(DivergenceError, match="non-finite"):
+            train_skipgram(corpus, config)
+
+
+class TestScatterAdd:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 8), dim=st.integers(1, 5),
+           index=st.lists(st.integers(0, 7), max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=3, dim=2, index=[], seed=0)
+    @example(rows=3, dim=2, index=[1, 1, 1, 1], seed=0)
+    def test_matches_add_at(self, rows, dim, index, seed):
+        index = np.array([i % rows for i in index], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        table = rng.normal(size=(rows, dim))
+        values = rng.normal(size=(index.size, dim))
+        expected = table.copy()
+        np.add.at(expected, index, values)
+        untouched = np.setdiff1d(np.arange(rows), index)
+        before = table[untouched].copy()
+        scatter_add(table, index, values)
+        assert np.allclose(table, expected, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(table[untouched], before)
 
 
 class TestTrainConfig:
