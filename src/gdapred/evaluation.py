@@ -215,25 +215,23 @@ def roc_auc(y_true, scores) -> tuple[float, list[tuple[float | None, float, floa
         raise DegenerateDataError("AUC undefined: both labels must be present")
 
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # runs of equal scores in ascending order span starts[k]..ends[k]
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:] - 1, len(scores) - 1]
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0,  # average rank, 1-based
+                             ends - starts + 1)
     pos_rank_sum = float(np.sum(ranks[y_true == POSITIVE]))
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
+    # the staircase takes one step per distinct score, highest first
+    sorted_y = y_true[order]
+    tp = np.add.reduceat(sorted_y == POSITIVE, starts, dtype=np.int64)[::-1].cumsum()
+    fp = np.add.reduceat(sorted_y == NEGATIVE, starts, dtype=np.int64)[::-1].cumsum()
     points: list[tuple[float | None, float, float]] = [(None, 0.0, 0.0)]
-    tp = fp = 0
-    for value in sorted(set(scores.tolist()), reverse=True):
-        mask = scores == value
-        tp += int(np.sum(y_true[mask] == POSITIVE))
-        fp += int(np.sum(y_true[mask] == NEGATIVE))
-        points.append((value, fp / n_neg, tp / n_pos))
+    points += zip(sorted_scores[starts[::-1]].tolist(), (fp / n_neg).tolist(),
+                  (tp / n_pos).tolist())
     return auc, points
 
 

@@ -18,29 +18,30 @@ def _gini_best_split(X, y, feature_indices):
     """
     n = y.shape[0]
     best = (None, None, np.inf)
-    for f in feature_indices:
-        values = X[:, f]
-        order = np.argsort(values, kind="mergesort")
-        sv = values[order]
-        sy = y[order]
-        distinct = np.nonzero(sv[1:] > sv[:-1])[0]  # split after index i
-        if distinct.size == 0:
-            continue
-        cum_pos = np.cumsum(sy)
-        total_pos = cum_pos[-1]
-        n_left = distinct + 1
-        n_right = n - n_left
-        pos_left = cum_pos[distinct]
-        pos_right = total_pos - pos_left
-        p_left = pos_left / n_left
-        p_right = pos_right / n_right
-        gini_left = 1.0 - p_left**2 - (1.0 - p_left)**2
-        gini_right = 1.0 - p_right**2 - (1.0 - p_right)**2
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        i = int(np.argmin(weighted))
-        if weighted[i] < best[2] - 1e-15:
-            threshold = 0.5 * (sv[distinct[i]] + sv[distinct[i] + 1])
-            best = (int(f), float(threshold), float(weighted[i]))
+    if n < 2:
+        return best
+    values = X[:, feature_indices]
+    order = np.argsort(values, axis=0, kind="mergesort")
+    sv = np.take_along_axis(values, order, axis=0)
+    cum_pos = np.cumsum(y[order], axis=0)
+    # row i scores the split after sorted position i; only a split
+    # between two distinct values is a candidate
+    n_left = np.arange(1, n)[:, None]
+    n_right = n - n_left
+    pos_left = cum_pos[:-1]
+    pos_right = cum_pos[-1] - pos_left
+    p_left = pos_left / n_left
+    p_right = pos_right / n_right
+    gini_left = 1.0 - p_left**2 - (1.0 - p_left)**2
+    gini_right = 1.0 - p_right**2 - (1.0 - p_right)**2
+    weighted = (n_left * gini_left + n_right * gini_right) / n
+    weighted[~(sv[1:] > sv[:-1])] = np.inf
+    rows = np.argmin(weighted, axis=0)
+    for j, f in enumerate(feature_indices):
+        i = rows[j]
+        if weighted[i, j] < best[2] - 1e-15:
+            threshold = 0.5 * (sv[i, j] + sv[i + 1, j])
+            best = (int(f), float(threshold), float(weighted[i, j]))
     return best
 
 

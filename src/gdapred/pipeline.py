@@ -74,7 +74,7 @@ from .pairing import (
     read_pair_features,
     write_pair_features,
 )
-from .semsim import SSM_CONFIGS, ssm_baseline, write_scored_pairs
+from .semsim import SSM_CONFIGS, ic_table, ssm_baseline, write_scored_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -454,10 +454,15 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
                                         _read_annotations(run, "disease", "hp"))
 
     rows = {}
+    tables = {}  # one IC table per flavour, shared by its measures
     for ssm_config in SSM_CONFIGS:
         if ssm_config.name not in config.ssm_measures:
             continue
-        scored = ssm_baseline(dataset, ssm_config, kg, annotations)
+        flavor = ssm_config.ic_flavor
+        if flavor not in tables:
+            tables[flavor] = ic_table(flavor, kg, annotations)
+        scored = ssm_baseline(dataset, ssm_config, kg, annotations,
+                              ic=tables[flavor])
         if scored.excluded_entities:
             raise IntegrityError(
                 "baseline cannot score the persisted dataset: entities "

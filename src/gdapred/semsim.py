@@ -27,7 +27,44 @@ AGGREGATIONS = ("BMA", "MAX", "SIMGIC")
 class InformationContentTable:
     flavor: str
     values: dict[str, float]
-    normalizer: float
+    #: MICA bitmasks over the KG the table was last used with, built
+    #: from ``values`` on first use: do not change ``values`` after that
+    _masks: "_AncestorMasks | None" = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _masks_for(self, kg: KnowledgeGraph) -> "_AncestorMasks":
+        if self._masks is None or self._masks.kg is not kg:
+            self._masks = _AncestorMasks(kg, self.values)
+        return self._masks
+
+
+class _AncestorMasks:
+    """Ancestor sets as bitmasks over the IC ranking of one KG.
+
+    The terms with IC > 0 are ranked by IC, highest first, ties broken
+    by term id; bit r of a term's mask is set when the rank-r term is
+    among its ancestors. The lowest bit two masks share is then their
+    most informative common ancestor, and no shared bit means MICA 0.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, values: dict[str, float]):
+        self.kg = kg
+        ranked = sorted((t for t, v in values.items() if v > 0.0),
+                        key=lambda t: (-values[t], t))
+        self.rank = {t: r for r, t in enumerate(ranked)}
+        self.ic = [values[t] for t in ranked]
+        self.masks: dict[str, int] = {}
+
+    def mask(self, term: str) -> int:
+        mask = self.masks.get(term)
+        if mask is None:
+            mask = 0
+            for t in self.kg.ancestor_set(term):
+                r = self.rank.get(t)
+                if r is not None:
+                    mask |= 1 << r
+            self.masks[term] = mask
+        return mask
 
 
 @dataclass(frozen=True)
@@ -71,7 +108,7 @@ def ic_seco(kg: KnowledgeGraph) -> InformationContentTable:
                 desc_count[anc] += 1
     log_n = math.log(n)
     values = {t: 1.0 - math.log(desc_count[t] + 1) / log_n for t in terms}
-    return InformationContentTable(IC_SECO, values, max(values.values()) or 1.0)
+    return InformationContentTable(IC_SECO, values)
 
 
 def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationContentTable:
@@ -90,24 +127,28 @@ def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationCont
             counts[t] = counts.get(t, 0) + 1
     log_n = math.log(n_entities)
     values = {t: log_n - math.log(c) for t, c in counts.items()}
-    normalizer = max(values.values()) if values else 1.0
-    return InformationContentTable(IC_RESNIK_CORPUS, values, normalizer or 1.0)
+    return InformationContentTable(IC_RESNIK_CORPUS, values)
+
+
+def ic_table(flavor: str, kg: KnowledgeGraph,
+             annotations: AnnotationMap) -> InformationContentTable:
+    """The IC table of one flavour, from ``ic_seco`` or ``ic_resnik``."""
+    if flavor == IC_SECO:
+        return ic_seco(kg)
+    return ic_resnik(kg, annotations)
 
 
 def sim_resnik_pair(a: str, b: str, kg: KnowledgeGraph,
                     ic: InformationContentTable) -> float:
-    """IC of the most informative common ancestor of two terms."""
+    """IC of the most informative common ancestor of two terms; 0.0 when
+    no common ancestor has a positive IC."""
     if a not in kg.term_nodes:
         raise UnknownNodeError(f"{a} is not a term node of this graph")
     if b not in kg.term_nodes:
         raise UnknownNodeError(f"{b} is not a term node of this graph")
-    common = kg.ancestor_set(a) & kg.ancestor_set(b)
-    best = 0.0
-    for t in common:
-        value = ic.values.get(t)
-        if value is not None and value > best:
-            best = value
-    return best
+    masks = ic._masks_for(kg)
+    common = masks.mask(a) & masks.mask(b)
+    return masks.ic[(common & -common).bit_length() - 1] if common else 0.0
 
 
 def _closure_union(terms: Iterable[str], kg: KnowledgeGraph) -> set[str]:
@@ -174,17 +215,21 @@ class ScoredPairs:
 
 
 def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
-                 kg: KnowledgeGraph, annotations: AnnotationMap) -> ScoredPairs:
+                 kg: KnowledgeGraph, annotations: AnnotationMap,
+                 ic: InformationContentTable | None = None) -> ScoredPairs:
     """Score every dataset pair with a groupwise measure.
 
     Raw scores are min-max normalized to [0, 1] across the scored set
     (corpus IC is unbounded); if all raw scores coincide every pair maps
     to 1.0. Entities without annotations are reported, not scored.
+    ``ic`` lets measures of one IC flavour share a table (and its MICA
+    masks); without it the table is built here.
     """
-    if config.ic_flavor == IC_SECO:
-        ic = ic_seco(kg)
-    else:
-        ic = ic_resnik(kg, annotations)
+    if ic is None:
+        ic = ic_table(config.ic_flavor, kg, annotations)
+    elif ic.flavor != config.ic_flavor:
+        raise ValueError(f"{config.name} needs a {config.ic_flavor} IC table, "
+                         f"got {ic.flavor}")
 
     # term pairs recur across entity pairs; sim_resnik_pair is symmetric
     memo: dict[tuple[str, str], float] = {}

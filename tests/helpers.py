@@ -150,6 +150,49 @@ def oracle_auc(y_true, scores) -> float:
     return total / (len(positives) * len(negatives))
 
 
+def oracle_roc_points(y_true, scores) -> list[tuple[float | None, float, float]]:
+    """ROC staircase by thresholding at every distinct score, highest first."""
+    n_pos = sum(1 for y in y_true if y == 1)
+    n_neg = sum(1 for y in y_true if y == 0)
+    points = [(None, 0.0, 0.0)]
+    for t in sorted(set(float(s) for s in scores), reverse=True):
+        tp = sum(1 for s, y in zip(scores, y_true) if s >= t and y == 1)
+        fp = sum(1 for s, y in zip(scores, y_true) if s >= t and y == 0)
+        points.append((t, fp / n_neg, tp / n_pos))
+    return points
+
+
+def oracle_gini_best_split(X, y, feature_indices):
+    """The forest's split search one feature at a time, as it was before it
+    scored every sampled feature in one pass; same tie rules and margin."""
+    n = y.shape[0]
+    best = (None, None, np.inf)
+    for f in feature_indices:
+        values = X[:, f]
+        order = np.argsort(values, kind="mergesort")
+        sv = values[order]
+        sy = y[order]
+        distinct = np.nonzero(sv[1:] > sv[:-1])[0]  # split after index i
+        if distinct.size == 0:
+            continue
+        cum_pos = np.cumsum(sy)
+        total_pos = cum_pos[-1]
+        n_left = distinct + 1
+        n_right = n - n_left
+        pos_left = cum_pos[distinct]
+        pos_right = total_pos - pos_left
+        p_left = pos_left / n_left
+        p_right = pos_right / n_right
+        gini_left = 1.0 - p_left**2 - (1.0 - p_left)**2
+        gini_right = 1.0 - p_right**2 - (1.0 - p_right)**2
+        weighted = (n_left * gini_left + n_right * gini_right) / n
+        i = int(np.argmin(weighted))
+        if weighted[i] < best[2] - 1e-15:
+            threshold = 0.5 * (sv[distinct[i]] + sv[distinct[i] + 1])
+            best = (int(f), float(threshold), float(weighted[i]))
+    return best
+
+
 def finite_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function of one array.
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdapred.errors import DegenerateDataError, InfeasibleNegativesError
 from gdapred.evaluation import (
@@ -22,7 +24,7 @@ from gdapred.evaluation import (
 )
 from gdapred.ontology import EntityId
 
-from helpers import oracle_auc
+from helpers import oracle_auc, oracle_roc_points
 
 
 def gene(i):
@@ -219,6 +221,23 @@ class TestRocAuc:
         _, points = roc_auc(y, rng.random(50))
         fpr = [p[1] for p in points]
         assert fpr == sorted(fpr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.tuples(st.integers(0, 1),
+                                   st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
+                                   | st.floats(-1e3, 1e3)),
+                         min_size=2, max_size=60))
+    @example(data=[(1, 0.5), (0, 0.5)])
+    @example(data=[(0, 0.0), (1, -0.0), (1, 0.0), (0, 1.0)])
+    def test_matches_oracles_exactly(self, data):
+        y = [label for label, _ in data]
+        scores = [score for _, score in data]
+        if min(y) == max(y):
+            y[0] = 1 - y[0]
+        auc, points = roc_auc(y, scores)
+        assert auc == pytest.approx(oracle_auc(y, scores), abs=1e-12)
+        assert points == oracle_roc_points(y, scores)
+        assert [type(p[0]) for p in points[1:]] == [float] * (len(points) - 1)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(113)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdapred.errors import DegenerateDataError
 from gdapred.learn import (
@@ -16,6 +18,9 @@ from gdapred.learn import (
     mlp_gradient_check,
     stratified_kfold,
 )
+from gdapred.learn.forest import _gini_best_split
+
+from helpers import oracle_gini_best_split
 
 
 def separable_1d(n=30, margin=1.0, seed=0):
@@ -72,6 +77,45 @@ class TestRandomForest:
         a = RandomForestClassifier(n_trees=10, seed=3).fit(X, y)
         b = RandomForestClassifier(n_trees=10, seed=3).fit(X, y)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
+
+class TestGiniBestSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 30), n_features=st.integers(1, 6),
+           levels=st.sampled_from([1, 2, 3, 0]), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, n_features=3, levels=0, seed=0)
+    @example(n=5, n_features=4, levels=1, seed=0)
+    def test_matches_per_feature_loop(self, n, n_features, levels, seed):
+        # levels 1 makes every feature constant, 2 and 3 force tied values,
+        # 0 draws continuous values
+        rng = np.random.default_rng(seed)
+        if levels:
+            X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, n_features))
+        y = rng.integers(0, 2, size=n)
+        k = int(rng.integers(1, n_features + 1))
+        features = np.sort(rng.choice(n_features, size=k, replace=False))
+        assert _gini_best_split(X, y, features) == oracle_gini_best_split(X, y, features)
+
+    def test_ties_keep_first_sampled_feature(self):
+        # both features split the labels perfectly at the same threshold
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([0, 0, 1, 1])
+        assert _gini_best_split(X, y, np.array([0, 1])) == (0, 0.5, 0.0)
+        assert _gini_best_split(X, y, np.array([1])) == (1, 0.5, 0.0)
+
+    def test_rounding_level_gain_keeps_first_feature(self):
+        # both features reach Gini 1/3; feature 1's value rounds 6e-17 lower
+        X = np.array([[3.0, 1.0], [0.0, 0.0], [1.0, 3.0], [3.0, 0.0]])
+        y = np.array([0, 0, 1, 1])
+        assert _gini_best_split(X, y, np.array([1]))[2] < 1.0 / 3.0
+        assert _gini_best_split(X, y, np.array([0, 1])) == (0, 0.5, 1.0 / 3.0)
+
+    def test_no_candidate_split(self):
+        y = np.array([0, 1, 0])
+        assert _gini_best_split(np.ones((3, 2)), y, np.array([0, 1]))[0] is None
+        assert _gini_best_split(np.ones((1, 2)), y[:1], np.array([0, 1]))[0] is None
 
 
 class TestGaussianNaiveBayes:

@@ -8,7 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gdapred.semsim as semsim
+from gdapred.cli import main
 from gdapred.errors import DegenerateDataError, UnknownNodeError
 from gdapred.evaluation import AssociationDataset, LabeledPair
 from gdapred.kg import build_kg
@@ -25,6 +29,7 @@ from gdapred.semsim import (
     write_scored_pairs,
 )
 
+from corpus import PlantedCorpus, write_config
 from helpers import (
     oracle_groupwise,
     oracle_ic_resnik,
@@ -197,6 +202,48 @@ class TestSimResnikPair:
             assert sim_resnik_pair(a, b, kg, ic) == pytest.approx(
                 oracle_pair_sim(a, b, kg, ic.values), abs=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
+           flavor=st.sampled_from(["seco", "resnik_corpus", "hand"]))
+    @example(seed=0, n_terms=12, flavor="hand")
+    def test_equals_oracle_exactly(self, seed, n_terms, flavor):
+        rng = np.random.default_rng(seed)
+        kg, _, gene_map, disease_map = random_hp_kg(rng, n_terms, 2, 1, max_terms=3)
+        terms = sorted(kg.term_nodes)
+        if flavor == "seco":
+            ic = ic_seco(kg)
+        elif flavor == "resnik_corpus":
+            # three small annotation sets leave most terms unreached
+            ic = ic_resnik(kg, AnnotationMap(
+                entries={**gene_map.entries, **disease_map.entries}))
+        else:
+            # zero and tied values, and terms without a value
+            chosen = rng.choice(len(terms), size=int(rng.integers(1, len(terms) + 1)),
+                                replace=False)
+            ic = InformationContentTable("seco", {
+                terms[int(c)]: float(rng.choice([0.0, 0.5, 0.5, 1.25]))
+                for c in chosen})
+        for _ in range(20):
+            a = terms[int(rng.integers(len(terms)))]
+            b = terms[int(rng.integers(len(terms)))]
+            # repr also tells 0.0 from -0.0
+            assert repr(sim_resnik_pair(a, b, kg, ic)) == repr(
+                oracle_pair_sim(a, b, kg, ic.values))
+
+    def test_one_table_with_two_graphs(self):
+        # the same terms, nested differently in each graph
+        values = {"HP:r": 0.0, "HP:x": 0.3, "HP:y": 0.6, "HP:z": 0.9}
+        kgs = []
+        for is_a in ([("HP:x", "HP:r"), ("HP:y", "HP:x"), ("HP:z", "HP:x")],
+                     [("HP:x", "HP:r"), ("HP:y", "HP:r"), ("HP:z", "HP:y")]):
+            ont = make_ontology(["HP:r", "HP:x", "HP:y", "HP:z"], is_a)
+            kgs.append(build_kg("HP", ont, gene_hp=annotations(g1=["HP:y"]),
+                                disease_hp=annotations(d1=["HP:z"])))
+        ic = InformationContentTable("seco", values)
+        for kg, want in ((kgs[0], 0.3), (kgs[1], 0.6), (kgs[0], 0.3)):
+            assert sim_resnik_pair("HP:y", "HP:z", kg, ic) == want
+            assert want == oracle_pair_sim("HP:y", "HP:z", kg, values)
+
 
 def matrix_fixture():
     """Four leaves whose pairwise MICA ICs form [[0.9, 0.1], [0.2, 0.8]]."""
@@ -215,8 +262,30 @@ def matrix_fixture():
     ic = InformationContentTable("seco", {
         "HP:root": 0.0, "HP:c11": 0.9, "HP:c12": 0.1,
         "HP:c21": 0.2, "HP:c22": 0.8,
-    }, 0.9)
+    })
     return kg, ic
+
+
+def _groupwise_scores(aggregation: str, hash_seed: str) -> str:
+    """repr of one measure's scores on a fixed random DAG, computed in a
+    process with the given PYTHONHASHSEED."""
+    script = (
+        "import numpy as np\n"
+        "from helpers import random_hp_kg\n"
+        "from gdapred.semsim import SimilarityConfig, ic_seco, sim_groupwise\n"
+        "kg, _, genes, diseases = random_hp_kg(np.random.default_rng(0), 300, 40, 30)\n"
+        "ic = ic_seco(kg)\n"
+        f"config = SimilarityConfig({aggregation!r}, 'seco')\n"
+        "print(repr([sim_groupwise(g, d, config, kg, ic)\n"
+        "            for g in genes.entries.values()\n"
+        "            for d in diseases.entries.values()]))\n")
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir), str(tests_dir.parent / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
 
 
 class TestSimGroupwise:
@@ -284,26 +353,13 @@ class TestSimGroupwise:
 
     def test_simgic_independent_of_hash_seed(self):
         # set iteration order follows PYTHONHASHSEED; the score must not
-        script = (
-            "import numpy as np\n"
-            "from helpers import random_hp_kg\n"
-            "from gdapred.semsim import SimilarityConfig, ic_seco, sim_groupwise\n"
-            "kg, _, genes, diseases = random_hp_kg(np.random.default_rng(0), 300, 40, 30)\n"
-            "ic = ic_seco(kg)\n"
-            "config = SimilarityConfig('SIMGIC', 'seco')\n"
-            "print(repr([sim_groupwise(g, d, config, kg, ic)\n"
-            "            for g in genes.entries.values()\n"
-            "            for d in diseases.entries.values()]))\n")
-        tests_dir = Path(__file__).resolve().parent
-        path = os.pathsep.join([str(tests_dir), str(tests_dir.parent / "src"),
-                                os.environ.get("PYTHONPATH", "")])
-        outputs = []
-        for hash_seed in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
-            done = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, check=True)
-            outputs.append(done.stdout)
+        outputs = [_groupwise_scores("SIMGIC", seed) for seed in ("1", "2")]
         assert outputs[0] == outputs[1]
+
+    def test_bma_and_max_independent_of_hash_seed(self):
+        for aggregation in ("BMA", "MAX"):
+            outputs = [_groupwise_scores(aggregation, seed) for seed in ("1", "2")]
+            assert outputs[0] == outputs[1]
 
     def test_all_configs_match_oracle(self):
         rng = np.random.default_rng(73)
@@ -377,6 +433,36 @@ class TestSsmBaseline:
         lines = path.read_text().splitlines()
         assert lines[0] == "gene\tdisease\traw_score\tnormalized_score\tlabel"
         assert len(lines) == len(scored.rows) + 1
+
+    def test_foreign_flavour_table_rejected(self):
+        dataset, kg, corpus = self.dataset_and_kg()
+        with pytest.raises(ValueError):
+            ssm_baseline(dataset, SimilarityConfig("BMA", "resnik_corpus"),
+                         kg, corpus, ic=ic_seco(kg))
+
+    def test_stage_builds_each_ic_flavour_once(self, tmp_path, monkeypatch):
+        built = {"seco": 0, "resnik_corpus": 0}
+
+        def counting(name, flavor):
+            real = getattr(semsim, name)
+
+            def wrapper(*args):
+                built[flavor] += 1
+                return real(*args)
+            monkeypatch.setattr(semsim, name, wrapper)
+
+        counting("ic_seco", "seco")
+        counting("ic_resnik", "resnik_corpus")
+        corpus = PlantedCorpus(tmp_path / "data", n_clusters=2, n_genes=8,
+                               n_diseases=6, leaves_per_branch=3,
+                               go_leaves_per_cluster=3, seed=2)
+        config = write_config(corpus.config(tmp_path / "out", variants=("HP",)),
+                              tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "baseline"):
+            assert main([stage, "--config", str(config)]) == 0
+        assert built == {"seco": 1, "resnik_corpus": 1}
+        report = (tmp_path / "out" / "baseline" / "baseline.json").read_text()
+        assert all(c.name in report for c in SSM_CONFIGS)
 
     def test_six_configs_expressible(self):
         assert len(SSM_CONFIGS) == 6
