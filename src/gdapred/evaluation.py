@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .artifacts import read_json, read_tsv, write_json, write_tsv
 from .errors import DegenerateDataError, InfeasibleNegativesError
 from .ontology import CuratedAssociation, EntityId
 
@@ -144,29 +145,23 @@ def stratified_split(dataset: AssociationDataset, train_fraction: float = 0.7,
 
 
 def write_dataset(dataset: AssociationDataset, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gene\tdisease\tlabel\tpartition\n")
-        for p in dataset.pairs:
-            label = "positive" if p.label == POSITIVE else "negative"
-            part = dataset.split[p.key] if dataset.split else ""
-            fh.write(f"{p.gene.id}\t{p.disease.id}\t{label}\t{part}\n")
+    write_tsv(path, ("gene", "disease", "label", "partition"), (
+        (p.gene.id, p.disease.id, "positive" if p.label == POSITIVE else "negative",
+         dataset.split[p.key] if dataset.split else "")
+        for p in dataset.pairs))
 
 
 def read_dataset(path) -> AssociationDataset:
-    pairs: list[LabeledPair] = []
-    split: dict[tuple[EntityId, EntityId], str] = {}
-    has_split = False
-    with open(path, encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            gene_id, disease_id, label, part = line.rstrip("\n").split("\t")
-            pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
-                               POSITIVE if label == "positive" else NEGATIVE)
-            pairs.append(pair)
-            if part:
-                has_split = True
-                split[pair.key] = part
-    return AssociationDataset(pairs, split=split if has_split else None)
+    pairs, split = [], {}
+    rows = read_tsv(path)
+    next(rows)  # header
+    for gene_id, disease_id, label, part in rows:
+        pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
+                           POSITIVE if label == "positive" else NEGATIVE)
+        pairs.append(pair)
+        if part:
+            split[pair.key] = part
+    return AssociationDataset(pairs, split=split or None)
 
 
 def per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
@@ -276,29 +271,23 @@ class EvalReport:
 
     def to_json(self) -> str:
         # vars, not asdict: asdict deep-copies every ROC point
-        return json.dumps(vars(self), indent=2)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
         return cls(**json.loads(text))
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_json(path, vars(self))
 
     @classmethod
     def read(cls, path) -> "EvalReport":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+        return cls(**read_json(path))
 
 
 def write_roc_tsv(points: Sequence[tuple[float | None, float, float]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("threshold\tfpr\ttpr\n")
-        for t, fpr, tpr in points:
-            t_str = "inf" if t is None else repr(float(t))
-            fh.write(f"{t_str}\t{fpr!r}\t{tpr!r}\n")
+    write_tsv(path, ("threshold", "fpr", "tpr"), (
+        (math.inf if t is None else t, fpr, tpr) for t, fpr, tpr in points))
 
 
 def evaluate_run(dataset: AssociationDataset, mode: str, *, model=None,

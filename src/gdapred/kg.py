@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from .artifacts import read_tsv, write_tsv
 from .errors import ConfigurationError, IntegrityError, UnknownNodeError
 from .ontology import AnnotationMap, Ontology, curie_prefix
 
@@ -221,21 +222,12 @@ def ancestors(kg: KnowledgeGraph, term: str,
 
 
 def write_triples(kg: KnowledgeGraph, path) -> None:
-    """Canonical serialization: sorted tab-separated triples."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s, rel, o in sorted(kg.triples):
-            fh.write(f"{s}\t{rel}\t{o}\n")
+    """Canonical serialization: sorted triples, no header row."""
+    write_tsv(path, None, sorted(kg.triples))
 
 
 def read_triples(path, variant: str) -> KnowledgeGraph:
-    triples: set[Triple] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            s, rel, o = line.split("\t")
-            triples.add((s, rel, o))
+    triples: set[Triple] = set(map(tuple, read_tsv(path, width=3, header=False)))
     nodes = {s for s, _, _ in triples} | {o for _, _, o in triples}
     entity_nodes = {n for n in nodes if is_entity_node(n)}
     return KnowledgeGraph(variant, triples, nodes - entity_nodes, entity_nodes)

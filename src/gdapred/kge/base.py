@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..artifacts import read_tsv, write_tsv
+from ..errors import ConfigurationError, IntegrityError
 
 KGE_METHODS = ("transe", "distmult", "walk", "walk_lexical")
 
@@ -73,22 +74,16 @@ def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
-    """`node_count dimension` header, then one space-separated row per node."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table.vectors)} {table.dimension}\n")
-        for node in sorted(table.vectors):
-            components = " ".join(repr(float(v)) for v in table.vectors[node])
-            fh.write(f"{node} {components}\n")
+    """A `node_count<TAB>dimension` first row, then one row per node."""
+    write_tsv(path, (len(table.vectors), table.dimension), (
+        (node, *table.vectors[node].tolist()) for node in sorted(table.vectors)))
 
 
 def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as fh:
-        count, dim = (int(v) for v in fh.readline().split())
-        vectors: dict[str, np.ndarray] = {}
-        for line in fh:
-            parts = line.rstrip("\n").split(" ")
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]],
-                                         dtype=np.float64)
+    rows = read_tsv(path, width=lambda first: int(first[1]) + 1)
+    count, dim = map(int, next(rows))
+    vectors = {node: np.array(list(map(float, values)), dtype=np.float64)
+               for node, *values in rows}
     if len(vectors) != count:
-        raise ValueError(f"expected {count} rows, found {len(vectors)}")
+        raise IntegrityError(f"{path}, line 1: expected {count} rows, found {len(vectors)}")
     return EmbeddingTable(dim, vectors, method, seed)

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-
+from ..artifacts import read_json
 from .base import BinaryClassifier, Estimator
 from .forest import RandomForestClassifier
 from .grid import GridSpec, grid_search, stratified_kfold
@@ -47,8 +46,7 @@ def fit(kind: str, X, y, hyperparameters: dict | None = None,
 
 def load_model(path) -> BinaryClassifier:
     """Rebuild a persisted model; predictions round-trip bit-exactly."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     model = make_classifier(payload["kind"], payload["hyperparameters"])
     model._import_state(payload["parameters"])
     return model

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import inspect
-import json
 
 import numpy as np
 
+from ..artifacts import write_json
 from ..validation import as_matrix, check_fitted
 
 
@@ -66,14 +66,8 @@ class BinaryClassifier(Estimator):
 
     def save(self, path) -> None:
         check_fitted(self, self._fitted_attribute)
-        payload = {
-            "kind": self.kind,
-            "hyperparameters": _plain(self.get_params()),
-            "parameters": self._export_state(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"kind": self.kind, "hyperparameters": self.get_params(),
+                          "parameters": self._export_state()})
 
     @staticmethod
     def _stack_proba(pos: np.ndarray) -> np.ndarray:
@@ -87,15 +81,3 @@ class BinaryClassifier(Estimator):
                 f"feature dimension mismatch: trained with {expected_dim}, got {X.shape[1]}")
         return X
 
-
-def _plain(value):
-    """Make hyperparameter values JSON-serializable (tuples -> lists)."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value

@@ -482,7 +482,8 @@ def prune_annotations(amap: AnnotationMap,
                       ontologies: Sequence[Ontology]) -> AnnotationMap:
     """Drop annotation terms that are obsolete or unknown to the ontologies.
 
-    Entities left with no terms are removed. Counts land in ``stats``.
+    Entities left with no terms are removed. The drop counts land in
+    ``stats`` after ``amap``'s own.
     """
     valid: set[str] = set()
     obsolete: set[str] = set()
@@ -490,6 +491,7 @@ def prune_annotations(amap: AnnotationMap,
         valid |= set(ont.terms)
         obsolete |= ont.obsolete_ids
     out = AnnotationMap(stats={
+        **amap.stats,
         "dropped_obsolete": 0,
         "dropped_unknown": 0,
         "dropped_entities": 0,

@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .artifacts import read_tsv, write_tsv
 from .errors import IntegrityError, ZeroVectorError
 from .ontology import EntityId
 from .validation import as_vector, check_same_dimension
@@ -61,8 +62,6 @@ def cosine_unit_score(g, d) -> float:
 @dataclass
 class PairFeatures:
     rows: np.ndarray  # one row per dataset pair, in dataset order
-    operator: str
-    source_method: str
     pairs: list[tuple[EntityId, EntityId]]
 
 
@@ -88,26 +87,21 @@ def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
     if not np.all(np.isfinite(rows)):
         raise IntegrityError("pair features contain non-finite entries")
     pairs = [(p.gene, p.disease) for p in dataset.pairs]
-    return PairFeatures(rows, operator, table.method, pairs)
+    return PairFeatures(rows, pairs)
 
 
 def write_pair_features(features: PairFeatures, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        width = features.rows.shape[1]
-        header = "gene\tdisease\t" + "\t".join(f"f{i}" for i in range(width))
-        fh.write(header + "\n")
-        for (gene, disease), row in zip(features.pairs, features.rows):
-            values = "\t".join(repr(float(v)) for v in row)
-            fh.write(f"{gene.id}\t{disease.id}\t{values}\n")
+    width = features.rows.shape[1]
+    write_tsv(path, ("gene", "disease", *(f"f{i}" for i in range(width))), (
+        (gene.id, disease.id, *row)
+        for (gene, disease), row in zip(features.pairs, features.rows.tolist())))
 
 
-def read_pair_features(path, operator: str = "", source_method: str = "") -> PairFeatures:
-    pairs: list[tuple[EntityId, EntityId]] = []
-    rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as fh:
-        next(fh)  # header
-        for line in fh:
-            cols = line.rstrip("\n").split("\t")
-            pairs.append((EntityId(cols[0], "gene"), EntityId(cols[1], "disease")))
-            rows.append([float(v) for v in cols[2:]])
-    return PairFeatures(np.asarray(rows, dtype=np.float64), operator, source_method, pairs)
+def read_pair_features(path) -> PairFeatures:
+    pairs, rows = [], []
+    cells = read_tsv(path)
+    next(cells)  # header
+    for gene_id, disease_id, *values in cells:
+        pairs.append((EntityId(gene_id, "gene"), EntityId(disease_id, "disease")))
+        rows.append(list(map(float, values)))
+    return PairFeatures(np.asarray(rows, dtype=np.float64), pairs)

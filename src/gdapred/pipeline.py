@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import time
 from dataclasses import dataclass, field, fields
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import read_json, read_tsv, write_json, write_tsv
 from .errors import (
     ConfigurationError,
     GdapredError,
@@ -51,7 +51,6 @@ from .learn import (
     load_model,
     make_classifier,
 )
-from .learn.base import _plain
 from .ontology import (
     AnnotationMap,
     EntityId,
@@ -151,8 +150,7 @@ class PipelineConfig:
     def from_file(cls, path, out_override: str | None = None,
                   seed_override: int | None = None) -> "PipelineConfig":
         """Load a JSON config; keys that name no field are ignored."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(path)
         if seed_override is not None:
             raw["seeds"] = {name: seed_override + i
                             for i, name in enumerate(SEED_NAMES)}
@@ -190,14 +188,8 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def write_manifest(run: StageRun, details: dict) -> None:
-    _write_json(run.dir / "manifest.json", {
+    write_json(run.dir / "manifest.json", {
         "stage": run.stage,
         "tool_version": __version__,
         "config": run.config.echo(),
@@ -209,7 +201,7 @@ def write_manifest(run: StageRun, details: dict) -> None:
 
 def write_timings(stage_dir: Path, stage: str, seconds: float) -> None:
     # separate file: wall-clock numbers must not break manifest determinism
-    _write_json(stage_dir / "timings.json", {"stage": stage, "seconds": seconds})
+    write_json(stage_dir / "timings.json", {"stage": stage, "seconds": seconds})
 
 
 #: stage name -> its stage function, in run order; ``_stage`` fills it
@@ -279,20 +271,18 @@ def _stage(name: str, dirname: str):
 
 
 def write_annotation_tsv(amap: AnnotationMap, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("entity\tterm\n")
-        for entity in sorted(amap.entries, key=lambda e: e.id):
-            for term in sorted(amap.entries[entity]):
-                fh.write(f"{entity.id}\t{term}\n")
+    write_tsv(path, ("entity", "term"), (
+        (entity.id, term)
+        for entity in sorted(amap.entries, key=lambda e: e.id)
+        for term in sorted(amap.entries[entity])))
 
 
 def read_annotation_tsv(path: Path, kind: str) -> AnnotationMap:
     amap = AnnotationMap()
-    with open(path, encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            entity_id, term = line.rstrip("\n").split("\t")
-            amap.add(EntityId(entity_id, kind), term)
+    rows = read_tsv(path)
+    next(rows)  # header
+    for entity_id, term in rows:
+        amap.add(EntityId(entity_id, kind), term)
     return amap
 
 
@@ -336,7 +326,7 @@ def _classifier_cells(run: StageRun, config: PipelineConfig, dataset):
     for variant, method, _, features_names in _grid(config):
         for operator, features_name in features_names.items():
             path = run.need("pair", features_name)
-            features = read_pair_features(path, operator, method)
+            features = read_pair_features(path)
             if features.pairs != pairs:
                 raise IntegrityError(
                     f"{path} does not hold the pairs of the current "
@@ -395,11 +385,8 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
                                seed=config.seeds["split"])
     write_dataset(dataset, dataset_path)
 
-    with open(run.output("positives.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("gene\tdisease\tsources\n")
-        for assoc in kept:
-            fh.write(f"{assoc.gene.id}\t{assoc.disease.id}\t"
-                     f"{';'.join(sorted(assoc.sources))}\n")
+    write_tsv(run.output("positives.tsv"), ("gene", "disease", "sources"), (
+        (a.gene.id, a.disease.id, ";".join(sorted(a.sources))) for a in kept))
 
     genes, diseases = dataset.entities()
     files = {
@@ -416,6 +403,10 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
         "positive_pairs": len(kept),
         "dataset_pairs": len(dataset.pairs),
         "raw_association_pairs": len(associations),
+        # parser skip counters and prune drop counts, by input name
+        "counters": {name: parsed.stats for name, parsed in zip(
+            ("hp_obo", "go_obo", "gaf", "gene_phenotype", "disease_phenotype"),
+            (hp, go, gene_go, gene_hp, disease_hp)) if parsed is not None},
     }
 
 
@@ -476,17 +467,14 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
 
     best = max(rows, key=lambda name: (rows[name]["waf"], name)) if rows else None
     summary = {"measures": rows, "best": best}
-    _write_json(run.output("baseline.json"), summary)
+    write_json(run.output("baseline.json"), summary)
     # one column per measure, the best WAF starred
     ordered = [c.name for c in SSM_CONFIGS if c.name in rows]
-    with open(run.output("baseline.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("metric\t" + "\t".join(ordered) + "\n")
-        fh.write("waf\t" + "\t".join(
-            repr(rows[n]["waf"]) + ("*" if n == best else "")
-            for n in ordered) + "\n")
-        fh.write("auc\t" + "\t".join(repr(rows[n]["auc"]) for n in ordered) + "\n")
-        fh.write("threshold\t" + "\t".join(
-            repr(rows[n]["threshold"]) for n in ordered) + "\n")
+    table = [[metric, *(rows[n][metric] for n in ordered)]
+             for metric in ("waf", "auc", "threshold")]
+    if best is not None:
+        table[0][1 + ordered.index(best)] = f"{rows[best]['waf']!r}*"
+    write_tsv(run.output("baseline.tsv"), ("metric", *ordered), table)
     return summary
 
 
@@ -520,7 +508,7 @@ def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     dataset = read_dataset(run.need("ingest", "dataset.tsv"))
     details = {}
     for variant, method, name, features_names in _grid(config):
-        table = read_embeddings(run.need("embed", name), method=method)
+        table = read_embeddings(run.need("embed", name))
         for operator, features_name in features_names.items():
             features = build_pair_features(dataset, table, operator)
             write_pair_features(features, run.output(features_name))
@@ -553,7 +541,7 @@ def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
             model = make_classifier(kind, params, seed).fit(X_train, y_train)
             best_params = dict(params)
         model.save(run.output(model_name))
-        details[cell] = {"seed": seed, "best_params": _plain(best_params)}
+        details[cell] = {"seed": seed, "best_params": best_params}
         logger.info("train %s done", cell)
     return details
 
@@ -572,7 +560,7 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
 
     cosine_cells = _grid(config) if COSINE in config.learners else ()
     for variant, method, name, features_names in cosine_cells:
-        table = read_embeddings(run.need("embed", name), method=method)
+        table = read_embeddings(run.need("embed", name))
         check_vectors(dataset, table)
         scores = np.array([cosine_unit_score(table.vectors[p.gene.node_id],
                                              table.vectors[p.disease.node_id])
@@ -589,11 +577,10 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
             dataset, "classifier", model=load_model(run.need("train", model_name)),
             features=features, config=cell_config, seed=seed))
     summary.sort(key=lambda r: r[:4])
-    with open(run.output("summary.tsv"), "w", encoding="utf-8") as fh:
-        fh.write("variant\tmethod\toperator\tlearner\twaf\tauc\tthreshold\n")
-        for variant, method, operator, learner, row in summary:
-            fh.write(f"{variant}\t{method}\t{operator}\t{learner}\t"
-                     f"{row['waf']!r}\t{row['auc']!r}\t{row['threshold']!r}\n")
+    write_tsv(run.output("summary.tsv"),
+              ("variant", "method", "operator", "learner", "waf", "auc", "threshold"),
+              ((*cell, row["waf"], row["auc"], row["threshold"])
+               for *cell, row in summary))
     return details
 
 
@@ -606,8 +593,7 @@ def cmd_report(config: PipelineConfig, run: StageRun) -> dict:
             ("grid", "evaluate", "manifest.json", "details")):
         path = run.need(stage, name, required=False)
         if path is not None:
-            with open(path, encoding="utf-8") as fh:
-                results[prefix] = json.load(fh)[key]
+            results[prefix] = read_json(path)[key]
     if "baseline" not in results and not results.get("grid"):
         raise StageDependencyError(
             "nothing to report: run the baseline and/or evaluate stages first")
@@ -625,7 +611,7 @@ def cmd_report(config: PipelineConfig, run: StageRun) -> dict:
     rows.sort(key=lambda r: (-r["waf"], r["name"]))
 
     report = {"best_baseline_waf": best_baseline_waf, "ranking": rows}
-    _write_json(run.output("report.json"), report)
+    write_json(run.output("report.json"), report)
     with open(run.output("report.md"), "w", encoding="utf-8") as fh:
         fh.write("| rank | name | WAF | AUC | vs best baseline |\n")
         fh.write("|---|---|---|---|---|\n")

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
+from .artifacts import write_tsv
 from .errors import DegenerateDataError, UnknownNodeError
 from .kg import KnowledgeGraph
 from .ontology import AnnotationMap, EntityId
@@ -268,9 +269,6 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
 
 
 def write_scored_pairs(scored: ScoredPairs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gene\tdisease\traw_score\tnormalized_score\tlabel\n")
-        for r in scored.rows:
-            label = "positive" if r.label else "negative"
-            fh.write(f"{r.gene.id}\t{r.disease.id}\t{r.raw_score!r}\t"
-                     f"{r.normalized_score!r}\t{label}\n")
+    write_tsv(path, ("gene", "disease", "raw_score", "normalized_score", "label"), (
+        (r.gene.id, r.disease.id, r.raw_score, r.normalized_score,
+         "positive" if r.label else "negative") for r in scored.rows))

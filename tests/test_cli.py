@@ -17,7 +17,7 @@ from gdapred.pipeline import (
     derive_seed,
 )
 
-from corpus import PlantedCorpus, write_config
+from corpus import GAF_TAIL, PlantedCorpus, write_config
 
 
 def small_corpus(root: Path, **overrides) -> PlantedCorpus:
@@ -217,6 +217,38 @@ class TestDeterminismAndIsolation:
         assert before == after
 
 
+class TestIngestCounters:
+    def test_parse_and_prune_counters_in_manifest(self, tmp_path):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out")
+        inputs = {name: Path(path) for name, path in config["inputs"].items()}
+        with open(inputs["gaf"], "a", encoding="utf-8") as fh:
+            term = corpus.go_cluster_leaves[0][0]
+            fh.write(f"SYN\tP00000\tG0\tNOT\t{term}\tREF:1\tEXP{GAF_TAIL}\n")
+            fh.write(f"SYN\tQ99999\tGX\t\t{term}\tREF:1\tEXP{GAF_TAIL}\n")
+        with open(inputs["hp_obo"], "a", encoding="utf-8") as fh:
+            fh.write("\n[Term]\nid: HP:9999999\nname: old\nis_obsolete: true\n")
+        with open(inputs["gene_phenotype"], "a", encoding="utf-8") as fh:
+            fh.write(f"{corpus.gene_ids[0]}\tG0\tHP:9999999\tsign\n")
+        config_path = write_config(config, tmp_path / "config.json")
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "ingest" / "manifest.json").read_text())
+        counters = manifest["details"]["counters"]
+        assert sorted(counters) == ["disease_phenotype", "gaf", "gene_phenotype",
+                                    "go_obo", "hp_obo"]
+        assert counters["hp_obo"] == {"obsolete_terms": 1, "dropped_edges": 0}
+        assert counters["go_obo"] == {"obsolete_terms": 0, "dropped_edges": 0}
+        gaf = counters["gaf"]
+        assert (gaf["rows_skipped_not"], gaf["rows_skipped_unmapped"]) == (1, 1)
+        assert gaf["rows_used"] == sum(
+            1 for line in inputs["gaf"].read_text().splitlines()
+            if line.startswith("SYN\t")) - 2
+        pheno = counters["gene_phenotype"]
+        assert (pheno["dropped_obsolete"], pheno["dropped_unknown"],
+                pheno["dropped_entities"]) == (1, 0, 0)
+        assert counters["disease_phenotype"]["rows_skipped_not"] == 0
+
+
 class TestEveryMethodAndGridSearch:
     def test_all_methods_learners_and_grid(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")
@@ -309,12 +341,43 @@ class TestCliSurface:
             .read_text().splitlines()[1].split("\t")[0]
         emb_path = tmp_path / "out" / "embed" / "embeddings_HP_walk.txt"
         header, *rows = emb_path.read_text().splitlines()
-        rows = [r for r in rows if r.split(" ")[0] != gene]
-        count, dim = header.split()
+        rows = [r for r in rows if r.split("\t")[0] != gene]
+        count, dim = header.split("\t")
         assert len(rows) == int(count) - 1
-        emb_path.write_text(f"{len(rows)} {dim}\n" + "\n".join(rows) + "\n")
+        emb_path.write_text(f"{len(rows)}\t{dim}\n" + "\n".join(rows) + "\n")
         assert main(["evaluate", "--config", str(config_path)]) == 1
         assert gene in caplog.text
+
+    def test_gene_id_with_a_space_runs_end_to_end(self, tmp_path):
+        corpus = small_corpus(tmp_path / "data")
+        corpus.gene_ids[0] = "HLA A"
+        corpus.positives = corpus._plant_positives()
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], operators=["hadamard"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair", "train", "evaluate"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        assert "HLA A\t" in (out / "ingest" / "dataset.tsv").read_text()
+        rows = (out / "embed" / "embeddings_HP_walk.txt").read_text().splitlines()
+        assert any(row.startswith("GENE:HLA A\t") for row in rows)
+        assert "HLA A\t" in (out / "pair" / "features_HP_walk_hadamard.tsv").read_text()
+        assert len(list((out / "evaluate").glob("eval_*.json"))) == 2
+
+    def test_damaged_kg_row_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        kg_path = tmp_path / "out" / "kg" / "kg_HP.tsv"
+        lines = kg_path.read_text().splitlines()
+        lines[4] = "\t".join(lines[4].split("\t")[:2])  # one cell short
+        kg_path.write_text("\n".join(lines) + "\n")
+        assert main(["baseline", "--config", str(config_path)]) == 1
+        assert f"{kg_path}, line 5: expected 3 cells, found 2" in caplog.text
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_embedding_exits_1(self, tmp_path, caplog):

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.errors import ConfigurationError, DegenerateDataError, DivergenceError
+from gdapred.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    DivergenceError,
+    IntegrityError,
+)
 from gdapred.kg import KnowledgeGraph
 from gdapred.kge import (
     EmbeddingTable,
@@ -475,9 +480,19 @@ class TestEmbedDispatch:
 
     def test_read_embeddings_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("2 2\nN:a 0.0 1.0\n")
-        with pytest.raises(ValueError, match="expected 2"):
+        path.write_text("2\t2\nN:a\t0.0\t1.0\n")
+        with pytest.raises(IntegrityError, match="expected 2"):
             read_embeddings(path)
+
+    def test_node_id_with_a_space_roundtrips(self, tmp_path):
+        table = EmbeddingTable(2, {"GENE:HLA A": np.array([0.1, -0.0]),
+                                   "DISEASE:C1": np.array([5e-324, 1.0])}, "walk", 0)
+        path = tmp_path / "emb.txt"
+        write_embeddings(table, path)
+        back = read_embeddings(path)
+        assert sorted(back.vectors) == ["DISEASE:C1", "GENE:HLA A"]
+        for node, vec in table.vectors.items():
+            assert back.vectors[node].tobytes() == vec.tobytes()
 
     def test_export_roundtrip_full_precision(self, tmp_path):
         table = train_transe(ring_kg(), KgeTrainConfig(
@@ -490,4 +505,4 @@ class TestEmbedDispatch:
         for node, vec in table.vectors.items():
             assert np.array_equal(back.vectors[node], vec)
         header = path.read_text().splitlines()[0]
-        assert header == f"{len(table.vectors)} 6"
+        assert header == f"{len(table.vectors)}\t6"

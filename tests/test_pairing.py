@@ -135,6 +135,6 @@ class TestPairFeatures:
         features = build_pair_features(dataset, table, "concatenation")
         path = tmp_path / "features.tsv"
         write_pair_features(features, path)
-        back = read_pair_features(path, "concatenation", "walk")
+        back = read_pair_features(path)
         assert np.array_equal(back.rows, features.rows)
         assert back.pairs == features.pairs
