@@ -8,7 +8,6 @@ mean of the per-label F-measures; AUC uses the rank statistic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -269,15 +268,8 @@ class EvalReport:
     per_label: dict = field(default_factory=dict)
     roc: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        # vars, not asdict: asdict deep-copies every ROC point
-        return json.dumps(vars(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
     def write(self, path) -> None:
+        # vars, not asdict: asdict deep-copies every ROC point
         write_json(path, vars(self))
 
     @classmethod

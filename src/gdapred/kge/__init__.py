@@ -40,15 +40,12 @@ def embed(kg: KnowledgeGraph, method: str,
         return train_transe(kg, config)
     if method == "distmult":
         return train_distmult(kg, config)
-    if method == "walk":
+    if method in ("walk", "walk_lexical"):
         corpus = generate_walks(kg, config.walks_per_node, config.walk_depth,
                                 config.seed)
-        return train_skipgram(corpus, config, method_tag="walk")
-    if method == "walk_lexical":
-        corpus = generate_walks(kg, config.walks_per_node, config.walk_depth,
-                                config.seed)
-        corpus = corpus.extend(build_lexical_corpus(kg, ontologies))
-        return train_skipgram(corpus, config, method_tag="walk_lexical")
+        if method == "walk_lexical":
+            corpus = corpus.extend(build_lexical_corpus(kg, ontologies))
+        return train_skipgram(corpus, config, method_tag=method)
     raise ConfigurationError(f"unknown embedding method {method!r}")
 
 

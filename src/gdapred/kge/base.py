@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..artifacts import read_tsv, write_tsv
-from ..errors import ConfigurationError, IntegrityError
+from ..errors import ConfigurationError, DivergenceError, IntegrityError
 
 KGE_METHODS = ("transe", "distmult", "walk", "walk_lexical")
 
@@ -31,10 +31,9 @@ class KgeTrainConfig:
                      "batch_size", "walks_per_node", "walk_depth", "window"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.margin <= 0:
-            raise ConfigurationError("margin must be positive")
+        for name in ("learning_rate", "margin"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
 
 
 @dataclass
@@ -54,9 +53,19 @@ class EmbeddingTable:
                 raise ValueError(f"vector for {node} has non-finite components")
 
 
-def decayed_rate(base: float, progress: float) -> float:
-    """Linear decay with a small floor, progress in [0, 1]."""
-    return base * max(1.0 - progress, 1e-4)
+def decayed_rate(base: float, progress):
+    """Linear decay with a small floor; progress (or an array of it) in [0, 1]."""
+    return base * np.maximum(1.0 - progress, 1e-4)
+
+
+def check_finite(method: str, epoch: int, learning_rate: float, loss: float,
+                 *tables: np.ndarray) -> float:
+    """Every trainer's divergence check: ``loss`` if it and every table
+    entry are finite, else `DivergenceError`."""
+    if np.isfinite(loss) and all(np.isfinite(t).all() for t in tables):
+        return loss
+    raise DivergenceError(f"{method}: non-finite loss or parameters at epoch "
+                          f"{epoch} (learning_rate={learning_rate})")
 
 
 def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:

@@ -6,8 +6,8 @@ from collections import Counter
 
 import numpy as np
 
-from ..errors import DegenerateDataError, DivergenceError
-from .base import EmbeddingTable, KgeTrainConfig
+from ..errors import DegenerateDataError
+from .base import EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate
 from .corpus import WalkCorpus
 
 
@@ -162,8 +162,8 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
             pair_off, rows_tok, row_start, cols_tok, col_start, flat, weight = \
                 _block_plan(encoded[b0:b0 + _BLOCK_SENTENCES], config.window,
                             template_cache, rng, noise_cum, k)
-            lr = config.learning_rate * np.maximum(
-                1.0 - (processed + pair_off[:-1]) / total_pairs, 1e-4)
+            lr = decayed_rate(config.learning_rate,
+                              (processed + pair_off[:-1]) / total_pairs)
             processed += int(pair_off[-1])
             rate = np.repeat(lr, np.diff(pair_off))[:, None] * weight * sign
             scores = np.empty(flat.shape)
@@ -184,12 +184,9 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
                 syn1[cols] = u - g.T @ v
                 syn0[rows] = v - g @ u
             epoch_loss += float(np.sum(weight * np.logaddexp(0.0, sign * scores)))
-        mean_loss = epoch_loss / pairs_per_epoch
-        if not (np.isfinite(mean_loss) and np.isfinite(syn0).all()):
-            raise DivergenceError(
-                f"non-finite skip-gram loss at epoch {epoch} "
-                f"(learning_rate={config.learning_rate})")
-        history.append(mean_loss)
+        history.append(check_finite(
+            method_tag, epoch, config.learning_rate,
+            epoch_loss / pairs_per_epoch, syn0, syn1))
 
     vectors = {tok: syn0[index[tok]].copy()
                for tok in corpus.node_tokens if tok in index}

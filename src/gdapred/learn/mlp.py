@@ -1,15 +1,16 @@
 """Fully connected network: ReLU hidden layers, logistic output.
 
 Trained with mini-batch gradient descent plus momentum on the binary
-cross-entropy; the backward pass is verified against central finite
-differences by ``mlp_gradient_check``.
+cross-entropy, raising `DivergenceError` once a weight is non-finite; the
+backward pass is checked against central finite differences by
+``mlp_gradient_check``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateDataError
+from ..errors import DegenerateDataError, DivergenceError
 from ..validation import as_labels, as_matrix, check_fitted
 from .base import BinaryClassifier
 
@@ -93,7 +94,7 @@ class MLPClassifier(BinaryClassifier):
         velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
         y_float = y.astype(np.float64)
         n = X.shape[0]
-        for _ in range(self.epochs):
+        for epoch in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start:start + self.batch_size]
@@ -105,6 +106,9 @@ class MLPClassifier(BinaryClassifier):
                     W, b = params[layer]
                     params[layer] = (W + vW, b + vb)
                     velocity[layer] = (vW, vb)
+            if not all(np.isfinite(p).all() for layer in params for p in layer):
+                raise DivergenceError(f"mlp: non-finite weights at epoch {epoch} "
+                                      f"(learning_rate={self.learning_rate})")
         self.params_ = params
         return self
 

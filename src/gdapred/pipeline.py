@@ -130,14 +130,26 @@ class PipelineConfig:
             raise ConfigurationError("GO-based variants need inputs.go_obo")
         for section_name, section in (("grids", self.grids),
                                       ("classifier_params", self.classifier_params)):
+            grid = section_name == "grids"
             for kind, value in section.items():
+                where = f"{section_name}.{kind}"
                 if kind not in CLASSIFIER_KINDS:
                     raise ConfigurationError(
                         f"{section_name} names unknown classifier {kind!r}")
-                if section_name == "grids" and not (
-                        value == "default" or isinstance(value, dict)):
+                if grid and value == "default":
+                    continue
+                if not isinstance(value, dict):
                     raise ConfigurationError(
-                        f"grids.{kind} must be a candidate mapping or 'default'")
+                        f"{where} must be a mapping" + " or 'default'" * grid)
+                for key, candidates in value.items():
+                    if key not in CLASSIFIER_KINDS[kind]._param_names():
+                        raise ConfigurationError(
+                            f"{where}: {key!r} is not a parameter of {kind}")
+                    if grid and not (isinstance(candidates, list) and candidates):
+                        raise ConfigurationError(
+                            f"{where}.{key} must be a non-empty list")
+        if self.grid_folds < 2:
+            raise ConfigurationError("grid_folds must be at least 2")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigurationError(
                 "train_fraction must lie strictly between 0 and 1")

@@ -391,6 +391,20 @@ class TestCliSurface:
         assert main(["embed", "--config", str(config_path)]) == 1
         assert "non-finite" in caplog.text
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_mlp_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(
+            corpus, tmp_path / "out", kg_variants=["HP"], methods=["walk"],
+            operators=["hadamard"], learners=["mlp"],
+            classifier_params={"mlp": {"learning_rate": 1e300, "epochs": 5}})
+        config_path = write_config(config, tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert "non-finite" in caplog.text
+        assert not list((tmp_path / "out" / "train").glob("model_*.json"))
+
     def test_stale_pair_features_exit_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")
         config_path = write_config(
@@ -489,6 +503,19 @@ class TestCliSurface:
         bad["embedding"] = {**good["embedding"], "dimensions": 8}
         with pytest.raises(ConfigurationError, match="dimensions"):
             PipelineConfig.from_file(write_config(bad, tmp_path / "bad5.json"))
+        # classifier hyperparameters are checked at load, not by `train`
+        for i, (key, value, match) in enumerate((
+                ("classifier_params", {"random_forest": {"ntrees": 3}},
+                 r"classifier_params\.random_forest: 'ntrees'"),
+                ("grids", {"random_forest": {"depth": [2]}},
+                 r"grids\.random_forest: 'depth'"),
+                ("grids", {"random_forest": {"n_trees": []}},
+                 r"grids\.random_forest\.n_trees must be a non-empty list"),
+                ("grid_folds", 1, "grid_folds must be at least 2"))):
+            bad = {**good, key: value}
+            with pytest.raises(ConfigurationError, match=match):
+                PipelineConfig.from_file(
+                    write_config(bad, tmp_path / f"bad_learner{i}.json"))
 
     def test_default_grid_resolution(self, tmp_path):
         # "default" resolves to the documented candidate lists; gaussian_nb

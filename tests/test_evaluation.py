@@ -344,11 +344,10 @@ class TestEvaluateRun:
         rng = np.random.default_rng(11)
         report = evaluate_run(ds, "score_threshold", scores=rng.random(40),
                               config={"measure": "BMA_seco"}, seed=11)
-        text = report.to_json()
-        assert EvalReport.from_json(text).to_json() == text
-        path = tmp_path / "report.json"
-        report.write(path)
-        assert EvalReport.read(path).to_json() == text
+        first, second = tmp_path / "report.json", tmp_path / "again.json"
+        report.write(first)
+        EvalReport.read(first).write(second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_roc_tsv_export(self, tmp_path):
         ds = self.split_dataset()

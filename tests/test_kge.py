@@ -134,6 +134,10 @@ class TestGradientChecks:
                 worst = max(worst, max_relative_error(grad, numeric))
         assert worst < 1e-4
 
+    def test_transe_margin_loss_unknown_norm(self):
+        with pytest.raises(ValueError, match="unknown norm"):
+            transe_margin_loss(*([1.0, 2.0],) * 6, norm="L3")
+
     def test_sgns_objective(self):
         rng = np.random.default_rng(2)
         worst = 0.0
@@ -146,6 +150,57 @@ class TestGradientChecks:
                 numeric = finite_difference(lambda: sgns_loss(v, u, negs)[0], vec)
                 worst = max(worst, max_relative_error(grad, numeric))
         assert worst < 1e-4
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestBatchLosses:
+    """A batch call is the per-row calls the gradient checks cover: the
+    same gradient bits per row and the sum of the row losses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(1, 4), k=st.integers(1, 4), dim=st.integers(1, 9),
+           norm=st.sampled_from(["L1", "L2"]), margin=st.floats(0.1, 3.0),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 30.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_transe_batch_is_its_rows(self, b, k, dim, norm, margin, scale, seed):
+        rng = np.random.default_rng(seed)
+        pos = [scale * rng.normal(size=(b, 1, dim)) for _ in range(3)]
+        neg = [scale * rng.normal(size=(b, k, dim)) for _ in range(3)]
+        loss, grads = transe_margin_loss(*pos, *neg, margin=margin, norm=norm)
+        row_losses = []
+        for i, j in itertools.product(range(b), range(k)):
+            row_loss, row_grads = transe_margin_loss(
+                *(v[i, 0] for v in pos), *(v[i, j] for v in neg),
+                margin=margin, norm=norm)
+            row_losses.append(row_loss)
+            for grad, row_grad in zip(grads, row_grads):
+                assert grad.shape == (b, k, dim)
+                assert np.array_equal(_bits(grad[i, j]), _bits(row_grad))
+        assert loss == pytest.approx(math.fsum(row_losses), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), dim=st.integers(1, 9),
+           l2=st.sampled_from([0.0, 1e-4, 0.1]),
+           scale=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_distmult_batch_is_its_rows(self, n, dim, l2, scale, seed):
+        rng = np.random.default_rng(seed)
+        h, r, t = (scale * rng.normal(size=(n, dim)) for _ in range(3))
+        labels = rng.choice([-1.0, 1.0], size=n)
+        loss, grads = distmult_logistic_loss(h, r, t, labels, l2)
+        row_losses = []
+        for i in range(n):
+            row_loss, row_grads = distmult_logistic_loss(
+                h[i], r[i], t[i], labels[i], l2)
+            row_losses.append(row_loss)
+            for grad, row_grad in zip(grads, row_grads):
+                assert grad.shape == (n, dim)
+                assert np.array_equal(_bits(grad[i]), _bits(row_grad))
+        assert loss == pytest.approx(math.fsum(row_losses), rel=1e-12, abs=0.0)
 
 
 class TestTrainTranse:
@@ -200,6 +255,12 @@ class TestTrainTranse:
             - (table.vectors["T:d"] - table.vectors["T:c"]))
         assert after < before
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_typed(self):
+        config = KgeTrainConfig(**{**self.CFG, "learning_rate": 1e300}, seed=0)
+        with pytest.raises(DivergenceError, match=r"transe: non-finite .* epoch"):
+            train_transe(ring_kg(), config)
+
 
 class TestTrainDistmult:
     def test_true_triples_outrank_corruptions(self):
@@ -232,6 +293,14 @@ class TestTrainDistmult:
             negatives_per_positive=2, batch_size=16, seed=3))
         assert set(table.vectors) == set(kg.nodes)
         assert set(table.relation_vectors) == {"r1", "r2"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_typed(self):
+        kg, _, _ = block_kg()
+        config = KgeTrainConfig(dimension=16, epochs=30, learning_rate=1e3,
+                                batch_size=16, seed=0)
+        with pytest.raises(DivergenceError, match=r"distmult: non-finite .* epoch"):
+            train_distmult(kg, config)
 
 
 class TestGenerateWalks:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.errors import DegenerateDataError
+from gdapred.errors import DegenerateDataError, DivergenceError
 from gdapred.learn import (
     GaussianNaiveBayes,
     GridSpec,
@@ -196,6 +196,13 @@ class TestMlp:
         proba = model.predict_proba(wild)
         assert np.all(proba >= 0.0) and np.all(proba <= 1.0)
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_typed(self):
+        X, y = separable_1d()
+        with pytest.raises(DivergenceError,
+                           match=r"non-finite weights at epoch \d+ \(learning_rate=1e\+200\)"):
+            MLPClassifier(learning_rate=1e200, epochs=20, seed=0).fit(X, y)
 
 
 class TestGridSearch:
