@@ -12,7 +12,7 @@ from .evaluation import (  # noqa: E402
     threshold_sweep,
     waf,
 )
-from .kg import KnowledgeGraph, ancestors, build_kg  # noqa: E402
+from .kg import KnowledgeGraph, build_kg  # noqa: E402
 from .kge import EmbeddingTable, KgeTrainConfig, embed  # noqa: E402
 from .ontology import (  # noqa: E402
     AnnotationMap,
@@ -38,7 +38,7 @@ __all__ = [
     "AnnotationMap", "AssociationDataset", "CuratedAssociation",
     "EmbeddingTable", "EntityId", "EvalReport", "KgeTrainConfig",
     "KnowledgeGraph", "Ontology", "OntologyTerm", "SimilarityConfig",
-    "__version__", "ancestors", "build_kg", "combine", "cosine", "embed",
+    "__version__", "build_kg", "combine", "cosine", "embed",
     "evaluate_run", "filter_associations", "ic_resnik", "ic_seco",
     "parse_associations", "parse_gaf", "parse_obo", "roc_auc",
     "sample_negatives", "sim_groupwise", "ssm_baseline", "stratified_split",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifacts import read_json, read_tsv, write_json, write_tsv
 from .errors import DegenerateDataError, InfeasibleNegativesError
-from .ontology import CuratedAssociation, EntityId
+from .ontology import EntityId
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -39,15 +39,11 @@ class LabeledPair:
 class AssociationDataset:
     pairs: list[LabeledPair]
     split: dict[tuple[EntityId, EntityId], str] | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         keys = [p.key for p in self.pairs]
         if len(set(keys)) != len(keys):
             raise ValueError("dataset contains duplicate gene-disease pairs")
-
-    def positives(self) -> list[LabeledPair]:
-        return [p for p in self.pairs if p.label == POSITIVE]
 
     def negatives(self) -> list[LabeledPair]:
         return [p for p in self.pairs if p.label == NEGATIVE]
@@ -67,27 +63,15 @@ class AssociationDataset:
         return genes, diseases
 
 
-def _as_pairs(positives: Iterable) -> list[tuple[EntityId, EntityId]]:
-    out = []
-    for p in positives:
-        if isinstance(p, CuratedAssociation):
-            out.append((p.gene, p.disease))
-        elif isinstance(p, LabeledPair):
-            out.append((p.gene, p.disease))
-        else:
-            gene, disease = p
-            out.append((gene, disease))
-    return out
-
-
-def sample_negatives(positives: Iterable, seed: int) -> AssociationDataset:
+def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
+                     seed: int) -> AssociationDataset:
     """Build a balanced dataset by sampling unknown combinations.
 
     Negatives pair genes and diseases that both occur in the positive
     set but have no known association; duplicates and known positives
     are rejected until the negative count matches the positive count.
     """
-    pos_pairs = _as_pairs(positives)
+    pos_pairs = list(positives)
     pos_set = set(pos_pairs)
     if len(pos_set) != len(pos_pairs):
         raise ValueError("positive pairs contain duplicates")
@@ -120,7 +104,7 @@ def sample_negatives(positives: Iterable, seed: int) -> AssociationDataset:
 
     pairs = [LabeledPair(g, d, POSITIVE) for g, d in pos_pairs]
     pairs += [LabeledPair(g, d, NEGATIVE) for g, d in negatives]
-    return AssociationDataset(pairs, seed=seed)
+    return AssociationDataset(pairs)
 
 
 def stratified_split(dataset: AssociationDataset, train_fraction: float = 0.7,
@@ -140,7 +124,7 @@ def stratified_split(dataset: AssociationDataset, train_fraction: float = 0.7,
         for pos, j in enumerate(order):
             pair = dataset.pairs[indices[j]]
             split[pair.key] = TRAIN if pos < n_train else TEST
-    return AssociationDataset(list(dataset.pairs), split=split, seed=seed)
+    return AssociationDataset(list(dataset.pairs), split=split)
 
 
 def write_dataset(dataset: AssociationDataset, path) -> None:

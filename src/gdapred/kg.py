@@ -42,18 +42,12 @@ class KnowledgeGraph:
         self.term_nodes: frozenset[str] = frozenset(term_nodes)
         self.entity_nodes: frozenset[str] = frozenset(entity_nodes)
         self.notes: dict = dict(notes or {})
-        self._up: dict[str, tuple[str, ...]] = {}
-        self._eq: dict[str, tuple[str, ...]] = {}
         up: dict[str, set[str]] = {}
-        eq: dict[str, set[str]] = {}
         for s, rel, o in self.triples:
             if rel == SUBCLASS_OF:
                 up.setdefault(s, set()).add(o)
-            elif rel == EQUIVALENT_TO:
-                eq.setdefault(s, set()).add(o)
         self._up = {n: tuple(sorted(v)) for n, v in up.items()}
-        self._eq = {n: tuple(sorted(v)) for n, v in eq.items()}
-        self._anc_cache: dict[tuple[str, bool], frozenset[str]] = {}
+        self._anc_cache: dict[str, frozenset[str]] = {}
         self._walk_adj: dict[str, tuple[tuple[str, str], ...]] | None = None
 
     @property
@@ -68,11 +62,14 @@ class KnowledgeGraph:
     def triple_count(self) -> int:
         return len(self.triples)
 
-    def ancestor_set(self, node: str, cross_equivalence: bool = False) -> frozenset[str]:
-        key = (node, cross_equivalence)
-        cached = self._anc_cache.get(key)
+    def ancestor_set(self, node: str) -> frozenset[str]:
+        """The term ``node`` plus everything reachable upward via
+        subClassOf edges; UnknownNodeError for a node that is not a term."""
+        cached = self._anc_cache.get(node)
         if cached is not None:
             return cached
+        if node not in self.term_nodes:
+            raise UnknownNodeError(f"{node} is not a term node of this graph")
         seen = {node}
         frontier = [node]
         while frontier:
@@ -81,13 +78,8 @@ class KnowledgeGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-            if cross_equivalence:
-                for nxt in self._eq.get(cur, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
         result = frozenset(seen)
-        self._anc_cache[key] = result
+        self._anc_cache[node] = result
         return result
 
     def walk_adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
@@ -207,18 +199,6 @@ def apply_logical_definitions(kg: KnowledgeGraph, hp: Ontology) -> KnowledgeGrap
     notes["ld_targets_skipped"] = skipped
     return KnowledgeGraph(kg.variant, triples, kg.term_nodes,
                           kg.entity_nodes, notes)
-
-
-def ancestors(kg: KnowledgeGraph, term: str,
-              cross_equivalence: bool = False) -> set[str]:
-    """Term plus everything reachable upward via subClassOf edges.
-
-    With ``cross_equivalence`` the traversal may also step across
-    equivalence bridges before continuing upward.
-    """
-    if term not in kg.term_nodes:
-        raise UnknownNodeError(f"{term} is not a term node of this graph")
-    return set(kg.ancestor_set(term, cross_equivalence))
 
 
 def write_triples(kg: KnowledgeGraph, path) -> None:

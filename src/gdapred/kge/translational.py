@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DivergenceError
+from ..errors import DegenerateDataError
 from ..kg import KnowledgeGraph
 from ..validation import as_vector, check_same_dimension
 from .base import (EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate,
@@ -132,7 +132,7 @@ class _TripleSgd:
 
     def __init__(self, kg: KnowledgeGraph, config: KgeTrainConfig):
         if not kg.triples:
-            raise DivergenceError("cannot train on an empty graph")
+            raise DegenerateDataError("cannot train on an empty graph")
         self.nodes, self.relations, *self.triples = _indexed_triples(kg)
         self.config, self.k = config, config.negatives_per_positive
         self.rng = np.random.default_rng(config.seed)

@@ -14,10 +14,8 @@ import functools
 import hashlib
 import logging
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .artifacts import read_json, read_tsv, write_json, write_tsv
@@ -68,8 +66,8 @@ from .ontology import (
 from .pairing import (
     PAIR_OPERATORS,
     build_pair_features,
-    check_vectors,
     cosine_unit_score,
+    pair_vectors,
     read_pair_features,
     write_pair_features,
 )
@@ -392,7 +390,8 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
                                gene_go, gene_hp, disease_hp)
     logger.info("ingest: %d/%d association pairs kept", len(kept), len(associations))
 
-    dataset = sample_negatives(kept, seed=config.seeds["sampling"])
+    dataset = sample_negatives([(a.gene, a.disease) for a in kept],
+                               seed=config.seeds["sampling"])
     dataset = stratified_split(dataset, config.train_fraction,
                                seed=config.seeds["split"])
     write_dataset(dataset, dataset_path)
@@ -572,17 +571,15 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
 
     cosine_cells = _grid(config) if COSINE in config.learners else ()
     for variant, method, name, features_names in cosine_cells:
+        # a cosine cell ignores the operator: one report, under each operator
         table = read_embeddings(run.need("embed", name))
-        check_vectors(dataset, table)
-        scores = np.array([cosine_unit_score(table.vectors[p.gene.node_id],
-                                             table.vectors[p.disease.node_id])
-                           for p in dataset.pairs])
+        report = evaluate_run(
+            dataset, "score_threshold",
+            scores=cosine_unit_score(*pair_vectors(dataset, table)),
+            seed=config.seeds["split"])
         for operator in features_names:
-            record(evaluate_run(
-                dataset, "score_threshold", scores=scores,
-                config={"variant": variant, "method": method,
-                        "operator": operator, "learner": COSINE},
-                seed=config.seeds["split"]))
+            record(replace(report, config={"variant": variant, "method": method,
+                                           "operator": operator, "learner": COSINE}))
     for features, cell_config, model_name, seed in _classifier_cells(
             run, config, dataset):
         record(evaluate_run(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .artifacts import write_tsv
-from .errors import DegenerateDataError, UnknownNodeError
+from .errors import DegenerateDataError
 from .kg import KnowledgeGraph
 from .ontology import AnnotationMap, EntityId
 
@@ -143,10 +143,6 @@ def sim_resnik_pair(a: str, b: str, kg: KnowledgeGraph,
                     ic: InformationContentTable) -> float:
     """IC of the most informative common ancestor of two terms; 0.0 when
     no common ancestor has a positive IC."""
-    if a not in kg.term_nodes:
-        raise UnknownNodeError(f"{a} is not a term node of this graph")
-    if b not in kg.term_nodes:
-        raise UnknownNodeError(f"{b} is not a term node of this graph")
     masks = ic._masks_for(kg)
     common = masks.mask(a) & masks.mask(b)
     return masks.ic[(common & -common).bit_length() - 1] if common else 0.0
@@ -155,8 +151,6 @@ def sim_resnik_pair(a: str, b: str, kg: KnowledgeGraph,
 def _closure_union(terms: Iterable[str], kg: KnowledgeGraph) -> set[str]:
     out: set[str] = set()
     for t in terms:
-        if t not in kg.term_nodes:
-            raise UnknownNodeError(f"{t} is not a term node of this graph")
         out |= kg.ancestor_set(t)
     return out
 
@@ -209,7 +203,6 @@ class ScoredPair:
 class ScoredPairs:
     rows: list[ScoredPair]
     excluded_entities: list[EntityId] = field(default_factory=list)
-    config: SimilarityConfig | None = None
 
     def normalized_scores(self) -> list[float]:
         return [r.normalized_score for r in self.rows]
@@ -265,7 +258,7 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
         hi = max(r.raw_score for r in rows)
         for r in rows:
             r.normalized_score = (r.raw_score - lo) / (hi - lo) if hi > lo else 1.0
-    return ScoredPairs(rows, excluded, config)
+    return ScoredPairs(rows, excluded)
 
 
 def write_scored_pairs(scored: ScoredPairs, path) -> None:

@@ -11,7 +11,6 @@ from gdapred.kg import (
     VIRTUAL_ROOT,
     KnowledgeGraph,
     add_virtual_root,
-    ancestors,
     apply_logical_definitions,
     build_kg,
     read_triples,
@@ -176,14 +175,14 @@ class TestAncestors:
         kg = build_kg("HP", HP3,
                       gene_hp=annotations(g1=["HP:3"]),
                       disease_hp=annotations(d1=["HP:2"]))
-        assert ancestors(kg, "HP:3") == {"HP:3", "HP:2", "HP:1"}
+        assert kg.ancestor_set("HP:3") == {"HP:3", "HP:2", "HP:1"}
 
     def test_root_with_virtual_root(self):
         kg = add_virtual_root(build_kg(
             "HP", HP3,
             gene_hp=annotations(g1=["HP:3"]),
             disease_hp=annotations(d1=["HP:2"])))
-        assert ancestors(kg, "HP:1") == {"HP:1", VIRTUAL_ROOT}
+        assert kg.ancestor_set("HP:1") == {"HP:1", VIRTUAL_ROOT}
 
     def test_diamond(self):
         ont = make_ontology(
@@ -193,28 +192,16 @@ class TestAncestors:
                       gene_hp=annotations(g1=["HP:d"]),
                       disease_hp=annotations(d1=["HP:d"]))
         # frozen from the 4-node brute-force reachability oracle
-        assert ancestors(kg, "HP:d") == {"HP:d", "HP:b", "HP:c", "HP:a"}
+        assert kg.ancestor_set("HP:d") == {"HP:d", "HP:b", "HP:c", "HP:a"}
 
     def test_unknown_term(self):
         kg = build_kg("HP", HP3,
                       gene_hp=annotations(g1=["HP:3"]),
                       disease_hp=annotations(d1=["HP:2"]))
         with pytest.raises(UnknownNodeError):
-            ancestors(kg, "HP:404")
+            kg.ancestor_set("HP:404")
         with pytest.raises(UnknownNodeError):
-            ancestors(kg, "GENE:g1")
-
-    def test_cross_equivalence_traversal(self):
-        hp = make_ontology(["HP:1", "HP:2"], [("HP:2", "HP:1")])
-        hp.terms["HP:2"].ld_targets = ["GO:2"]
-        kg = build_kg("HP_GO_LD", hp, GO2,
-                      gene_hp=annotations(g1=["HP:2"]),
-                      disease_hp=annotations(d1=["HP:2"]),
-                      gene_go=annotations(g1=["GO:2"]))
-        plain = ancestors(kg, "HP:2", cross_equivalence=False)
-        assert "GO:1" not in plain
-        crossed = ancestors(kg, "HP:2", cross_equivalence=True)
-        assert {"GO:2", "GO:1"} <= crossed
+            kg.ancestor_set("GENE:g1")
 
     def test_matches_bruteforce_on_random_dags(self):
         rng = np.random.default_rng(23)
@@ -222,7 +209,7 @@ class TestAncestors:
             kg, ont, _, _ = random_hp_kg(rng, int(rng.integers(5, 41)), 2, 2)
             edges = {(c, p) for c, rel, p in ont.edges if rel == "is_a"}
             for term in sorted(kg.term_nodes):
-                assert ancestors(kg, term) == oracle_reachable_up(edges, term)
+                assert kg.ancestor_set(term) == oracle_reachable_up(edges, term)
 
     def test_monotone_along_subclass(self):
         rng = np.random.default_rng(29)
@@ -230,13 +217,13 @@ class TestAncestors:
         for child, rel, parent in ont.edges:
             if rel != "is_a":
                 continue
-            assert ancestors(kg, parent) <= ancestors(kg, child)
+            assert kg.ancestor_set(parent) <= kg.ancestor_set(child)
 
     def test_contains_self(self):
         rng = np.random.default_rng(31)
         kg, _, _, _ = random_hp_kg(rng, 15, 2, 2)
         for term in kg.term_nodes:
-            assert term in ancestors(kg, term)
+            assert term in kg.ancestor_set(term)
 
 
 class TestTripleExport:

@@ -526,6 +526,13 @@ class TestEmbedDispatch:
         with pytest.raises(DegenerateDataError):
             embed(kg, "walk", config)
 
+    @pytest.mark.parametrize("method", ["transe", "distmult"])
+    def test_translational_on_empty_graph_degenerate(self, method):
+        kg = KnowledgeGraph("HP", set(), {"N:a"}, set())
+        config = KgeTrainConfig(dimension=4, epochs=1, seed=0)
+        with pytest.raises(DegenerateDataError, match="empty graph"):
+            embed(kg, method, config)
+
     def test_every_entity_gets_vector(self):
         nodes = {"HP:1", "HP:2", "GENE:1", "DISEASE:C1"}
         triples = {("HP:2", "subClassOf", "HP:1"),

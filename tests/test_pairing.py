@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gdapred.errors import IntegrityError, ZeroVectorError
 from gdapred.evaluation import AssociationDataset, LabeledPair
@@ -13,6 +16,7 @@ from gdapred.pairing import (
     combine,
     cosine,
     cosine_unit_score,
+    pair_vectors,
     read_pair_features,
     write_pair_features,
 )
@@ -103,6 +107,87 @@ class TestCosine:
                 assert 0.0 <= cosine_unit_score(g, d) <= 1.0
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+#: small enough that no dot product of up to 70 terms overflows
+ELEMENTS = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@st.composite
+def gene_disease_rows(draw):
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 70)))
+    return (draw(arrays(np.float64, shape, elements=ELEMENTS)),
+            draw(arrays(np.float64, shape, elements=ELEMENTS)))
+
+
+class TestRows:
+    """(n, d) gene and disease rows give, row by row, the bits of the
+    one-pair call and of the one-pair cosine formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=gene_disease_rows(), operator=st.sampled_from(PAIR_OPERATORS))
+    def test_combine_rows_are_their_pairs(self, rows, operator):
+        G, D = rows
+        out = combine(G, D, operator)
+        assert out.shape == (len(G), G.shape[1] * (2 if operator == "concatenation" else 1))
+        for i in range(len(G)):
+            assert np.array_equal(_bits(out[i]), _bits(combine(G[i], D[i], operator)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=gene_disease_rows())
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cosine_rows_are_the_pair_formula(self, rows):
+        G, D = rows
+        if any(np.linalg.norm(v) == 0.0 for v in (*G, *D)):
+            with pytest.raises(ZeroVectorError):
+                cosine(G, D)
+            return
+        out = cosine(G, D)
+        unit = cosine_unit_score(G, D)
+        assert out.shape == unit.shape == (len(G),)
+        for i, (g, d) in enumerate(zip(G, D)):
+            formula = np.clip(np.dot(g, d) / (np.linalg.norm(g) * np.linalg.norm(d)), -1, 1)
+            assert _bits(out[i]) == _bits(formula)
+            assert _bits(cosine(g, d)) == _bits(formula)
+            assert _bits(unit[i]) == _bits((1.0 + formula) / 2.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=gene_disease_rows(), data=st.data())
+    def test_zero_row_anywhere_raises(self, rows, data):
+        G, D = (np.where(a == 0.0, 1.0, a) for a in rows)
+        target = D if data.draw(st.booleans()) else G
+        target[data.draw(st.integers(0, len(G) - 1))] = 0.0
+        with pytest.raises(ZeroVectorError):
+            cosine(G, D)
+        with pytest.raises(ZeroVectorError):
+            cosine_unit_score(G, D)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=gene_disease_rows(), data=st.data(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_entry_raises(self, rows, data, bad):
+        G, D = rows
+        target = D if data.draw(st.booleans()) else G
+        target[data.draw(st.integers(0, len(G) - 1)),
+               data.draw(st.integers(0, G.shape[1] - 1))] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            cosine(G, D)
+        for operator in PAIR_OPERATORS:
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                combine(G, D, operator)
+
+    def test_one_pair_cosine_is_a_float(self):
+        assert type(cosine([1.0, 2.0], [3.0, -4.0])) is float
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            cosine(np.ones((3, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            combine(np.ones((1, 1, 2)), np.ones((1, 1, 2)), "hadamard")
+
+
 def toy_dataset_and_table():
     g1, g2 = EntityId("1", "gene"), EntityId("2", "gene")
     d1 = EntityId("C1", "disease")
@@ -129,6 +214,19 @@ class TestPairFeatures:
         del table.vectors["GENE:2"]
         with pytest.raises(IntegrityError, match="GENE:2"):
             build_pair_features(dataset, table, "hadamard")
+
+    def test_gather_names_every_missing_entity(self):
+        dataset, table = toy_dataset_and_table()
+        del table.vectors["GENE:2"], table.vectors["DISEASE:C1"]
+        with pytest.raises(IntegrityError) as err:
+            pair_vectors(dataset, table)
+        assert str(err.value) == "entities without embedding vectors: DISEASE:C1, GENE:2"
+
+    def test_gather_rows_in_dataset_order(self):
+        dataset, table = toy_dataset_and_table()
+        G, D = pair_vectors(dataset, table)
+        assert G.tolist() == [[1.0, 2.0], [0.5, -1.0]]
+        assert D.tolist() == [[2.0, 3.0], [2.0, 3.0]]
 
     def test_tsv_roundtrip(self, tmp_path):
         dataset, table = toy_dataset_and_table()
