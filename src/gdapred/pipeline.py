@@ -10,6 +10,7 @@ cell name.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import logging
@@ -209,9 +210,10 @@ def write_manifest(run: StageRun, details: dict) -> None:
     })
 
 
-def write_timings(stage_dir: Path, stage: str, seconds: float) -> None:
+def write_timings(run: StageRun, seconds: float) -> None:
     # separate file: wall-clock numbers must not break manifest determinism
-    write_json(stage_dir / "timings.json", {"stage": stage, "seconds": seconds})
+    write_json(run.dir / "timings.json",
+               {"stage": run.stage, "seconds": seconds, "cells": run.cells})
 
 
 #: stage name -> its stage function, in run order; ``_stage`` fills it
@@ -236,6 +238,8 @@ class StageRun:
         self.outputs: list[Path] = []
         #: manifest details, when they differ from what the stage returns
         self.details: dict | None = None
+        #: wall seconds per grid cell, for ``timings.json`` only
+        self.cells: dict[str, float] = {}
 
     def read(self, path) -> Path:
         path = Path(path)
@@ -258,6 +262,17 @@ class StageRun:
         self.outputs.append(path)
         return path
 
+    @contextlib.contextmanager
+    def timed(self, *cells: str):
+        """Time the block as the work of ``cells``. Cells that share one
+        piece of work, such as the cosine cells of one (variant, method),
+        each record its whole time."""
+        t0 = time.perf_counter()
+        yield
+        seconds = time.perf_counter() - t0
+        for cell in cells:
+            self.cells[cell] = seconds
+
 
 def _stage(name: str, dirname: str):
     """Register a body ``(config, run) -> result`` as the stage ``name``,
@@ -272,7 +287,7 @@ def _stage(name: str, dirname: str):
             run.dir.mkdir(parents=True, exist_ok=True)
             result = body(config, run)
             write_manifest(run, result if run.details is None else run.details)
-            write_timings(run.dir, name, time.perf_counter() - t0)
+            write_timings(run, time.perf_counter() - t0)
             return result
         STAGE_FUNCTIONS[name] = run_stage
         _STAGE_DIRS[name] = dirname
@@ -460,21 +475,22 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     for ssm_config in SSM_CONFIGS:
         if ssm_config.name not in config.ssm_measures:
             continue
-        flavor = ssm_config.ic_flavor
-        if flavor not in tables:
-            tables[flavor] = ic_table(flavor, kg, annotations)
-        scored = ssm_baseline(dataset, ssm_config, kg, annotations,
-                              ic=tables[flavor])
-        if scored.excluded_entities:
-            raise IntegrityError(
-                "baseline cannot score the persisted dataset: entities "
-                "without annotations: " + ", ".join(
-                    e.node_id for e in scored.excluded_entities))
-        write_scored_pairs(scored, run.output(f"scored_{ssm_config.name}.tsv"))
-        report = evaluate_run(
-            dataset, "score_threshold", scores=scored.normalized_scores(),
-            config={"measure": ssm_config.name}, seed=config.seeds["split"])
-        rows[ssm_config.name] = _write_eval(run, ssm_config.name, report)
+        with run.timed(ssm_config.name):
+            flavor = ssm_config.ic_flavor
+            if flavor not in tables:
+                tables[flavor] = ic_table(flavor, kg, annotations)
+            scored = ssm_baseline(dataset, ssm_config, kg, annotations,
+                                  ic=tables[flavor])
+            if scored.excluded_entities:
+                raise IntegrityError(
+                    "baseline cannot score the persisted dataset: entities "
+                    "without annotations: " + ", ".join(
+                        e.node_id for e in scored.excluded_entities))
+            write_scored_pairs(scored, run.output(f"scored_{ssm_config.name}.tsv"))
+            report = evaluate_run(
+                dataset, "score_threshold", scores=scored.normalized_scores(),
+                config={"measure": ssm_config.name}, seed=config.seeds["split"])
+            rows[ssm_config.name] = _write_eval(run, ssm_config.name, report)
 
     best = max(rows, key=lambda name: (rows[name]["waf"], name)) if rows else None
     summary = {"measures": rows, "best": best}
@@ -495,21 +511,24 @@ def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
     details = {}
     kg = ontologies = None
     for variant, method, name, _ in _grid(config):
-        if kg is None or kg.variant != variant:
-            kg = read_triples(run.need("build-kg", f"kg_{variant}.tsv"), variant)
-        seed = derive_seed(config.seeds["embedding"], f"{variant}/{method}")
-        if method == "walk_lexical" and ontologies is None:
-            ontologies = [_parse_input(run, parse_obo, "hp_obo")]
-            if "go_obo" in config.inputs:
-                ontologies.append(_parse_input(run, parse_obo, "go_obo"))
-        table = embed(kg, method, config.kge_config(seed), ontologies or ())
-        write_embeddings(table, run.output(name))
-        details[f"{variant}/{method}"] = {
-            "seed": seed, "dimension": table.dimension,
-            "nodes": len(table.vectors), "loss_history": table.loss_history,
-        }
-        logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
-                    len(table.vectors), table.dimension)
+        cell = f"{variant}/{method}"
+        with run.timed(cell):
+            if kg is None or kg.variant != variant:
+                kg = read_triples(run.need("build-kg", f"kg_{variant}.tsv"),
+                                  variant)
+            seed = derive_seed(config.seeds["embedding"], cell)
+            if method == "walk_lexical" and ontologies is None:
+                ontologies = [_parse_input(run, parse_obo, "hp_obo")]
+                if "go_obo" in config.inputs:
+                    ontologies.append(_parse_input(run, parse_obo, "go_obo"))
+            table = embed(kg, method, config.kge_config(seed), ontologies or ())
+            write_embeddings(table, run.output(name))
+            details[cell] = {
+                "seed": seed, "dimension": table.dimension,
+                "nodes": len(table.vectors), "loss_history": table.loss_history,
+            }
+            logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
+                        len(table.vectors), table.dimension)
     return details
 
 
@@ -521,12 +540,13 @@ def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     for variant, method, name, features_names in _grid(config):
         table = read_embeddings(run.need("embed", name))
         for operator, features_name in features_names.items():
-            features = build_pair_features(dataset, table, operator)
-            write_pair_features(features, run.output(features_name))
-            details[f"{variant}/{method}/{operator}"] = {
-                "rows": int(features.rows.shape[0]),
-                "columns": int(features.rows.shape[1]),
-            }
+            with run.timed(f"{variant}/{method}/{operator}"):
+                features = build_pair_features(dataset, table, operator)
+                write_pair_features(features, run.output(features_name))
+                details[f"{variant}/{method}/{operator}"] = {
+                    "rows": int(features.rows.shape[0]),
+                    "columns": int(features.rows.shape[1]),
+                }
     return details
 
 
@@ -540,20 +560,21 @@ def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
     for features, cell_config, model_name, seed in _classifier_cells(
             run, config, dataset):
         kind, cell = cell_config["learner"], _cell_name(cell_config)
-        X_train = features.rows[train_idx]
-        grid = config.grids.get(kind)
-        if grid == "default":
-            grid = DEFAULT_GRIDS[kind]
-        if grid:
-            spec = GridSpec(dict(grid), fold_count=config.grid_folds)
-            best_params, model = grid_search(kind, X_train, y_train, spec, seed)
-        else:
-            params = config.classifier_params.get(kind, {})
-            model = make_classifier(kind, params, seed).fit(X_train, y_train)
-            best_params = dict(params)
-        model.save(run.output(model_name))
-        details[cell] = {"seed": seed, "best_params": best_params}
-        logger.info("train %s done", cell)
+        with run.timed(cell):
+            X_train = features.rows[train_idx]
+            grid = config.grids.get(kind)
+            if grid == "default":
+                grid = DEFAULT_GRIDS[kind]
+            if grid:
+                spec = GridSpec(dict(grid), fold_count=config.grid_folds)
+                best_params, model = grid_search(kind, X_train, y_train, spec, seed)
+            else:
+                params = config.classifier_params.get(kind, {})
+                model = make_classifier(kind, params, seed).fit(X_train, y_train)
+                best_params = dict(params)
+            model.save(run.output(model_name))
+            details[cell] = {"seed": seed, "best_params": best_params}
+            logger.info("train %s done", cell)
     return details
 
 
@@ -572,19 +593,24 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
     cosine_cells = _grid(config) if COSINE in config.learners else ()
     for variant, method, name, features_names in cosine_cells:
         # a cosine cell ignores the operator: one report, under each operator
-        table = read_embeddings(run.need("embed", name))
-        report = evaluate_run(
-            dataset, "score_threshold",
-            scores=cosine_unit_score(*pair_vectors(dataset, table)),
-            seed=config.seeds["split"])
-        for operator in features_names:
-            record(replace(report, config={"variant": variant, "method": method,
-                                           "operator": operator, "learner": COSINE}))
+        cell_configs = [{"variant": variant, "method": method,
+                         "operator": operator, "learner": COSINE}
+                        for operator in features_names]
+        with run.timed(*map(_cell_name, cell_configs)):
+            table = read_embeddings(run.need("embed", name))
+            report = evaluate_run(
+                dataset, "score_threshold",
+                scores=cosine_unit_score(*pair_vectors(dataset, table)),
+                seed=config.seeds["split"])
+            for cell_config in cell_configs:
+                record(replace(report, config=cell_config))
     for features, cell_config, model_name, seed in _classifier_cells(
             run, config, dataset):
-        record(evaluate_run(
-            dataset, "classifier", model=load_model(run.need("train", model_name)),
-            features=features, config=cell_config, seed=seed))
+        with run.timed(_cell_name(cell_config)):
+            record(evaluate_run(
+                dataset, "classifier",
+                model=load_model(run.need("train", model_name)),
+                features=features, config=cell_config, seed=seed))
     summary.sort(key=lambda r: r[:4])
     write_tsv(run.output("summary.tsv"),
               ("variant", "method", "operator", "learner", "waf", "auc", "threshold"),

@@ -155,6 +155,15 @@ def _closure_union(terms: Iterable[str], kg: KnowledgeGraph) -> set[str]:
     return out
 
 
+def _simgic(anc_a: set[str], anc_b: set[str],
+            ic: InformationContentTable) -> float:
+    """IC-weighted Jaccard of two ancestor closures."""
+    # fsum is exact, so the result does not depend on set iteration order
+    inter = math.fsum(ic.values[t] for t in anc_a & anc_b if t in ic.values)
+    union = math.fsum(ic.values[t] for t in anc_a | anc_b if t in ic.values)
+    return inter / union if union > 0 else 0.0
+
+
 def sim_groupwise(gene_terms: set[str], disease_terms: set[str],
                   config: SimilarityConfig, kg: KnowledgeGraph,
                   ic: InformationContentTable, pair_sim=sim_resnik_pair) -> float:
@@ -168,12 +177,8 @@ def sim_groupwise(gene_terms: set[str], disease_terms: set[str],
     if not gene_terms or not disease_terms:
         raise DegenerateDataError("groupwise similarity needs non-empty term sets")
     if config.aggregation == "SIMGIC":
-        anc_a = _closure_union(gene_terms, kg)
-        anc_b = _closure_union(disease_terms, kg)
-        # fsum is exact, so the result does not depend on set iteration order
-        inter = math.fsum(ic.values[t] for t in anc_a & anc_b if t in ic.values)
-        union = math.fsum(ic.values[t] for t in anc_a | anc_b if t in ic.values)
-        return inter / union if union > 0 else 0.0
+        return _simgic(_closure_union(gene_terms, kg),
+                       _closure_union(disease_terms, kg), ic)
     a_list = sorted(gene_terms)
     b_list = sorted(disease_terms)
     row_best = [0.0] * len(a_list)
@@ -227,6 +232,14 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
 
     # term pairs recur across entity pairs; sim_resnik_pair is symmetric
     memo: dict[tuple[str, str], float] = {}
+    # SimGIC: each distinct annotation set's ancestor closure, built once
+    closures: dict[frozenset[str], set[str]] = {}
+
+    def closure(terms):
+        key = frozenset(terms)
+        if key not in closures:
+            closures[key] = _closure_union(key, kg)
+        return closures[key]
 
     def cached_pair(a, b, kg_, ic_):
         key = (a, b) if a <= b else (b, a)
@@ -250,8 +263,11 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
                     excluded_seen.add(e)
                     excluded.append(e)
             continue
-        raw = sim_groupwise(gene_terms, disease_terms, config, kg, ic,
-                            pair_sim=cached_pair)
+        if config.aggregation == "SIMGIC":
+            raw = _simgic(closure(gene_terms), closure(disease_terms), ic)
+        else:
+            raw = sim_groupwise(gene_terms, disease_terms, config, kg, ic,
+                                pair_sim=cached_pair)
         rows.append(ScoredPair(pair.gene, pair.disease, raw, 0.0, pair.label))
     if rows:
         lo = min(r.raw_score for r in rows)

@@ -163,8 +163,8 @@ def oracle_roc_points(y_true, scores) -> list[tuple[float | None, float, float]]
 
 
 def oracle_gini_best_split(X, y, feature_indices):
-    """The forest's split search one feature at a time, as it was before it
-    scored every sampled feature in one pass; same tie rules and margin."""
+    """The forest's split search on one node, one feature at a time, with
+    the same tie rules and margin."""
     n = y.shape[0]
     best = (None, None, np.inf)
     for f in feature_indices:
@@ -191,6 +191,58 @@ def oracle_gini_best_split(X, y, feature_indices):
             threshold = 0.5 * (sv[distinct[i]] + sv[distinct[i] + 1])
             best = (int(f), float(threshold), float(weighted[i]))
     return best
+
+
+def oracle_forest(X, y, n_trees, max_depth=None, max_features="sqrt",
+                  min_samples_split=2, seed=0):
+    """The forest grown one node at a time: each tree breadth-first on its
+    own, each node searched by ``oracle_gini_best_split``, from the same
+    draws as the level-wise fit. Tree t takes its bootstrap rows from
+    ``default_rng(seed + t)``, then at each depth one
+    ``random((nodes searched, features))`` array, a node sampling the
+    features with the smallest draws in its row."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n, n_features = X.shape
+    k = n_features
+    if max_features == "sqrt":
+        k = max(1, int(np.sqrt(n_features)))
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(seed + t)
+        sample = rng.integers(0, n, size=n)
+        Xs, ys = X[sample], y[sample]
+        root: dict = {}
+        level = [(root, np.arange(n))]
+        depth = 0
+        while level:
+            searched = []
+            for node, idx in level:
+                y_node = ys[idx]
+                if (max_depth is not None and depth >= max_depth) \
+                        or idx.size < min_samples_split \
+                        or np.all(y_node == y_node[0]):
+                    p = float(np.mean(y_node))
+                    node["leaf"] = [1.0 - p, p]
+                else:
+                    searched.append((node, idx))
+            draws = rng.random((len(searched), n_features)) if searched else []
+            level = []
+            for (node, idx), row in zip(searched, draws):
+                features = np.sort(np.argsort(row, kind="stable")[:k])
+                f, threshold, _ = oracle_gini_best_split(Xs[idx], ys[idx], features)
+                if f is not None:
+                    mask = Xs[idx, f] < threshold
+                    left_idx, right_idx = idx[mask], idx[~mask]
+                if f is None or left_idx.size == 0 or right_idx.size == 0:
+                    p = float(np.mean(ys[idx]))
+                    node["leaf"] = [1.0 - p, p]
+                    continue
+                node.update(feature=f, threshold=threshold, left={}, right={})
+                level += [(node["left"], left_idx), (node["right"], right_idx)]
+            depth += 1
+        trees.append(root)
+    return trees
 
 
 def finite_difference(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:

@@ -146,6 +146,24 @@ class TestStages:
             assert len(history) == config["embedding"]["epochs"]
             assert all(math.isfinite(x) and x > 0 for x in history)
 
+    def test_timings_list_each_stage_cells(self, pipeline_run):
+        out_dir, _, _ = pipeline_run
+
+        def details(stage):
+            return json.loads((out_dir / stage / "manifest.json").read_text())["details"]
+
+        expected = {"ingest": set(), "kg": set(), "report": set(),
+                    "baseline": set(details("baseline")["measures"])}
+        for stage in ("embed", "pair", "train", "evaluate"):
+            expected[stage] = set(details(stage))
+        for stage, cells in expected.items():
+            timings = json.loads((out_dir / stage / "timings.json").read_text())
+            assert set(timings["cells"]) == cells, stage
+            assert all(0.0 <= s <= timings["seconds"]
+                       for s in timings["cells"].values())
+        # 2 variants x 2 methods x 2 operators x 2 learners
+        assert len(expected["evaluate"]) == 16
+
     def test_manifests_list_every_output(self, pipeline_run):
         out_dir, config_path, _ = pipeline_run
         config = json.loads(config_path.read_text())
@@ -403,6 +421,19 @@ class TestCliSurface:
             assert main([stage, "--config", str(config_path)]) == 0
         assert main(["train", "--config", str(config_path)]) == 1
         assert "non-finite" in caplog.text
+        assert not list((tmp_path / "out" / "train").glob("model_*.json"))
+
+    def test_bad_forest_hyperparameter_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(
+            corpus, tmp_path / "out", kg_variants=["HP"], methods=["walk"],
+            operators=["hadamard"], learners=["random_forest"],
+            classifier_params={"random_forest": {"n_trees": 0}})
+        config_path = write_config(config, tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert "n_trees must be an integer of at least 1" in caplog.text
         assert not list((tmp_path / "out" / "train").glob("model_*.json"))
 
     def test_stale_pair_features_exit_1(self, tmp_path, caplog):

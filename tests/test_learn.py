@@ -1,11 +1,13 @@
 """Classifier training, grid search, and persistence contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.errors import DegenerateDataError, DivergenceError
+from gdapred.errors import ConfigurationError, DegenerateDataError, DivergenceError
 from gdapred.learn import (
     GaussianNaiveBayes,
     GridSpec,
@@ -18,9 +20,10 @@ from gdapred.learn import (
     mlp_gradient_check,
     stratified_kfold,
 )
-from gdapred.learn.forest import _gini_best_split
+from gdapred.learn import forest
+from gdapred.learn.forest import _dense_ranks, _level_splits
 
-from helpers import oracle_gini_best_split
+from helpers import oracle_forest, oracle_gini_best_split
 
 
 def separable_1d(n=30, margin=1.0, seed=0):
@@ -77,6 +80,55 @@ class TestRandomForest:
         a = RandomForestClassifier(n_trees=10, seed=3).fit(X, y)
         b = RandomForestClassifier(n_trees=10, seed=3).fit(X, y)
         assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+
+    @pytest.mark.parametrize("params", [
+        {"n_trees": 0}, {"n_trees": -2}, {"max_depth": 0}, {"max_depth": -1},
+        {"min_samples_split": 1}, {"max_features": 3},
+        {"max_features": "log2"}], ids=str)
+    def test_bad_hyperparameters_rejected(self, params):
+        with pytest.raises(ConfigurationError):
+            RandomForestClassifier(**params)
+
+
+class TestLevelWiseForest:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(2, 60), n_features=st.integers(1, 8),
+           levels=st.sampled_from([0, 1, 2, 3]), n_trees=st.integers(1, 4),
+           max_depth=st.sampled_from([None, 1, 3]),
+           min_samples_split=st.integers(2, 5),
+           max_features=st.sampled_from(["sqrt", None]),
+           group_rows=st.sampled_from([forest._GROUP_ROWS, 1, 70]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_node_oracle(self, n, n_features, levels, n_trees,
+                                    max_depth, min_samples_split, max_features,
+                                    group_rows, seed):
+        # levels 1 makes every feature constant, 2 and 3 tie values, 0
+        # draws continuous ones; about a quarter of the features are constant
+        rng = np.random.default_rng(seed)
+        if levels:
+            X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, n_features))
+        X[:, rng.random(n_features) < 0.25] = 1.0
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        params = {"n_trees": n_trees, "max_depth": max_depth,
+                  "max_features": max_features,
+                  "min_samples_split": min_samples_split, "seed": seed % 1000}
+        # a small group size grows one fit's trees in several groups
+        with mock.patch.object(forest, "_GROUP_ROWS", group_rows):
+            trees = RandomForestClassifier(**params).fit(X, y).trees_
+        assert trees == oracle_forest(X, y, **params)
+
+
+def _gini_best_split(X, y, feature_indices):
+    """The forest's level-wise split search on one node holding every
+    row of ``X``, in the oracle's (feature, threshold, gini) form."""
+    f, t, w = _level_splits(X, _dense_ranks(X), y, np.arange(y.size),
+                            np.array([0]), np.asarray(feature_indices)[None, :])
+    if f[0] < 0:
+        return (None, None, np.inf)
+    return (int(f[0]), float(t[0]), float(w[0]))
 
 
 class TestGiniBestSplit:
