@@ -53,21 +53,77 @@ def _pair_template(length: int, window: int, cache: dict):
 _BLOCK_SENTENCES = 32
 
 
+def _noise_guide(noise_cum: np.ndarray) -> np.ndarray:
+    """Guide table for inverse-CDF draws from ``noise_cum`` (Chen & Asau).
+
+    ``guide[b]`` is where ``b / m`` falls in ``noise_cum``, for ``m`` the
+    smallest power of two at least 16 times the vocabulary, so at most
+    one bucket in 16 holds a step of the CDF. Entries are int32, half
+    the memory of int64 at 16 entries per token.
+    """
+    m = 1 << (16 * noise_cum.size - 1).bit_length()
+    return np.searchsorted(noise_cum, np.arange(m + 1) / m).astype(np.int32)
+
+
+def _draw_negatives(u: np.ndarray, noise_cum: np.ndarray,
+                    guide: np.ndarray) -> np.ndarray:
+    """Negatives for uniform draws ``u``, in O(1) per draw: exactly
+    ``np.minimum(np.searchsorted(noise_cum, u), noise_cum.size - 1)``.
+
+    ``guide`` has ``m + 1`` entries for a power of two ``m``, so ``u * m``
+    is exact and its floor ``b`` is the bucket with
+    ``b / m <= u < (b + 1) / m``; the answer then lies in
+    ``[guide[b], guide[b + 1]]``. Only draws whose bucket holds a step
+    of the CDF are searched.
+    """
+    b = (u * (guide.size - 1)).astype(np.intp)
+    out = guide[b]
+    step = out != guide[1:][b]
+    out[step] = np.searchsorted(noise_cum, u[step])
+    # clip: float cumsum can top out a hair below 1.0
+    return np.minimum(out, noise_cum.size - 1, out=out)
+
+
 def _segment_unique(tokens: np.ndarray, segments: np.ndarray,
                     n_segments: int, n_tokens: int):
     """Distinct tokens within each segment, in one sort.
 
     Returns the distinct tokens, grouped by segment and ascending within
     it; the start of each segment's group (``n_segments + 1`` offsets);
-    and each input's position within its segment's group.
+    and each input's position within its segment's group. Each
+    (segment, token) key is packed above its input position into one
+    int64, so one plain sort orders the keys and tells where each came
+    from. A block's segments, tokens and positions fit in far fewer
+    than 63 bits.
     """
-    keys, inverse = np.unique(segments * n_tokens + tokens,
-                              return_inverse=True)
-    starts = np.searchsorted(keys // n_tokens, np.arange(n_segments + 1))
-    return keys % n_tokens, starts.tolist(), inverse - starts[segments]
+    n = tokens.size
+    token_bits = (n_tokens - 1).bit_length()
+    position_bits = (n - 1).bit_length()
+    packed = segments << token_bits
+    packed |= tokens
+    packed <<= position_bits
+    packed |= np.arange(n)
+    packed.sort()
+    keys = packed >> position_bits
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    # an index array gathers faster than a boolean mask at this density
+    distinct = keys[np.flatnonzero(first)]
+    starts = np.searchsorted(distinct >> token_bits, np.arange(n_segments + 1))
+    # in place: fresh block-sized temporaries cost page faults
+    local = np.cumsum(first)
+    local -= 1
+    keys >>= token_bits
+    local -= np.take(starts, keys, out=keys)
+    packed &= (1 << position_bits) - 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[packed] = local
+    distinct &= (1 << token_bits) - 1
+    return distinct, starts.tolist(), inverse
 
 
-def _block_plan(block, window, cache, rng, noise_cum, k):
+def _block_plan(block, window, cache, rng, noise_cum, guide, k):
     """Negatives and dense-update indices for a block of sentences.
 
     Sentence ``j`` owns pairs ``pair_off[j]:pair_off[j + 1]``, row tokens
@@ -89,18 +145,18 @@ def _block_plan(block, window, cache, rng, noise_cum, k):
     contexts = tokens[np.concatenate([t[1] for t in templates]) + shift]
     pair_seg = np.repeat(np.arange(n), pairs)
 
-    # clip: float cumsum can top out a hair below 1.0
-    negatives = np.minimum(
-        np.searchsorted(noise_cum, rng.random((contexts.size, k))),
-        noise_cum.size - 1)
-    weight = np.hstack([np.ones((contexts.size, 1)),
-                        negatives != contexts[:, None]])
+    targets = np.empty((contexts.size, k + 1), dtype=np.int64)
+    targets[:, 0] = contexts
+    targets[:, 1:] = _draw_negatives(rng.random((contexts.size, k)),
+                                     noise_cum, guide)
+    weight = np.ones(targets.shape)
+    weight[:, 1:] = targets[:, 1:] != contexts[:, None]
 
     rows, row_start, row_of = _segment_unique(
         tokens, np.repeat(np.arange(n), lengths), n, noise_cum.size)
     cols, col_start, col_of = _segment_unique(
-        np.hstack([contexts[:, None], negatives]).ravel(),
-        np.repeat(pair_seg, k + 1), n, noise_cum.size)
+        targets.ravel(), np.repeat(np.arange(n), pairs * (k + 1)), n,
+        noise_cum.size)
     width = np.diff(col_start)[pair_seg]
     flat = (row_of[centers] * width)[:, None] + col_of.reshape(-1, k + 1)
     return pair_off, rows, row_start, cols, col_start, flat, weight
@@ -111,7 +167,9 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     """Train token vectors and return those of the KG's node tokens.
 
     Negatives come from the unigram^0.75 distribution; draws that hit
-    the positive target are dropped. Each sentence is one SGD update
+    the positive target are dropped. A guide table (Chen & Asau 1974)
+    inverts the noise CDF in O(1) per draw and gives exactly the index
+    a binary search would. Each sentence is one SGD update
     from one snapshot of the parameters, with the learning rate decayed
     linearly over the pairs seen. The update is a small dense problem:
     with ``v`` the input rows of the sentence's distinct tokens and
@@ -133,6 +191,7 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     freq = np.array([counts[tok] for tok in vocab], dtype=np.float64)
     noise = freq ** 0.75
     noise_cum = np.cumsum(noise / noise.sum())
+    guide = _noise_guide(noise_cum)
 
     dim = config.dimension
     rng = np.random.default_rng(config.seed)
@@ -161,28 +220,31 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
         for b0 in range(0, len(encoded), _BLOCK_SENTENCES):
             pair_off, rows_tok, row_start, cols_tok, col_start, flat, weight = \
                 _block_plan(encoded[b0:b0 + _BLOCK_SENTENCES], config.window,
-                            template_cache, rng, noise_cum, k)
+                            template_cache, rng, noise_cum, guide, k)
             lr = decayed_rate(config.learning_rate,
                               (processed + pair_off[:-1]) / total_pairs)
             processed += int(pair_off[-1])
             rate = np.repeat(lr, np.diff(pair_off))[:, None] * weight * sign
             scores = np.empty(flat.shape)
             pair_off = pair_off.tolist()
-            for j in range(len(pair_off) - 1):
-                p0, p1 = pair_off[j], pair_off[j + 1]
-                rows = rows_tok[row_start[j]:row_start[j + 1]]
-                cols = cols_tok[col_start[j]:col_start[j + 1]]
-                v = syn0[rows]
-                u = syn1[cols]
-                f = flat[p0:p1]
-                scores[p0:p1] = score = (v @ u.T).ravel()[f]
-                g = np.bincount(f.ravel(),
-                                (rate[p0:p1] / (1.0 + np.exp(-sign * score))).ravel(),
-                                minlength=rows.size * cols.size)
-                g = g.reshape(rows.size, cols.size)
-                # both updates come from the snapshot v, u
-                syn1[cols] = u - g.T @ v
-                syn0[rows] = v - g @ u
+            # exp(-sign * score) overflows only where the coefficient's
+            # limit, 0, is exact; divergence is left to check_finite
+            with np.errstate(over="ignore"):
+                for j in range(len(pair_off) - 1):
+                    p0, p1 = pair_off[j], pair_off[j + 1]
+                    rows = rows_tok[row_start[j]:row_start[j + 1]]
+                    cols = cols_tok[col_start[j]:col_start[j + 1]]
+                    v = syn0[rows]
+                    u = syn1[cols]
+                    f = flat[p0:p1]
+                    scores[p0:p1] = score = (v @ u.T).ravel()[f]
+                    coef = rate[p0:p1] / (1.0 + np.exp(-sign * score))
+                    g = np.bincount(f.ravel(), coef.ravel(),
+                                    minlength=rows.size * cols.size)
+                    g = g.reshape(rows.size, cols.size)
+                    # both updates come from the snapshot v, u
+                    syn1[cols] = u - g.T @ v
+                    syn0[rows] = v - g @ u
             epoch_loss += float(np.sum(weight * np.logaddexp(0.0, sign * scores)))
         history.append(check_finite(
             method_tag, epoch, config.learning_rate,

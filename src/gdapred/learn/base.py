@@ -15,7 +15,8 @@ class Estimator:
 
     Hyperparameters are the keyword arguments of ``__init__`` and are
     stored verbatim on the instance, which lets ``get_params`` /
-    ``set_params`` drive grid search and persistence.
+    ``set_params`` drive grid search and persistence. ``set_params``
+    checks the merged hyperparameters through ``__init__``.
     """
 
     kind = "estimator"
@@ -30,11 +31,13 @@ class Estimator:
 
     def set_params(self, **params) -> "Estimator":
         valid = set(self._param_names())
-        for name, value in params.items():
+        for name in params:
             if name not in valid:
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
+        checked = type(self)(**{**self.get_params(), **params})
+        for name in params:
+            setattr(self, name, getattr(checked, name))
         return self
 
     def clone(self) -> "Estimator":

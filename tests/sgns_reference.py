@@ -82,3 +82,10 @@ def train_skipgram_reference(corpus, config, method_tag="walk"):
                for tok in corpus.node_tokens if tok in index}
     return EmbeddingTable(dim, vectors, method_tag, config.seed,
                           loss_history=history)
+
+
+def segment_unique_reference(tokens, segments, n_segments, n_tokens):
+    """`gdapred.kge.skipgram._segment_unique` through ``np.unique``."""
+    keys, inverse = np.unique(segments * n_tokens + tokens, return_inverse=True)
+    starts = np.searchsorted(keys // n_tokens, np.arange(n_segments + 1))
+    return keys % n_tokens, starts.tolist(), inverse - starts[segments]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +35,16 @@ from gdapred.kge import (
 )
 from gdapred.kge.base import scatter_add
 from gdapred.kge.corpus import WalkCorpus
-from gdapred.kge.skipgram import _BLOCK_SENTENCES
+from gdapred.kge.skipgram import (
+    _BLOCK_SENTENCES,
+    _draw_negatives,
+    _noise_guide,
+    _segment_unique,
+)
 from gdapred.ontology import Ontology, OntologyTerm
 
 from helpers import finite_difference, max_relative_error
-from sgns_reference import train_skipgram_reference
+from sgns_reference import segment_unique_reference, train_skipgram_reference
 
 
 def ring_kg(n=12):
@@ -476,6 +482,72 @@ class TestTrainSkipgram:
                                 config.seed)
         with pytest.raises(DivergenceError, match="non-finite"):
             train_skipgram(corpus, config)
+
+    def test_confident_pairs_train_without_warnings(self):
+        """Scores beyond exp's range give the coefficient's exact limit, 0."""
+        corpus = WalkCorpus([["N:a", "N:b"] * 8] * 16, frozenset({"N:a", "N:b"}))
+        config = KgeTrainConfig(dimension=4, epochs=3, learning_rate=2.0,
+                                window=1, negatives_per_positive=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = train_skipgram(corpus, config)
+        assert table.loss_history[-1] < 1e-100
+
+
+class TestSgnsPlan:
+    """The block plan's negative sampler and segmented unique, bit for
+    bit against the binary search and ``np.unique`` forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.integers(1, 1000), min_size=2, max_size=70),
+           top=st.sampled_from([1.0, 1.0 - 2**-52, 1.0 - 2**-30, 1.0 + 2**-52]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(weights=[1, 1], top=1.0, seed=0)
+    @example(weights=[1, 1, 2, 4], top=1.0, seed=0)  # CDF steps on bucket edges
+    @example(weights=[3, 5, 7], top=1.0 - 2**-52, seed=0)
+    def test_guide_draws_equal_binary_search(self, weights, top, seed):
+        noise = np.array(weights, dtype=np.float64)
+        noise_cum = np.cumsum(noise / noise.sum())
+        noise_cum[-1] = top  # float cumsum can end a hair off 1.0
+        guide = _noise_guide(noise_cum)
+        m = guide.size - 1
+        assert m >= 16 * noise_cum.size and m & (m - 1) == 0
+        edges = np.arange(m) / m
+        inside = noise_cum[noise_cum < 1.0]
+        u = np.concatenate([
+            edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges, 1.0),
+            inside, np.nextafter(inside, 0.0), [np.nextafter(1.0, 0.0)],
+            np.random.default_rng(seed).random(300)])
+        for draws in (u, u[:u.size // 4 * 4].reshape(-1, 4)):
+            expected = np.minimum(np.searchsorted(noise_cum, draws),
+                                  noise_cum.size - 1)
+            assert np.array_equal(_draw_negatives(draws, noise_cum, guide),
+                                  expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_segments=st.integers(1, 6), n_tokens=st.integers(1, 40),
+           entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 39)),
+                            max_size=80),
+           grouped=st.booleans())
+    @example(n_segments=3, n_tokens=5, entries=[], grouped=True)
+    @example(n_segments=4, n_tokens=5, entries=[(1, 2)] * 7 + [(3, 2)] * 2,
+             grouped=True)  # empty segments, all-equal tokens
+    def test_segment_unique_equals_np_unique(self, n_segments, n_tokens,
+                                             entries, grouped):
+        segments = np.array([s % n_segments for s, _ in entries], dtype=np.int64)
+        tokens = np.array([t % n_tokens for _, t in entries], dtype=np.int64)
+        if grouped:  # as the block plan passes them
+            order = np.argsort(segments, kind="stable")
+            segments, tokens = segments[order], tokens[order]
+        before = segments.copy(), tokens.copy()
+        got = _segment_unique(tokens, segments, n_segments, n_tokens)
+        want = segment_unique_reference(tokens, segments, n_segments, n_tokens)
+        assert np.array_equal(segments, before[0])
+        assert np.array_equal(tokens, before[1])
+        assert got[1] == want[1]
+        for g, w in ((got[0], want[0]), (got[2], want[2])):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
 
 
 class TestScatterAdd:

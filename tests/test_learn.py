@@ -88,6 +88,10 @@ class TestRandomForest:
     def test_bad_hyperparameters_rejected(self, params):
         with pytest.raises(ConfigurationError):
             RandomForestClassifier(**params)
+        model = RandomForestClassifier(n_trees=4)
+        with pytest.raises(ConfigurationError):
+            model.set_params(**params)
+        assert model.get_params() == RandomForestClassifier(n_trees=4).get_params()
 
 
 class TestLevelWiseForest:
