@@ -46,6 +46,28 @@ def read_tsv(path, width: int | Callable[[list[str]], int] = len,
             yield cells
 
 
+def read_float_table(path, keys: int, width: int | Callable[[list[str]], int] = len
+                     ) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """The header, the first ``keys`` cells of each later row, and the
+    float64 matrix of the remaining cells. A cell that is not a finite
+    float raises IntegrityError naming its line."""
+    rows = read_tsv(path, width)
+    ids, values, lineno = [], [], 1
+    try:
+        header = next(rows)  # a callable width parses it
+        for lineno, cells in enumerate(rows, start=2):
+            ids.append(cells[:keys])
+            values.append(list(map(float, cells[keys:])))
+    except ValueError as err:
+        raise IntegrityError(f"{path}, line {lineno}: {err}") from None
+    matrix = np.array(values, dtype=np.float64)
+    finite = np.isfinite(matrix).all(axis=-1)
+    if not finite.all():
+        raise IntegrityError(f"{path}, line {2 + int(np.argmin(finite))}: "
+                             "values must be finite")
+    return header, ids, matrix
+
+
 def _json_default(value):
     if isinstance(value, np.generic):  # a numpy scalar hyperparameter
         return value.item()

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .artifacts import read_json, read_tsv, write_json, write_tsv
-from .errors import DegenerateDataError, InfeasibleNegativesError
+from .errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
 from .ontology import EntityId
 
 POSITIVE = 1
@@ -135,45 +135,69 @@ def write_dataset(dataset: AssociationDataset, path) -> None:
 
 
 def read_dataset(path) -> AssociationDataset:
+    """IntegrityError names the line of a label other than positive or
+    negative, or of a partition other than train, test or empty."""
+    labels = {"positive": POSITIVE, "negative": NEGATIVE}
     pairs, split = [], {}
     rows = read_tsv(path)
     next(rows)  # header
-    for gene_id, disease_id, label, part in rows:
+    for lineno, (gene_id, disease_id, label, part) in enumerate(rows, start=2):
+        if label not in labels or part not in (TRAIN, TEST, ""):
+            raise IntegrityError(f"{path}, line {lineno}: unknown label {label!r} "
+                                 f"or partition {part!r}")
         pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
-                           POSITIVE if label == "positive" else NEGATIVE)
+                           labels[label])
         pairs.append(pair)
         if part:
             split[pair.key] = part
     return AssociationDataset(pairs, split=split or None)
 
 
-def per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
-    """Precision/recall/F1 and support for the positive and negative label."""
+def _confusion(y_true, scores, thresholds):
+    """(tp, fp, fn, tn) when a score above the threshold predicts positive,
+    for one threshold or an array of them, from one sort of the scores."""
     y_true = np.asarray(y_true, dtype=np.int64)
-    y_pred = np.asarray(y_pred, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
     if y_true.size == 0:
         raise DegenerateDataError("empty input")
-    if y_true.shape != y_pred.shape:
+    if y_true.shape != scores.shape:
         raise ValueError("label arrays must have equal length")
-    out: dict[str, dict[str, float]] = {}
-    for name, label in (("positive", POSITIVE), ("negative", NEGATIVE)):
-        tp = int(np.sum((y_pred == label) & (y_true == label)))
-        fp = int(np.sum((y_pred == label) & (y_true != label)))
-        fn = int(np.sum((y_pred != label) & (y_true == label)))
-        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f1 = (2 * precision * recall / (precision + recall)
-              if precision + recall > 0 else 0.0)
-        out[name] = {"precision": precision, "recall": recall, "f1": f1,
-                     "support": tp + fn}
-    return out
+    if not np.all((y_true == POSITIVE) | (y_true == NEGATIVE)):
+        raise ValueError(f"labels must be {POSITIVE} or {NEGATIVE}")
+    order = np.argsort(scores, kind="stable")
+    positives_below = np.r_[0, np.cumsum(y_true[order])]  # among the k lowest
+    negative = np.searchsorted(scores[order], thresholds, side="right")  # predicted
+    fn, n_pos = positives_below[negative], positives_below[-1]
+    return n_pos - fn, y_true.size - n_pos - (negative - fn), fn, negative - fn
+
+
+def _count_metrics(tp, fp, fn, tn):
+    """Per-label precision, recall, F1 and support, and the WAF, from the
+    positive label's confusion counts: Python numbers, or lists for arrays."""
+    per_label = {}
+    for name, hit, false_alarm, miss in (("positive", tp, fp, fn),
+                                         ("negative", tn, fn, fp)):
+        # hit <= denominator, so an empty denominator gives 0 / 1 = 0.0
+        precision = hit / np.maximum(hit + false_alarm, 1)
+        recall = hit / np.maximum(hit + miss, 1)
+        f1 = np.divide(2 * precision * recall, precision + recall,
+                       out=np.zeros(np.shape(hit)), where=precision + recall > 0)
+        per_label[name] = {"precision": precision, "recall": recall, "f1": f1,
+                           "support": hit + miss}
+    weighted = per_label["positive"]["f1"] * (tp + fn) + per_label["negative"]["f1"] * (tn + fp)
+    return ({name: {key: value.tolist() for key, value in metrics.items()}
+             for name, metrics in per_label.items()},
+            (weighted / (tp + fp + fn + tn)).tolist())
+
+
+def per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
+    """Precision/recall/F1 and support for the positive and negative label."""
+    return _count_metrics(*_confusion(y_true, y_pred, 0.5))[0]
 
 
 def waf(y_true, y_pred) -> float:
     """Weighted average of per-label F-measures (weights = true supports)."""
-    metrics = per_label_metrics(y_true, y_pred)
-    total = sum(m["support"] for m in metrics.values())
-    return sum(m["f1"] * m["support"] for m in metrics.values()) / total
+    return _count_metrics(*_confusion(y_true, y_pred, 0.5))[1]
 
 
 def roc_auc(y_true, scores) -> tuple[float, list[tuple[float | None, float, float]]]:
@@ -183,33 +207,24 @@ def roc_auc(y_true, scores) -> tuple[float, list[tuple[float | None, float, floa
     ranks. ROC points sweep the sorted unique scores; the leading (0, 0)
     anchor carries a ``None`` threshold.
     """
-    y_true = np.asarray(y_true, dtype=np.int64)
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    n_pos = int(np.sum(y_true == POSITIVE))
-    n_neg = int(np.sum(y_true == NEGATIVE))
+    ascending = np.sort(scores, kind="stable")  # of 0.0 and -0.0, the first shows
+    distinct = ascending[np.diff(ascending, prepend=-np.inf) != 0][::-1]
+    # a score at or above one distinct score is above the next lower one
+    tp, fp, _, _ = _confusion(y_true, scores, np.r_[distinct[1:], -np.inf])
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise DegenerateDataError("AUC undefined: both labels must be present")
-
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # runs of equal scores in ascending order span starts[k]..ends[k]
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:] - 1, len(scores) - 1]
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0,  # average rank, 1-based
-                             ends - starts + 1)
-    pos_rank_sum = float(np.sum(ranks[y_true == POSITIVE]))
+    # the scores tied at distinct[k] share the average of the 1-based ranks
+    # below[k] + 1 .. below[k] + tied[k]; every sum of ranks here is exact
+    tied = np.diff(tp + fp, prepend=0)
+    below = scores.size - (tp + fp)
+    pos_rank_sum = float(np.sum(np.diff(tp, prepend=0) * (below + 0.5 * (tied + 1))))
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-    # the staircase takes one step per distinct score, highest first
-    sorted_y = y_true[order]
-    tp = np.add.reduceat(sorted_y == POSITIVE, starts, dtype=np.int64)[::-1].cumsum()
-    fp = np.add.reduceat(sorted_y == NEGATIVE, starts, dtype=np.int64)[::-1].cumsum()
     points: list[tuple[float | None, float, float]] = [(None, 0.0, 0.0)]
-    points += zip(sorted_scores[starts[::-1]].tolist(), (fp / n_neg).tolist(),
-                  (tp / n_pos).tolist())
+    points += zip(distinct.tolist(), (fp / n_neg).tolist(), (tp / n_pos).tolist())
     return auc, points
 
 
@@ -220,25 +235,16 @@ def threshold_waf_table(scores, y_true) -> list[tuple[float, float]]:
     threshold, so threshold 1.0 predicts all-negative.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    y_true = np.asarray(y_true, dtype=np.int64)
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+    if not np.all((scores >= 0.0) & (scores <= 1.0)):
         raise ValueError("threshold sweep requires scores within [0, 1]")
-    table = []
-    for i in range(101):
-        t = i / 100.0
-        y_pred = (scores > t).astype(np.int64)
-        table.append((t, waf(y_true, y_pred)))
-    return table
+    thresholds = np.arange(101) / 100.0
+    _, wafs = _count_metrics(*_confusion(y_true, scores, thresholds))
+    return list(zip(thresholds.tolist(), wafs))
 
 
 def threshold_sweep(scores, y_true) -> tuple[float, float]:
     """Best (threshold, WAF) over the 0.01-step grid; ties pick the smallest."""
-    table = threshold_waf_table(scores, y_true)
-    best_t, best_w = table[0]
-    for t, w in table[1:]:
-        if w > best_w:
-            best_t, best_w = t, w
-    return best_t, best_w
+    return max(threshold_waf_table(scores, y_true), key=lambda row: row[1])
 
 
 @dataclass
@@ -250,11 +256,11 @@ class EvalReport:
     waf: float = 0.0
     auc: float = 0.0
     per_label: dict = field(default_factory=dict)
+    #: the ROC staircase; `write_roc_tsv` stores it, `write` leaves it out
     roc: list = field(default_factory=list)
 
     def write(self, path) -> None:
-        # vars, not asdict: asdict deep-copies every ROC point
-        write_json(path, vars(self))
+        write_json(path, {k: v for k, v in vars(self).items() if k != "roc"})
 
     @classmethod
     def read(cls, path) -> "EvalReport":
@@ -278,31 +284,24 @@ def evaluate_run(dataset: AssociationDataset, mode: str, *, model=None,
     """
     if dataset.split is None:
         raise DegenerateDataError("dataset has no persisted split")
-    config = dict(config or {})
     if mode == "classifier":
         if model is None or features is None:
             raise ValueError("classifier mode needs a model and pair features")
         test_idx = dataset.partition_indices(TEST)
         y_true = dataset.labels()[test_idx]
-        proba = model.predict_proba(features.rows[test_idx])[:, 1]
-        y_pred = (proba > 0.5).astype(np.int64)
-        auc, points = roc_auc(y_true, proba)
-        return EvalReport(
-            mode=mode, config=config, seed=seed, threshold=None,
-            waf=waf(y_true, y_pred), auc=auc,
-            per_label=per_label_metrics(y_true, y_pred), roc=points)
-    if mode == "score_threshold":
+        scores = model.predict_proba(features.rows[test_idx])[:, 1]
+        threshold, reported = 0.5, None
+    elif mode == "score_threshold":
         if scores is None:
             raise ValueError("score_threshold mode needs scores for every pair")
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape[0] != len(dataset.pairs):
+        if len(scores) != len(dataset.pairs):
             raise ValueError("one score per dataset pair is required")
         y_true = dataset.labels()
-        best_t, best_w = threshold_sweep(scores, y_true)
-        y_pred = (scores > best_t).astype(np.int64)
-        auc, points = roc_auc(y_true, scores)
-        return EvalReport(
-            mode=mode, config=config, seed=seed, threshold=best_t,
-            waf=best_w, auc=auc,
-            per_label=per_label_metrics(y_true, y_pred), roc=points)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+        threshold = reported = threshold_sweep(scores, y_true)[0]
+    else:
+        raise ValueError(f"unknown evaluation mode {mode!r}")
+    per_label, weighted = _count_metrics(*_confusion(y_true, scores, threshold))
+    auc, points = roc_auc(y_true, scores)
+    return EvalReport(mode=mode, config=dict(config or {}), seed=seed,
+                      threshold=reported, waf=weighted, auc=auc,
+                      per_label=per_label, roc=points)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..artifacts import read_tsv, write_tsv
+from ..artifacts import read_float_table, write_tsv
 from ..errors import ConfigurationError, DivergenceError, IntegrityError
 
 KGE_METHODS = ("transe", "distmult", "walk", "walk_lexical")
@@ -89,10 +89,10 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
-    rows = read_tsv(path, width=lambda first: int(first[1]) + 1)
-    count, dim = map(int, next(rows))
-    vectors = {node: np.array(list(map(float, values)), dtype=np.float64)
-               for node, *values in rows}
+    header, nodes, matrix = read_float_table(
+        path, keys=1, width=lambda first: int(first[1]) + 1)
+    count, dim = map(int, header)
+    vectors = {node: row for (node,), row in zip(nodes, matrix)}
     if len(vectors) != count:
         raise IntegrityError(f"{path}, line 1: expected {count} rows, found {len(vectors)}")
     return EmbeddingTable(dim, vectors, method, seed)

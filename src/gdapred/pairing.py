@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import read_tsv, write_tsv
+from .artifacts import read_float_table, write_tsv
 from .errors import IntegrityError, ZeroVectorError
 from .ontology import EntityId
 
@@ -44,10 +44,18 @@ def combine(g, d, operator: str) -> np.ndarray:
     return _OPERATORS[operator](*_gene_disease(g, d))
 
 
+def _scaled_to_unit(x: np.ndarray) -> np.ndarray:
+    """Each vector of ``x`` times the power of two that brings its largest
+    magnitude into [0.5, 1). The scaling is exact, so ordinary vectors keep
+    their cosine to the bit, and the squared norms of tiny or huge vectors
+    neither underflow nor overflow."""
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=-1, keepdims=True))[1])
+
+
 def cosine(g, d) -> float | np.ndarray:
     """Cosine similarity in [-1, 1] of one pair (a float) or of each row
     pair (an array); zero vectors are rejected."""
-    g, d = _gene_disease(g, d)
+    g, d = map(_scaled_to_unit, _gene_disease(g, d))
     # np.vecdot keeps np.dot's bits, so these are np.linalg.norm's sqrt(x . x)
     ng, nd = np.sqrt(np.vecdot(g, g)), np.sqrt(np.vecdot(d, d))
     if not (ng.all() and nd.all()):
@@ -97,10 +105,6 @@ def write_pair_features(features: PairFeatures, path) -> None:
 
 
 def read_pair_features(path) -> PairFeatures:
-    pairs, rows = [], []
-    cells = read_tsv(path)
-    next(cells)  # header
-    for gene_id, disease_id, *values in cells:
-        pairs.append((EntityId(gene_id, "gene"), EntityId(disease_id, "disease")))
-        rows.append(list(map(float, values)))
-    return PairFeatures(np.asarray(rows, dtype=np.float64), pairs)
+    _, keys, rows = read_float_table(path, keys=2)
+    return PairFeatures(rows, [(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"))
+                               for gene_id, disease_id in keys])

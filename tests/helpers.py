@@ -162,6 +162,37 @@ def oracle_roc_points(y_true, scores) -> list[tuple[float | None, float, float]]
     return points
 
 
+def oracle_per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
+    """Precision, recall, F1 and support, counted one label at a time."""
+    y_true = np.asarray(y_true, dtype=np.int64)
+    y_pred = np.asarray(y_pred, dtype=np.int64)
+    out = {}
+    for name, label in (("positive", 1), ("negative", 0)):
+        tp = int(np.sum((y_pred == label) & (y_true == label)))
+        fp = int(np.sum((y_pred == label) & (y_true != label)))
+        fn = int(np.sum((y_pred != label) & (y_true == label)))
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = (2 * precision * recall / (precision + recall)
+              if precision + recall > 0 else 0.0)
+        out[name] = {"precision": precision, "recall": recall, "f1": f1,
+                     "support": tp + fn}
+    return out
+
+
+def oracle_waf(y_true, y_pred) -> float:
+    metrics = oracle_per_label_metrics(y_true, y_pred)
+    total = sum(m["support"] for m in metrics.values())
+    return sum(m["f1"] * m["support"] for m in metrics.values()) / total
+
+
+def oracle_threshold_waf_table(scores, y_true) -> list[tuple[float, float]]:
+    """WAF at thresholds 0.00, 0.01, ..., 1.00: one full pass of hard
+    predictions per threshold."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return [(i / 100.0, oracle_waf(y_true, scores > i / 100.0)) for i in range(101)]
+
+
 def oracle_gini_best_split(X, y, feature_indices):
     """The forest's split search on one node, one feature at a time, with
     the same tie rules and margin."""

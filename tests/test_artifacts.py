@@ -150,6 +150,19 @@ class TestTableArtifacts:
         with pytest.raises(IntegrityError, match=r"e\.txt, line 2: expected 3 cells"):
             read_embeddings(path)
 
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
+    def test_bad_float_cell_is_integrity_error(self, tmp_path, cell):
+        embeddings = tmp_path / "e.txt"
+        embeddings.write_text(f"2\t2\nN:a\t0.5\t1.0\nN:b\t{cell}\t1.0\n")
+        with pytest.raises(IntegrityError, match=r"e\.txt, line 3: "):
+            read_embeddings(embeddings)
+        features = tmp_path / "f.tsv"
+        features.write_text("gene\tdisease\tf0\tf1\n"
+                            "g1\td1\t0.5\t1.0\ng2\td2\t0.5\t1.0\n"
+                            f"g3\td3\t1.0\t{cell}\n")
+        with pytest.raises(IntegrityError, match=r"f\.tsv, line 4: "):
+            read_pair_features(features)
+
 
 #: (module, function, call) triples allowed to touch files directly
 ALLOWED = {

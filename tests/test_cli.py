@@ -397,6 +397,19 @@ class TestCliSurface:
         assert main(["baseline", "--config", str(config_path)]) == 1
         assert f"{kg_path}, line 5: expected 3 cells, found 2" in caplog.text
 
+    def test_damaged_dataset_row_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"]),
+            tmp_path / "config.json")
+        assert main(["ingest", "--config", str(config_path)]) == 0
+        dataset_path = tmp_path / "out" / "ingest" / "dataset.tsv"
+        lines = dataset_path.read_text().splitlines()
+        lines[2] = lines[2].replace("\tpositive\t", "\tpositve\t")
+        dataset_path.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config_path)]) == 1
+        assert f"{dataset_path}, line 3: unknown label 'positve'" in caplog.text
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverging_embedding_exits_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.errors import DegenerateDataError, InfeasibleNegativesError
+import gdapred.evaluation
+from gdapred.artifacts import read_json
+from gdapred.errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
 from gdapred.evaluation import (
     AssociationDataset,
     EvalReport,
@@ -24,7 +26,13 @@ from gdapred.evaluation import (
 )
 from gdapred.ontology import EntityId
 
-from helpers import oracle_auc, oracle_roc_points
+from helpers import (
+    oracle_auc,
+    oracle_per_label_metrics,
+    oracle_roc_points,
+    oracle_threshold_waf_table,
+    oracle_waf,
+)
 
 
 def gene(i):
@@ -135,6 +143,27 @@ class TestStratifiedSplit:
         assert back.split == ds.split
 
 
+    @pytest.mark.parametrize("column, cell", [
+        (2, "positve"), (2, "Positive"), (2, "1"), (3, "trian"), (3, "TEST")])
+    def test_damaged_row_is_integrity_error(self, tmp_path, column, cell):
+        path = tmp_path / "dataset.tsv"
+        write_dataset(stratified_split(self.balanced(3, 3), 0.7, seed=9), path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split("\t")
+        cells[column] = cell
+        lines[3] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError, match=rf"dataset\.tsv, line 4: .*'{cell}'"):
+            read_dataset(path)
+
+    def test_unsplit_roundtrip(self, tmp_path):
+        path = tmp_path / "dataset.tsv"
+        write_dataset(self.balanced(2, 3), path)
+        back = read_dataset(path)
+        assert back.pairs == self.balanced(2, 3).pairs
+        assert back.split is None
+
+
 class TestWaf:
     def test_perfect(self):
         assert waf([1, 0, 1, 0], [1, 0, 1, 0]) == 1.0
@@ -168,6 +197,19 @@ class TestWaf:
     def test_empty_input(self):
         with pytest.raises(DegenerateDataError):
             waf([], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                          min_size=1, max_size=40))
+    def test_equals_per_label_oracle(self, pairs):
+        y_true = [t for t, _ in pairs]
+        y_pred = [p for _, p in pairs]
+        assert per_label_metrics(y_true, y_pred) == oracle_per_label_metrics(y_true, y_pred)
+        assert waf(y_true, y_pred) == oracle_waf(y_true, y_pred)
+
+    def test_labels_other_than_0_and_1_rejected(self):
+        with pytest.raises(ValueError, match="labels must be"):
+            waf([2, 0], [1, 0])
 
 
 class TestRocAuc:
@@ -237,6 +279,7 @@ class TestRocAuc:
         auc, points = roc_auc(y, scores)
         assert auc == pytest.approx(oracle_auc(y, scores), abs=1e-12)
         assert points == oracle_roc_points(y, scores)
+        assert repr(points) == repr(oracle_roc_points(y, scores))  # 0.0 vs -0.0
         assert [type(p[0]) for p in points[1:]] == [float] * (len(points) - 1)
 
     def test_invariant_under_monotone_transform(self):
@@ -247,6 +290,10 @@ class TestRocAuc:
         base, _ = roc_auc(y, scores)
         warped, _ = roc_auc(y, np.exp(3.0 * scores) + 7.0)
         assert warped == pytest.approx(base, abs=1e-12)
+
+
+#: scores on the 0.01 grid, where a score ties a threshold
+GRID_SCORES = st.integers(0, 100).map(lambda i: i / 100.0)
 
 
 class TestThresholdSweep:
@@ -281,6 +328,25 @@ class TestThresholdSweep:
     def test_scores_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             threshold_sweep([1.2], [1])
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.lists(st.tuples(st.integers(0, 1), GRID_SCORES | st.floats(0.0, 1.0)),
+                         min_size=1, max_size=60))
+    @example(data=[(1, 0.3)])
+    @example(data=[(0, 0.57)] * 4)
+    @example(data=[(1, 0.57), (0, 0.57), (1, 0.58), (0, 0.0), (1, 1.0)])
+    def test_table_equals_the_per_threshold_oracle(self, data):
+        y = [label for label, _ in data]
+        scores = [score for _, score in data]
+        assert threshold_waf_table(scores, y) == oracle_threshold_waf_table(scores, y)
+
+    def test_table_rejects_empty_and_out_of_range_input(self):
+        with pytest.raises(DegenerateDataError):
+            threshold_waf_table([], [])
+        for scores in ([0.5, -0.01], [0.5, 1.01], [0.5, np.nan]):
+            with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+                threshold_waf_table(scores, [1, 0])
 
 
 class PerfectModel:
@@ -348,6 +414,32 @@ class TestEvaluateRun:
         report.write(first)
         EvalReport.read(first).write(second)
         assert second.read_bytes() == first.read_bytes()
+
+    def test_report_json_leaves_the_curve_to_the_tsv(self, tmp_path):
+        ds = self.split_dataset()
+        report = evaluate_run(ds, "score_threshold",
+                              scores=np.random.default_rng(17).random(40))
+        report.write(tmp_path / "report.json")
+        assert set(read_json(tmp_path / "report.json")) == {
+            "mode", "config", "seed", "threshold", "waf", "auc", "per_label"}
+        assert report.roc
+
+    def test_each_mode_calls_roc_and_sweep_through_the_module(self, monkeypatch):
+        # the benchmark times both by wrapping these module attributes
+        calls = []
+        for name in ("roc_auc", "threshold_sweep"):
+            original = getattr(gdapred.evaluation, name)
+            monkeypatch.setattr(gdapred.evaluation, name,
+                                lambda *args, _name=name, _original=original:
+                                calls.append(_name) or _original(*args))
+        ds = self.split_dataset()
+        evaluate_run(ds, "score_threshold", scores=np.linspace(0.0, 1.0, 40))
+        assert sorted(calls) == ["roc_auc", "threshold_sweep"]
+        calls.clear()
+        features = type("F", (), {})()
+        features.rows = np.array([[1.0] if p.label else [-1.0] for p in ds.pairs])
+        evaluate_run(ds, "classifier", model=PerfectModel(), features=features)
+        assert calls == ["roc_auc"]
 
     def test_roc_tsv_export(self, tmp_path):
         ds = self.split_dataset()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -87,6 +87,15 @@ class TestCosine:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVectorError):
             cosine([0, 0], [1, 1])
+        with pytest.raises(ZeroVectorError):
+            cosine([1e-300, 0.0], [0.0, -0.0])
+
+    def test_tiny_and_huge_vectors_are_defined(self):
+        # the squared norms underflow to 0 and overflow to inf unscaled
+        assert cosine([1e-200, 0.0], [1.0, 0.0]) == 1.0
+        assert cosine([1e200, 0.0], [1e200, 1.0]) == 1.0
+        assert cosine([5e-324, 0.0], [0.0, 1e308]) == 0.0
+        assert cosine(np.ldexp([3.0, 4.0], -700), np.ldexp([4.0, -3.0], 800)) == 0.0
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(7)
@@ -113,13 +122,15 @@ def _bits(a):
 
 #: small enough that no dot product of up to 70 terms overflows
 ELEMENTS = st.floats(-1e150, 1e150, allow_nan=False)
+#: zero, or of a magnitude whose products and their sums stay normal floats
+ORDINARY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
 @st.composite
-def gene_disease_rows(draw):
+def gene_disease_rows(draw, elements=ELEMENTS):
     shape = (draw(st.integers(1, 6)), draw(st.integers(1, 70)))
-    return (draw(arrays(np.float64, shape, elements=ELEMENTS)),
-            draw(arrays(np.float64, shape, elements=ELEMENTS)))
+    return (draw(arrays(np.float64, shape, elements=elements)),
+            draw(arrays(np.float64, shape, elements=elements)))
 
 
 class TestRows:
@@ -140,7 +151,7 @@ class TestRows:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cosine_rows_are_the_pair_formula(self, rows):
         G, D = rows
-        if any(np.linalg.norm(v) == 0.0 for v in (*G, *D)):
+        if not all(v.any() for v in (*G, *D)):
             with pytest.raises(ZeroVectorError):
                 cosine(G, D)
             return
@@ -148,10 +159,22 @@ class TestRows:
         unit = cosine_unit_score(G, D)
         assert out.shape == unit.shape == (len(G),)
         for i, (g, d) in enumerate(zip(G, D)):
-            formula = np.clip(np.dot(g, d) / (np.linalg.norm(g) * np.linalg.norm(d)), -1, 1)
+            # the formula on each vector times 2**-k, k its largest exponent
+            gs, ds = (np.ldexp(v, -np.frexp(np.abs(v).max())[1]) for v in (g, d))
+            formula = np.clip(np.dot(gs, ds) / (np.linalg.norm(gs) * np.linalg.norm(ds)),
+                              -1, 1)
             assert _bits(out[i]) == _bits(formula)
             assert _bits(cosine(g, d)) == _bits(formula)
             assert _bits(unit[i]) == _bits((1.0 + formula) / 2.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=gene_disease_rows(elements=ORDINARY))
+    def test_ordinary_vectors_keep_the_unscaled_bits(self, rows):
+        G, D = rows
+        assume(all(v.any() for v in (*G, *D)))
+        for g, d, value in zip(G, D, cosine(G, D)):
+            formula = np.clip(np.dot(g, d) / (np.linalg.norm(g) * np.linalg.norm(d)), -1, 1)
+            assert _bits(value) == _bits(formula)
 
     @settings(max_examples=60, deadline=None)
     @given(rows=gene_disease_rows(), data=st.data())
