@@ -136,7 +136,9 @@ def write_dataset(dataset: AssociationDataset, path) -> None:
 
 def read_dataset(path) -> AssociationDataset:
     """IntegrityError names the line of a label other than positive or
-    negative, or of a partition other than train, test or empty."""
+    negative, of a partition other than train, test or empty, or of the
+    first row whose partition cell is set when the first row's is empty,
+    or empty when it is set."""
     labels = {"positive": POSITIVE, "negative": NEGATIVE}
     pairs, split = [], {}
     rows = read_tsv(path)
@@ -145,6 +147,9 @@ def read_dataset(path) -> AssociationDataset:
         if label not in labels or part not in (TRAIN, TEST, ""):
             raise IntegrityError(f"{path}, line {lineno}: unknown label {label!r} "
                                  f"or partition {part!r}")
+        if pairs and bool(part) != bool(split):
+            raise IntegrityError(f"{path}, line {lineno}: partition {part!r}, but "
+                                 "partitions must be set on every row or on none")
         pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
                            labels[label])
         pairs.append(pair)

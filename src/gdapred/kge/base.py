@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,10 @@ class KgeTrainConfig:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be positive")
         for name in ("learning_rate", "margin"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        if not 0 <= self.l2_penalty < math.inf:
+            raise ConfigurationError("l2_penalty must be non-negative and finite")
 
 
 @dataclass
@@ -68,18 +71,25 @@ def check_finite(method: str, epoch: int, learning_rate: float, loss: float,
                           f"{epoch} (learning_rate={learning_rate})")
 
 
-def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(table, index, rows)`` for 2-D ``table`` and ``rows``.
+def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray,
+                flat: np.ndarray) -> np.ndarray:
+    """``np.add.at(table, index, rows)`` for 2-D ``table`` and ``rows``;
+    returns the touched rows of ``table``, sorted.
 
     Rows that share an index are summed by one ``np.bincount`` over
     (touched rows x columns), in input order, and each touched row of
     ``table`` is updated once; rows not in ``index`` are never read.
+    The bincount's index, one entry per element of ``rows``, is written
+    to ``flat``, an intp array of at least ``rows.size`` entries that a
+    caller scattering every batch makes once.
     """
     touched, slot = np.unique(index, return_inverse=True)
     dim = table.shape[1]
-    flat = np.add.outer(slot * dim, np.arange(dim)).ravel()
+    flat = flat[:rows.size]
+    np.add(slot[:, None] * dim, np.arange(dim), out=flat.reshape(slot.size, dim))
     sums = np.bincount(flat, np.ravel(rows), minlength=touched.size * dim)
     table[touched] += sums.reshape(touched.size, dim)
+    return touched
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
@@ -88,9 +98,15 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
         (node, *table.vectors[node].tolist()) for node in sorted(table.vectors)))
 
 
+def _row_width(header: list[str]) -> int:
+    """Cells per row under a `node_count<TAB>dimension` first row; its
+    ValueError on a damaged row becomes an IntegrityError naming line 1."""
+    _, dim = map(int, header)
+    return dim + 1
+
+
 def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
-    header, nodes, matrix = read_float_table(
-        path, keys=1, width=lambda first: int(first[1]) + 1)
+    header, nodes, matrix = read_float_table(path, keys=1, width=_row_width)
     count, dim = map(int, header)
     vectors = {node: row for (node,), row in zip(nodes, matrix)}
     if len(vectors) != count:

@@ -561,6 +561,15 @@ class TestCliSurface:
                 PipelineConfig.from_file(
                     write_config(bad, tmp_path / f"bad_learner{i}.json"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", math.nan), ("margin", math.inf), ("l2_penalty", -1.0)])
+    def test_embedding_rates_checked_at_load(self, tmp_path, key, value):
+        corpus = small_corpus(tmp_path / "data")
+        good = small_config(corpus, tmp_path / "out")
+        bad = {**good, "embedding": {**good["embedding"], key: value}}
+        with pytest.raises(ConfigurationError, match=key):
+            PipelineConfig.from_file(write_config(bad, tmp_path / "bad.json"))
+
     def test_default_grid_resolution(self, tmp_path):
         # "default" resolves to the documented candidate lists; gaussian_nb
         # has an empty default grid and falls through to a plain fit

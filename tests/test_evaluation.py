@@ -144,7 +144,8 @@ class TestStratifiedSplit:
 
 
     @pytest.mark.parametrize("column, cell", [
-        (2, "positve"), (2, "Positive"), (2, "1"), (3, "trian"), (3, "TEST")])
+        (2, "positve"), (2, "Positive"), (2, "1"), (3, "trian"), (3, "TEST"),
+        (3, "")])  # the rows above carry a partition
     def test_damaged_row_is_integrity_error(self, tmp_path, column, cell):
         path = tmp_path / "dataset.tsv"
         write_dataset(stratified_split(self.balanced(3, 3), 0.7, seed=9), path)
@@ -154,6 +155,15 @@ class TestStratifiedSplit:
         lines[3] = "\t".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IntegrityError, match=rf"dataset\.tsv, line 4: .*'{cell}'"):
+            read_dataset(path)
+
+    def test_partition_on_some_rows_only_is_integrity_error(self, tmp_path):
+        path = tmp_path / "dataset.tsv"
+        write_dataset(self.balanced(2, 3), path)
+        lines = path.read_text().splitlines()
+        lines[2] += "train"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError, match=r"dataset\.tsv, line 3: .*'train'"):
             read_dataset(path)
 
     def test_unsplit_roundtrip(self, tmp_path):

@@ -45,6 +45,7 @@ from gdapred.ontology import Ontology, OntologyTerm
 
 from helpers import finite_difference, max_relative_error
 from sgns_reference import segment_unique_reference, train_skipgram_reference
+from triple_reference import train_distmult_reference, train_transe_reference
 
 
 def ring_kg(n=12):
@@ -309,6 +310,54 @@ class TestTrainDistmult:
             train_distmult(kg, config)
 
 
+class TestTripleOracle:
+    """The fused TransE and DistMult steps (folded gradients, one scatter
+    per table, touched-row renormalisation) against the unfolded form in
+    ``triple_reference``: the loss functions' per-sample gradients,
+    ``np.add.at`` and whole-table renormalisation."""
+
+    @staticmethod
+    def kg():
+        # ring_kg's 16 triples, plus 40 nodes in no triple that only a
+        # corruption can touch
+        ring = ring_kg()
+        return KnowledgeGraph("HP", ring.triples, ring.nodes,
+                              {f"GENE:{i}" for i in range(40)})
+
+    @pytest.mark.parametrize("train, reference, rates", [
+        (train_transe, train_transe_reference, dict(learning_rate=0.3)),
+        (train_distmult, train_distmult_reference,
+         dict(learning_rate=0.5, l2_penalty=0.01))])
+    @pytest.mark.parametrize("batch_size, k, seed", [(5, 3, 0), (3, 2, 3)])
+    def test_matches_reference(self, train, reference, rates, batch_size, k, seed):
+        kg = self.kg()
+        config = KgeTrainConfig(dimension=6, epochs=3, negatives_per_positive=k,
+                                batch_size=batch_size, seed=seed, **rates)
+        got = train(kg, config)
+        want, initial, draws = reference(kg, config)
+        nodes = sorted(kg.nodes)
+
+        # the cases the run has to cover
+        assert len(kg.triples) % batch_size != 0 and k >= 2
+        assert any(np.any(np.where(head, node == H[:, None], node == T[:, None]))
+                   for H, T, head, node in draws)
+        touched = np.unique(np.concatenate(
+            [np.concatenate((H, T, node.ravel())) for H, T, _, node in draws]))
+        untouched = np.setdiff1d(np.arange(len(nodes)), touched)
+        assert untouched.size > 0
+
+        for i in untouched:
+            assert np.array_equal(got.vectors[nodes[i]], initial[i])
+        for got_vectors, want_vectors in ((got.vectors, want.vectors),
+                                          (got.relation_vectors, want.relation_vectors)):
+            assert set(got_vectors) == set(want_vectors)
+            for name, vec in want_vectors.items():
+                np.testing.assert_allclose(got_vectors[name], vec, rtol=1e-12, atol=0)
+        assert len(got.loss_history) == config.epochs
+        np.testing.assert_allclose(got.loss_history, want.loss_history,
+                                   rtol=1e-12, atol=0)
+
+
 class TestGenerateWalks:
     def test_forced_path(self):
         kg = KnowledgeGraph("HP", {("N:a", "r", "N:b")}, {"N:a", "N:b"}, set())
@@ -566,7 +615,10 @@ class TestScatterAdd:
         np.add.at(expected, index, values)
         untouched = np.setdiff1d(np.arange(rows), index)
         before = table[untouched].copy()
-        scatter_add(table, index, values)
+        # a reused index buffer: longer than needed, with stale entries
+        flat = np.full(index.size * dim + 3, -1, dtype=np.intp)
+        touched = scatter_add(table, index, values, flat)
+        assert np.array_equal(touched, np.unique(index))
         assert np.allclose(table, expected, rtol=1e-12, atol=1e-12)
         assert np.array_equal(table[untouched], before)
 
@@ -581,6 +633,17 @@ class TestTrainConfig:
             KgeTrainConfig(margin=-1.0)
         with pytest.raises(ConfigurationError):
             KgeTrainConfig(walk_depth=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("margin", math.nan), ("margin", math.inf), ("l2_penalty", -1.0),
+        ("l2_penalty", math.nan), ("l2_penalty", math.inf)])
+    def test_rates_must_be_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            KgeTrainConfig(**{name: value})
+
+    def test_zero_l2_penalty_is_allowed(self):
+        assert KgeTrainConfig(l2_penalty=0.0).l2_penalty == 0.0
 
 
 class TestEmbedDispatch:
@@ -630,6 +693,13 @@ class TestEmbedDispatch:
         path = tmp_path / "bad.txt"
         path.write_text("2\t2\nN:a\t0.0\t1.0\n")
         with pytest.raises(IntegrityError, match="expected 2"):
+            read_embeddings(path)
+
+    @pytest.mark.parametrize("header", ["x\t2", "2.5\t2", "2", "2\t2\t2"])
+    def test_read_embeddings_bad_header(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\nN:a\t0.0\t1.0\nN:b\t1.0\t0.0\n")
+        with pytest.raises(IntegrityError, match=r"bad\.txt, line 1: "):
             read_embeddings(path)
 
     def test_node_id_with_a_space_roundtrips(self, tmp_path):
