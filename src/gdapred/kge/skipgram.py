@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
-from ..errors import DegenerateDataError
+from ..errors import DegenerateDataError, DivergenceError
 from .base import EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate
 from .corpus import WalkCorpus
 
@@ -45,6 +46,10 @@ def _pair_template(length: int, window: int, cache: dict):
                       np.array(contexts, dtype=np.int64))
     return cache[key]
 
+
+#: an epoch whose mean loss per pair exceeds this multiple of the
+#: untrained loss, (1 + k) ln 2 for k negatives, has diverged
+_BLOWUP = 10.0
 
 # Sentences whose index plan is built in one vectorised pass; the
 # updates stay one per sentence. The plan holds about 120 bytes per
@@ -181,6 +186,10 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     seeded generator in sentence order, so the result is deterministic
     for a given seed. ``loss_history`` holds the mean loss per pair of
     each epoch; a non-finite loss or vector raises `DivergenceError`.
+    So does a finite blow-up: ``syn1`` starts at zero, so every score
+    starts at 0 and a pair's loss at most at (1 + k) ln 2 for k
+    negatives, and an epoch whose mean loss per pair exceeds 10 times
+    that bound raises.
     """
     counts = Counter(tok for sentence in corpus.sentences for tok in sentence)
     if len(counts) < 2:
@@ -246,9 +255,14 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
                     syn1[cols] = u - g.T @ v
                     syn0[rows] = v - g @ u
             epoch_loss += float(np.sum(weight * np.logaddexp(0.0, sign * scores)))
-        history.append(check_finite(
-            method_tag, epoch, config.learning_rate,
-            epoch_loss / pairs_per_epoch, syn0, syn1))
+        loss = check_finite(method_tag, epoch, config.learning_rate,
+                            epoch_loss / pairs_per_epoch, syn0, syn1)
+        if loss > _BLOWUP * (1 + k) * math.log(2.0):
+            raise DivergenceError(
+                f"{method_tag}: mean loss per pair {loss:.3g} at epoch {epoch} "
+                f"exceeds {_BLOWUP:g} times its untrained bound "
+                f"(learning_rate={config.learning_rate})")
+        history.append(loss)
 
     vectors = {tok: syn0[index[tok]].copy()
                for tok in corpus.node_tokens if tok in index}

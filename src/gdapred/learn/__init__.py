@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from ..artifacts import read_json
-from .base import BinaryClassifier, Estimator
+from ..errors import ConfigurationError, IntegrityError
+from .base import BinaryClassifier
 from .forest import RandomForestClassifier
 from .grid import GridSpec, grid_search, stratified_kfold
 from .mlp import MLPClassifier, mlp_gradient_check
 from .naive_bayes import GaussianNaiveBayes
 
-CLASSIFIER_KINDS = {
-    "random_forest": RandomForestClassifier,
-    "gaussian_nb": GaussianNaiveBayes,
-    "mlp": MLPClassifier,
-}
+CLASSIFIER_KINDS = {cls.kind: cls for cls in (
+    RandomForestClassifier, GaussianNaiveBayes, MLPClassifier)}
 
 #: hyperparameter grids used when a run asks for grid search but
 #: supplies no candidates of its own
@@ -27,34 +27,35 @@ DEFAULT_GRIDS = {
 
 def make_classifier(kind: str, params: dict | None = None,
                     seed: int = 0) -> BinaryClassifier:
+    """A fresh classifier of ``kind``, seeded with ``seed`` unless
+    ``params`` names a seed of its own."""
     if kind not in CLASSIFIER_KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     cls = CLASSIFIER_KINDS[kind]
     params = dict(params or {})
-    if kind == "mlp" and "hidden_layers" in params:
-        params["hidden_layers"] = tuple(params["hidden_layers"])
-    if "seed" in cls._param_names():
+    if any(f.name == "seed" for f in fields(cls)):
         params.setdefault("seed", seed)
     return cls(**params)
 
 
-def fit(kind: str, X, y, hyperparameters: dict | None = None,
-        seed: int = 0) -> BinaryClassifier:
-    """Construct and train a classifier of the named kind."""
-    return make_classifier(kind, hyperparameters, seed).fit(X, y)
-
-
 def load_model(path) -> BinaryClassifier:
-    """Rebuild a persisted model; predictions round-trip bit-exactly."""
-    payload = read_json(path)
-    model = make_classifier(payload["kind"], payload["hyperparameters"])
-    model._import_state(payload["parameters"])
+    """Rebuild a persisted model; predictions round-trip bit-exactly. A
+    file that does not hold a model of a known kind raises
+    `IntegrityError` naming it."""
+    try:
+        payload = read_json(path)
+        model = make_classifier(payload["kind"], payload["hyperparameters"])
+        model._import_state(payload["parameters"])
+    except KeyError as err:
+        raise IntegrityError(f"{path}: model file lacks the key {err}") from err
+    except (TypeError, ValueError, ConfigurationError) as err:
+        raise IntegrityError(f"{path}: not a model file: {err}") from err
     return model
 
 
 __all__ = [
-    "BinaryClassifier", "CLASSIFIER_KINDS", "DEFAULT_GRIDS", "Estimator",
+    "BinaryClassifier", "CLASSIFIER_KINDS", "DEFAULT_GRIDS",
     "GaussianNaiveBayes", "GridSpec", "MLPClassifier",
-    "RandomForestClassifier", "fit", "grid_search", "load_model",
+    "RandomForestClassifier", "grid_search", "load_model",
     "make_classifier", "mlp_gradient_check", "stratified_kfold",
 ]

@@ -1,71 +1,46 @@
-"""Estimator base class: parameter introspection and model persistence."""
+"""Shared classifier surface: hyperparameter checks and model persistence."""
 
 from __future__ import annotations
 
-import inspect
+import numbers
+from dataclasses import fields
 
 import numpy as np
 
 from ..artifacts import write_json
+from ..errors import ConfigurationError
 from ..validation import as_matrix, check_fitted
 
 
-class Estimator:
-    """Minimal fit/predict estimator contract.
+def check_number(kind: str, name: str, value, ok, must: str) -> None:
+    """Raise `ConfigurationError` unless ``value`` is a number, not a
+    bool, for which ``ok(value)`` holds; ``must`` says what it must be."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not ok(value):
+        raise ConfigurationError(f"{kind} {name} must be {must}, got {value!r}")
 
-    Hyperparameters are the keyword arguments of ``__init__`` and are
-    stored verbatim on the instance, which lets ``get_params`` /
-    ``set_params`` drive grid search and persistence. ``set_params``
-    checks the merged hyperparameters through ``__init__``.
+
+def check_integer(kind: str, name: str, value, low: int) -> None:
+    check_number(kind, name, value,
+                 lambda v: isinstance(v, numbers.Integral) and v >= low,
+                 f"an integer of at least {low}")
+
+
+class BinaryClassifier:
+    """Base of the classifiers: dataclasses whose fields are their
+    hyperparameters, checked by ``__post_init__``.
+
+    A subclass sets ``kind`` and ``_fitted_attribute`` and provides
+    ``fit``, ``predict_proba`` and, for persistence, ``_export_state`` /
+    ``_import_state`` of the fitted parameters; hyperparameters travel
+    via ``get_params``.
     """
 
-    kind = "estimator"
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [name for name in sig.parameters if name != "self"]
-
     def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "Estimator":
-        valid = set(self._param_names())
-        for name in params:
-            if name not in valid:
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}")
-        checked = type(self)(**{**self.get_params(), **params})
-        for name in params:
-            setattr(self, name, getattr(checked, name))
-        return self
-
-    def clone(self) -> "Estimator":
-        return type(self)(**self.get_params())
-
-    def __repr__(self):
-        params = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({params})"
-
-
-class BinaryClassifier(Estimator):
-    """Adds the shared predict surface over ``predict_proba``."""
-
-    def predict_proba(self, X) -> np.ndarray:
-        raise NotImplementedError
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X)[:, 1] > 0.5).astype(np.int64)
-
-    # -- persistence ----------------------------------------------------
-    # Subclasses provide _export_state / _import_state for the fitted
-    # parameters; hyperparameters travel via get_params.
-
-    def _export_state(self) -> dict:
-        raise NotImplementedError
-
-    def _import_state(self, state: dict) -> None:
-        raise NotImplementedError
 
     def save(self, path) -> None:
         check_fitted(self, self._fitted_attribute)
@@ -83,4 +58,3 @@ class BinaryClassifier(Estimator):
             raise ValueError(
                 f"feature dimension mismatch: trained with {expected_dim}, got {X.shape[1]}")
         return X
-

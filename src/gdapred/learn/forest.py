@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import numbers
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
 from ..errors import ConfigurationError, DegenerateDataError
 from ..validation import as_labels, as_matrix, check_fitted
-from .base import BinaryClassifier
+from .base import BinaryClassifier, check_integer
 
 #: bootstrap rows of the trees that one fit grows together; further
 #: trees grow in later groups, which bounds the size of a level's arrays
@@ -161,14 +161,7 @@ def _tree_proba(node, X):
     return out
 
 
-def _check_integer(name, value, low):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or value < low:
-        raise ConfigurationError(
-            f"random forest {name} must be an integer of at least {low}, "
-            f"got {value!r}")
-
-
+@dataclass(eq=False)
 class RandomForestClassifier(BinaryClassifier):
     """Bagged CART trees; sqrt(d) features per split, bootstrap rows.
 
@@ -186,21 +179,22 @@ class RandomForestClassifier(BinaryClassifier):
     kind = "random_forest"
     _fitted_attribute = "trees_"
 
-    def __init__(self, n_trees=100, max_depth=None, max_features="sqrt",
-                 min_samples_split=2, seed=0):
-        _check_integer("n_trees", n_trees, 1)
-        if max_depth is not None:
-            _check_integer("max_depth", max_depth, 1)
-        _check_integer("min_samples_split", min_samples_split, 2)
-        if max_features not in ("sqrt", None):
+    n_trees: int = 100
+    max_depth: int | None = None
+    max_features: str | None = "sqrt"
+    min_samples_split: int = 2
+    seed: int = 0
+
+    def __post_init__(self):
+        check_integer(self.kind, "n_trees", self.n_trees, 1)
+        if self.max_depth is not None:
+            check_integer(self.kind, "max_depth", self.max_depth, 1)
+        check_integer(self.kind, "min_samples_split", self.min_samples_split, 2)
+        check_integer(self.kind, "seed", self.seed, 0)
+        if self.max_features not in ("sqrt", None):
             raise ConfigurationError(
-                "random forest max_features must be 'sqrt' or None, "
-                f"got {max_features!r}")
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.min_samples_split = min_samples_split
-        self.seed = seed
+                f"{self.kind} max_features must be 'sqrt' or None, "
+                f"got {self.max_features!r}")
 
     def fit(self, X, y):
         X = as_matrix(X)

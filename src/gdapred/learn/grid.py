@@ -27,11 +27,10 @@ class GridSpec:
                 raise ValueError(f"empty candidate list for {name!r}")
 
     def combinations(self) -> list[dict]:
-        names = list(self.param_grid)
-        out = []
-        for values in itertools.product(*(self.param_grid[n] for n in names)):
-            out.append(dict(zip(names, values)))
-        return out or [{}]
+        """Every combination, the last name varying fastest; an empty
+        grid has one, ``{}``."""
+        return [dict(zip(self.param_grid, values))
+                for values in itertools.product(*self.param_grid.values())]
 
 
 def stratified_kfold(y, fold_count: int, seed: int) -> list[np.ndarray]:
@@ -51,23 +50,14 @@ def stratified_kfold(y, fold_count: int, seed: int) -> list[np.ndarray]:
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def grid_search(kind, X, y, grid: GridSpec, seed: int):
+def grid_search(factory, X, y, grid: GridSpec, seed: int):
     """Pick the combination maximizing mean CV WAF, then refit on all rows.
 
-    ``kind`` is a classifier name ("random_forest", "gaussian_nb",
-    "mlp") or a ``factory(params, seed)`` callable building a fresh
-    estimator. Ties go to the earlier combination in declared grid
+    ``factory(params, seed)`` builds a fresh classifier for one
+    combination. Ties go to the earlier combination in declared grid
     order. Only the rows passed in are ever touched, so callers hand
     over the training split and nothing else.
     """
-    if callable(kind):
-        make_classifier = kind
-    else:
-        from . import make_classifier as _make
-
-        def make_classifier(params, s, _kind=kind):
-            return _make(_kind, params, s)
-
     X = as_matrix(X)
     y = as_labels(y, X.shape[0])
     folds = stratified_kfold(y, grid.fold_count, seed)
@@ -80,13 +70,13 @@ def grid_search(kind, X, y, grid: GridSpec, seed: int):
             train_mask = np.ones(X.shape[0], dtype=bool)
             train_mask[fold] = False
             train_idx = all_idx[train_mask]
-            model = make_classifier(params, seed)
+            model = factory(params, seed)
             model.fit(X[train_idx], y[train_idx])
             scores.append(waf(y[fold], model.predict(X[fold])))
         mean_score = float(np.mean(scores))
         if mean_score > best_score:
             best_score = mean_score
             best_params = params
-    model = make_classifier(best_params, seed)
+    model = factory(best_params, seed)
     model.fit(X, y)
     return best_params, model

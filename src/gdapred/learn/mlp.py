@@ -8,11 +8,14 @@ backward pass is checked against central finite differences by
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..errors import DegenerateDataError, DivergenceError
+from ..errors import ConfigurationError, DegenerateDataError, DivergenceError
 from ..validation import as_labels, as_matrix, check_fitted
-from .base import BinaryClassifier
+from .base import BinaryClassifier, check_integer, check_number
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # (weights, biases) per layer
 
@@ -69,18 +72,35 @@ def _backward(params: Params, X: np.ndarray, y: np.ndarray):
     return grads
 
 
+@dataclass(eq=False)
 class MLPClassifier(BinaryClassifier):
+    """``hidden_layers`` lists the hidden layer widths, kept as a tuple;
+    ``learning_rate`` is positive and finite, ``momentum`` in [0, 1)."""
+
     kind = "mlp"
     _fitted_attribute = "params_"
 
-    def __init__(self, hidden_layers=(100,), learning_rate=0.01, epochs=200,
-                 batch_size=32, momentum=0.9, seed=0):
-        self.hidden_layers = hidden_layers
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.momentum = momentum
-        self.seed = seed
+    hidden_layers: tuple[int, ...] = (100,)
+    learning_rate: float = 0.01
+    epochs: int = 200
+    batch_size: int = 32
+    momentum: float = 0.9
+    seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.hidden_layers, (list, tuple)):
+            raise ConfigurationError(f"{self.kind} hidden_layers must be a "
+                                     f"list of widths, got {self.hidden_layers!r}")
+        self.hidden_layers = tuple(self.hidden_layers)
+        for i, width in enumerate(self.hidden_layers):
+            check_integer(self.kind, f"hidden_layers[{i}]", width, 1)
+        check_number(self.kind, "learning_rate", self.learning_rate,
+                     lambda v: 0 < v < math.inf, "positive and finite")
+        check_integer(self.kind, "epochs", self.epochs, 1)
+        check_integer(self.kind, "batch_size", self.batch_size, 1)
+        check_number(self.kind, "momentum", self.momentum,
+                     lambda v: 0 <= v < 1, "in [0, 1)")
+        check_integer(self.kind, "seed", self.seed, 0)
 
     def fit(self, X, y):
         X = as_matrix(X)

@@ -96,6 +96,7 @@ class PipelineConfig:
     methods: list[str] = field(default_factory=lambda: ["walk"])
     operators: list[str] = field(default_factory=lambda: ["hadamard"])
     learners: list[str] = field(default_factory=lambda: ["random_forest", COSINE])
+    #: classifier kind -> candidate lists; "default" becomes DEFAULT_GRIDS
     grids: dict = field(default_factory=dict)
     classifier_params: dict = field(default_factory=dict)
     grid_folds: int = 5
@@ -127,6 +128,7 @@ class PipelineConfig:
                     raise ConfigurationError(f"unknown {what} {value!r}")
         if any(v != "HP" for v in self.kg_variants) and "go_obo" not in self.inputs:
             raise ConfigurationError("GO-based variants need inputs.go_obo")
+        grids = {}
         for section_name, section in (("grids", self.grids),
                                       ("classifier_params", self.classifier_params)):
             grid = section_name == "grids"
@@ -136,17 +138,29 @@ class PipelineConfig:
                     raise ConfigurationError(
                         f"{section_name} names unknown classifier {kind!r}")
                 if grid and value == "default":
-                    continue
-                if not isinstance(value, dict):
+                    value = DEFAULT_GRIDS[kind]
+                elif not isinstance(value, dict):
                     raise ConfigurationError(
                         f"{where} must be a mapping" + " or 'default'" * grid)
+                cls = CLASSIFIER_KINDS[kind]
+                names = {f.name for f in fields(cls)}
                 for key, candidates in value.items():
-                    if key not in CLASSIFIER_KINDS[kind]._param_names():
+                    if key not in names:
                         raise ConfigurationError(
                             f"{where}: {key!r} is not a parameter of {kind}")
                     if grid and not (isinstance(candidates, list) and candidates):
                         raise ConfigurationError(
                             f"{where}.{key} must be a non-empty list")
+                # checked by the class itself: bench/tracing.py wraps
+                # make_classifier here and expects it inside a stage
+                for params in GridSpec(value).combinations() if grid else [value]:
+                    try:
+                        cls(**params)
+                    except ConfigurationError as err:
+                        raise ConfigurationError(f"{where}: {err}") from err
+                if grid:
+                    grids[kind] = value
+        self.grids = grids
         if self.grid_folds < 2:
             raise ConfigurationError("grid_folds must be at least 2")
         if not 0.0 < self.train_fraction < 1.0:
@@ -563,11 +577,11 @@ def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
         with run.timed(cell):
             X_train = features.rows[train_idx]
             grid = config.grids.get(kind)
-            if grid == "default":
-                grid = DEFAULT_GRIDS[kind]
             if grid:
-                spec = GridSpec(dict(grid), fold_count=config.grid_folds)
-                best_params, model = grid_search(kind, X_train, y_train, spec, seed)
+                spec = GridSpec(grid, fold_count=config.grid_folds)
+                best_params, model = grid_search(
+                    functools.partial(make_classifier, kind),
+                    X_train, y_train, spec, seed)
             else:
                 params = config.classifier_params.get(kind, {})
                 model = make_classifier(kind, params, seed).fit(X_train, y_train)

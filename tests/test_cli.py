@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -437,17 +438,59 @@ class TestCliSurface:
         assert not list((tmp_path / "out" / "train").glob("model_*.json"))
 
     def test_bad_forest_hyperparameter_exits_1(self, tmp_path, caplog):
+        # checked when the config loads, so the first stage already fails
         corpus = small_corpus(tmp_path / "data")
         config = small_config(
             corpus, tmp_path / "out", kg_variants=["HP"], methods=["walk"],
             operators=["hadamard"], learners=["random_forest"],
             classifier_params={"random_forest": {"n_trees": 0}})
         config_path = write_config(config, tmp_path / "config.json")
-        for stage in ("ingest", "build-kg", "embed", "pair"):
-            assert main([stage, "--config", str(config_path)]) == 0
-        assert main(["train", "--config", str(config_path)]) == 1
+        assert main(["ingest", "--config", str(config_path)]) == 1
         assert "n_trees must be an integer of at least 1" in caplog.text
-        assert not list((tmp_path / "out" / "train").glob("model_*.json"))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("classifier_params", {"mlp": {"batch_size": 0}},
+         r"classifier_params\.mlp: mlp batch_size must be an integer"),
+        ("classifier_params", {"gaussian_nb": {"var_smoothing": math.nan}},
+         r"classifier_params\.gaussian_nb: gaussian_nb var_smoothing must be "
+         r"non-negative and finite, got nan"),
+        ("classifier_params", {"mlp": {"learning_rate": -1}},
+         r"classifier_params\.mlp: mlp learning_rate must be positive"),
+        ("grids", {"random_forest": {"n_trees": [0, 5]}},
+         r"grids\.random_forest: random_forest n_trees must be an integer "
+         r"of at least 1, got 0"),
+        ("grids", {"mlp": {"hidden_layers": [[4], [4, 0]]}},
+         r"grids\.mlp: mlp hidden_layers\[1\] must be"),
+    ], ids=["mlp-batch", "nb-nan", "mlp-rate", "forest-grid", "mlp-grid"])
+    def test_bad_classifier_values_exit_1_at_load(self, tmp_path, caplog, key,
+                                                  value, match):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out",
+                              learners=["random_forest", "gaussian_nb", "mlp"])
+        config_path = write_config({**config, key: value},
+                                   tmp_path / "config.json")
+        with pytest.raises(ConfigurationError, match=match):
+            PipelineConfig.from_file(config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert re.search(match, caplog.text)
+        assert not (tmp_path / "out").exists()
+
+    def test_foreign_model_file_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(
+            corpus, tmp_path / "out", kg_variants=["HP"], methods=["walk"],
+            operators=["hadamard"], learners=["gaussian_nb"])
+        config_path = write_config(config, tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair", "train"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        model_path = (tmp_path / "out" / "train"
+                      / "model_HP_walk_hadamard_gaussian_nb.json")
+        payload = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**payload, "kind": "xgboost"}))
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert f"{model_path}: not a model file: unknown classifier kind " \
+            "'xgboost'" in caplog.text
 
     def test_stale_pair_features_exit_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")

@@ -532,6 +532,17 @@ class TestTrainSkipgram:
         with pytest.raises(DivergenceError, match="non-finite"):
             train_skipgram(corpus, config)
 
+    def test_finite_blowup_is_typed(self):
+        # at 0.1 the losses grow past 1e87 while every value stays finite
+        kg, _ = self.two_cliques()
+        config = KgeTrainConfig(**{**self.CFG, "learning_rate": 0.1}, seed=0)
+        corpus = generate_walks(kg, config.walks_per_node, config.walk_depth,
+                                config.seed)
+        with pytest.raises(DivergenceError,
+                           match=r"walk: mean loss per pair .* at epoch 0 "
+                                 r"exceeds 10 times"):
+            train_skipgram(corpus, config)
+
     def test_confident_pairs_train_without_warnings(self):
         """Scores beyond exp's range give the coefficient's exact limit, 0."""
         corpus = WalkCorpus([["N:a", "N:b"] * 8] * 16, frozenset({"N:a", "N:b"}))

@@ -1,5 +1,7 @@
 """Classifier training, grid search, and persistence contracts."""
 
+import functools
+import json
 from unittest import mock
 
 import numpy as np
@@ -7,13 +9,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.errors import ConfigurationError, DegenerateDataError, DivergenceError
+from gdapred.errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    DivergenceError,
+    IntegrityError,
+)
 from gdapred.learn import (
+    CLASSIFIER_KINDS,
+    DEFAULT_GRIDS,
     GaussianNaiveBayes,
     GridSpec,
     MLPClassifier,
     RandomForestClassifier,
-    fit,
     grid_search,
     load_model,
     make_classifier,
@@ -88,10 +96,6 @@ class TestRandomForest:
     def test_bad_hyperparameters_rejected(self, params):
         with pytest.raises(ConfigurationError):
             RandomForestClassifier(**params)
-        model = RandomForestClassifier(n_trees=4)
-        with pytest.raises(ConfigurationError):
-            model.set_params(**params)
-        assert model.get_params() == RandomForestClassifier(n_trees=4).get_params()
 
 
 class TestLevelWiseForest:
@@ -210,6 +214,17 @@ class TestGaussianNaiveBayes:
         assert np.all(proba >= 0.0) and np.all(proba <= 1.0)
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf, True, "1e-9"],
+                             ids=repr)
+    def test_bad_var_smoothing_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="var_smoothing"):
+            GaussianNaiveBayes(var_smoothing=value)
+
+    def test_zero_var_smoothing_allowed(self):
+        X, y = separable_1d()
+        proba = GaussianNaiveBayes(var_smoothing=0).fit(X, y).predict_proba(X)
+        assert np.all(np.isfinite(proba))
+
 
 class TestMlp:
     def test_xor_with_four_hidden_units(self):
@@ -260,6 +275,26 @@ class TestMlp:
                            match=r"non-finite weights at epoch \d+ \(learning_rate=1e\+200\)"):
             MLPClassifier(learning_rate=1e200, epochs=20, seed=0).fit(X, y)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 0), ("epochs", -1), ("epochs", 2.5), ("epochs", True),
+        ("batch_size", 0), ("batch_size", 8.0),
+        ("hidden_layers", (0,)), ("hidden_layers", (4, -1)),
+        ("hidden_layers", (2.5,)), ("hidden_layers", 100),
+        ("learning_rate", 0.0), ("learning_rate", -1.0),
+        ("learning_rate", np.nan), ("learning_rate", np.inf),
+        ("learning_rate", "0.01"),
+        ("momentum", -0.1), ("momentum", 1.0), ("momentum", np.nan),
+        ("seed", -1), ("seed", 1.5)], ids=repr)
+    def test_bad_hyperparameters_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            MLPClassifier(**{name: value})
+
+    def test_hidden_layers_kept_as_a_tuple(self):
+        assert MLPClassifier(hidden_layers=[4, 2]).hidden_layers == (4, 2)
+        model = make_classifier("mlp", {"hidden_layers": [3]})
+        assert model.get_params()["hidden_layers"] == (3,)
+        assert MLPClassifier(hidden_layers=[]).hidden_layers == ()
+
 
 class TestGridSearch:
     def data(self, n=40, seed=13):
@@ -271,7 +306,8 @@ class TestGridSearch:
     def test_single_combination_selected(self):
         X, y = self.data()
         grid = GridSpec({"n_trees": [5]}, fold_count=3)
-        best, model = grid_search("random_forest", X, y, grid, seed=0)
+        make = functools.partial(make_classifier, "random_forest")
+        best, model = grid_search(make, X, y, grid, seed=0)
         assert best == {"n_trees": 5}
         assert model.n_trees == 5
 
@@ -337,6 +373,21 @@ class TestLabelValidation:
             as_labels([0.5, 1.0])
 
 
+#: valid hyperparameters of each kind, small enough to fit quickly
+VALID_PARAMS = {
+    "random_forest": st.fixed_dictionaries({
+        "n_trees": st.integers(1, 4), "max_depth": st.none() | st.integers(1, 4),
+        "max_features": st.sampled_from(["sqrt", None]),
+        "min_samples_split": st.integers(2, 6), "seed": st.integers(0, 2**32)}),
+    "gaussian_nb": st.fixed_dictionaries({"var_smoothing": st.floats(0.0, 1e3)}),
+    "mlp": st.fixed_dictionaries({
+        "hidden_layers": st.lists(st.integers(1, 5), max_size=2),
+        "learning_rate": st.floats(1e-4, 0.5), "epochs": st.integers(1, 5),
+        "batch_size": st.integers(1, 40), "momentum": st.floats(0.0, 0.95),
+        "seed": st.integers(0, 2**32)}),
+}
+
+
 class TestPersistence:
     def roundtrip(self, model, X, tmp_path):
         path = tmp_path / "model.json"
@@ -359,34 +410,79 @@ class TestPersistence:
         self.roundtrip(model, X, tmp_path)
 
 
-class TestDispatcher:
-    def test_fit_by_kind(self):
+class TestModelFiles:
+    @pytest.mark.parametrize("kind", sorted(VALID_PARAMS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_roundtrip_over_valid_hyperparameters(self, kind, data,
+                                                  tmp_path_factory):
+        params = data.draw(VALID_PARAMS[kind])
+        X, y = separable_1d(n=10, margin=0.2, seed=3)
+        model = make_classifier(kind, params).fit(X, y)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model.save(path)
+        back = load_model(path)
+        assert back.get_params() == model.get_params()
+        grid = np.linspace(-3.0, 3.0, 61).reshape(-1, 1)
+        assert np.array_equal(back.predict_proba(grid), model.predict_proba(grid))
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda p: p.update(kind="xgboost"), "unknown classifier kind 'xgboost'"),
+        (lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
+        (lambda p: p["hyperparameters"].update(n_trees=0), "n_trees"),
+        (lambda p: p.pop("parameters"), "lacks the key 'parameters'"),
+        (lambda p: p["parameters"].pop("trees"), "lacks the key 'trees'"),
+    ], ids=["kind", "unknown-hyperparameter", "bad-hyperparameter",
+            "no-parameters", "no-trees"])
+    def test_damaged_or_foreign_file_is_integrity_error(self, tmp_path, damage,
+                                                        match):
         X, y = separable_1d()
-        model = fit("gaussian_nb", X, y)
-        assert (model.predict(X) == y).all()
+        path = tmp_path / "model.json"
+        RandomForestClassifier(n_trees=2, seed=1).fit(X, y).save(path)
+        payload = json.loads(path.read_text())
+        damage(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(IntegrityError, match=match) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_file_that_is_not_json_is_integrity_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"kind": "mlp"')
+        with pytest.raises(IntegrityError, match="model.json"):
+            load_model(path)
+
+
+class TestDispatcher:
+    def test_kinds_and_params_come_from_the_classes(self):
+        assert CLASSIFIER_KINDS == {"random_forest": RandomForestClassifier,
+                                    "gaussian_nb": GaussianNaiveBayes,
+                                    "mlp": MLPClassifier}
+        model = RandomForestClassifier(n_trees=9)
+        assert list(model.get_params().items()) == [
+            ("n_trees", 9), ("max_depth", None), ("max_features", "sqrt"),
+            ("min_samples_split", 2), ("seed", 0)]
+        assert repr(model) == ("RandomForestClassifier(n_trees=9, max_depth=None, "
+                               "max_features='sqrt', min_samples_split=2, seed=0)")
+        # equality is identity, as for any fitted model
+        assert model != RandomForestClassifier(n_trees=9)
+        assert make_classifier("mlp", seed=4).seed == 4
+        assert make_classifier("mlp", {"seed": 2}, seed=4).seed == 2
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_GRIDS))
+    def test_every_default_grid_combination_constructs(self, kind):
+        for params in GridSpec(DEFAULT_GRIDS[kind]).combinations():
+            model = make_classifier(kind, params)
+            for name, value in params.items():
+                assert getattr(model, name) == value
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_classifier("xgboost")
 
-    def test_get_set_params(self):
-        model = RandomForestClassifier(n_trees=9)
-        assert model.get_params()["n_trees"] == 9
-        model.set_params(n_trees=3)
-        assert model.n_trees == 3
-        with pytest.raises(ValueError):
-            model.set_params(bogus=1)
-
     def test_predict_before_fit_rejected(self):
         with pytest.raises(ValueError, match="not fitted"):
             RandomForestClassifier().predict_proba(np.zeros((1, 2)))
-
-    def test_clone_copies_params_not_state(self):
-        X, y = separable_1d()
-        model = RandomForestClassifier(n_trees=3, seed=5).fit(X, y)
-        twin = model.clone()
-        assert twin.get_params() == model.get_params()
-        assert not hasattr(twin, "trees_")
 
     def test_feature_dimension_checked_at_predict(self):
         X, y = separable_1d()
