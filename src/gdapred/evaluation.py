@@ -136,9 +136,9 @@ def write_dataset(dataset: AssociationDataset, path) -> None:
 
 def read_dataset(path) -> AssociationDataset:
     """IntegrityError names the line of a label other than positive or
-    negative, of a partition other than train, test or empty, or of the
-    first row whose partition cell is set when the first row's is empty,
-    or empty when it is set."""
+    negative, of a partition other than train, test or empty, of an empty
+    gene or disease id, or of the first row whose partition cell is set
+    when the first row's is empty, or empty when it is set."""
     labels = {"positive": POSITIVE, "negative": NEGATIVE}
     pairs, split = [], {}
     rows = read_tsv(path)
@@ -147,6 +147,8 @@ def read_dataset(path) -> AssociationDataset:
         if label not in labels or part not in (TRAIN, TEST, ""):
             raise IntegrityError(f"{path}, line {lineno}: unknown label {label!r} "
                                  f"or partition {part!r}")
+        if not gene_id or not disease_id:
+            raise IntegrityError(f"{path}, line {lineno}: empty gene or disease id")
         if pairs and bool(part) != bool(split):
             raise IntegrityError(f"{path}, line {lineno}: partition {part!r}, but "
                                  "partitions must be set on every row or on none")

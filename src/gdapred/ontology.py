@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ConfigurationError,
@@ -88,8 +88,14 @@ def _first_quoted(value: str) -> str | None:
     return m.group(1).replace('\\"', '"')
 
 
-def _strip_comment(value: str) -> str:
-    return value.split("!", 1)[0].strip()
+def _term_stanzas(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The header's line number and the stripped lines of each `[Term]`
+    stanza. Lines before the first header and other stanzas are skipped."""
+    lines = [line.strip() for line in text.splitlines()]
+    heads = [i for i, line in enumerate(lines) if line[:1] == "[" and line[-1:] == "]"]
+    for start, end in zip(heads, heads[1:] + [len(lines)]):
+        if lines[start] == "[Term]":
+            yield start + 1, lines[start + 1:end]
 
 
 def parse_obo(text: str) -> Ontology:
@@ -100,128 +106,86 @@ def parse_obo(text: str) -> Ontology:
     the file and the `is_a` graph must be acyclic.
     """
     records: dict[str, OntologyTerm] = {}
-    is_a_edges: list[tuple[str, str, int]] = []  # child, parent, line
+    is_a_edges: list[tuple[str, str, str]] = []  # child, "is_a", parent
     rel_edges: list[tuple[str, str, str]] = []  # child, relation, parent
-    current: OntologyTerm | None = None
-    # tag order within a stanza is free, so edges and LD targets are
-    # buffered until the stanza closes and its id is known
-    pending_is_a: list[tuple[str, int]] = []
-    pending_rels: list[tuple[str, str]] = []
-    pending_ld: list[str] = []
-    current_line = 0
-    in_term = False
-
-    def flush():
-        nonlocal current
-        if current is None:
-            return
-        if not current.id:
-            raise ParseError(
-                f"[Term] stanza starting at line {current_line} has no id"
-            )
-        if current.id in records:
-            raise ParseError(
-                f"duplicate term id {current.id} (stanza at line {current_line})"
-            )
-        for parent, lineno in pending_is_a:
-            is_a_edges.append((current.id, parent, lineno))
-        for rel, parent in pending_rels:
-            rel_edges.append((current.id, rel, parent))
-        own_prefix = curie_prefix(current.id)
-        for target in pending_ld:
-            if curie_prefix(target) != own_prefix and target not in current.ld_targets:
-                current.ld_targets.append(target)
-        records[current.id] = current
-        current = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line == "[Term]":
-            flush()
-            current = OntologyTerm(id="")
-            pending_is_a, pending_rels, pending_ld = [], [], []
-            current_line = lineno
-            in_term = True
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            flush()
-            in_term = False
-            continue
-        if not in_term or not line or line.startswith("!"):
-            continue
-        assert current is not None
-        tag, _, value = line.partition(":")
-        tag = tag.strip()
-        value = value.strip()
-        if tag == "id":
-            if not is_curie(value):
-                raise ParseError(f"line {lineno}: malformed term id {value!r}")
-            current.id = value
-        elif tag == "name":
-            current.label = value
-        elif tag == "def":
-            quoted = _first_quoted(value)
-            current.definition = quoted if quoted is not None else value
-        elif tag == "synonym":
-            quoted = _first_quoted(value)
-            if quoted:
-                current.synonyms.append(quoted)
-        elif tag == "is_a":
-            target = _strip_comment(value).split()
-            if not target:
-                raise ParseError(f"line {lineno}: empty is_a target")
-            pending_is_a.append((target[0], lineno))
-        elif tag == "relationship":
-            parts = _strip_comment(value).split()
-            if len(parts) < 2:
-                logger.warning("line %d: malformed relationship %r skipped", lineno, value)
+    for first, lines in _term_stanzas(text):
+        # tag order within a stanza is free, so the id is known only at its end
+        term = OntologyTerm(id="")
+        parents, rels, ld = [], [], []  # is_a targets, (relation, target), LD targets
+        for lineno, line in enumerate(lines, start=first + 1):
+            if not line or line[0] == "!":
                 continue
-            pending_rels.append((parts[0], parts[1]))
-        elif tag == "intersection_of":
-            parts = _strip_comment(value).split()
-            if len(parts) == 1 and is_curie(parts[0]):
-                pending_ld.append(parts[0])
-            elif len(parts) >= 2 and is_curie(parts[1]):
-                pending_ld.append(parts[1])
-        elif tag == "is_obsolete":
-            current.obsolete = value.lower().startswith("true")
-    flush()
+            tag, _, value = line.partition(":")
+            tag = tag.strip()
+            value = value.strip()
+            if tag == "id":
+                if not is_curie(value):
+                    raise ParseError(f"line {lineno}: malformed term id {value!r}")
+                term.id = value
+            elif tag == "name":
+                term.label = value
+            elif tag == "def":
+                quoted = _first_quoted(value)
+                term.definition = quoted if quoted is not None else value
+            elif tag == "synonym":
+                quoted = _first_quoted(value)
+                if quoted:
+                    term.synonyms.append(quoted)
+            elif tag == "is_a":
+                target = value.partition("!")[0].split()
+                if not target:
+                    raise ParseError(f"line {lineno}: empty is_a target")
+                parents.append(target[0])
+            elif tag == "relationship":
+                parts = value.partition("!")[0].split()
+                if len(parts) < 2:
+                    logger.warning("line %d: malformed relationship %r skipped", lineno, value)
+                    continue
+                rels.append((parts[0], parts[1]))
+            elif tag == "intersection_of":
+                parts = value.partition("!")[0].split()
+                if len(parts) == 1 and is_curie(parts[0]):
+                    ld.append(parts[0])
+                elif len(parts) >= 2 and is_curie(parts[1]):
+                    ld.append(parts[1])
+            elif tag == "is_obsolete":
+                term.obsolete = value.lower().startswith("true")
+        if not term.id:
+            raise ParseError(f"[Term] stanza starting at line {first} has no id")
+        if term.id in records:
+            raise ParseError(f"duplicate term id {term.id} (stanza at line {first})")
+        for parent in parents:
+            is_a_edges.append((term.id, "is_a", parent))
+        for rel, parent in rels:
+            rel_edges.append((term.id, rel, parent))
+        own_prefix = curie_prefix(term.id)
+        for target in ld:
+            if curie_prefix(target) != own_prefix and target not in term.ld_targets:
+                term.ld_targets.append(target)
+        records[term.id] = term
 
-    all_ids = set(records)
+    dangling = sorted({parent for _, _, parent in is_a_edges if parent not in records})
+    if dangling:
+        raise DanglingReferenceError("is_a targets never defined in file: "
+                                     + ", ".join(dangling))
+
     obsolete_ids = {t for t, rec in records.items() if rec.obsolete}
     terms = {t: rec for t, rec in records.items() if not rec.obsolete}
-
-    dangling = sorted(
-        {
-            parent
-            for _, parent, _ in is_a_edges
-            if parent not in all_ids
-        }
-    )
-    if dangling:
-        raise DanglingReferenceError(
-            "is_a targets never defined in file: " + ", ".join(dangling)
-        )
-
-    stats = {"obsolete_terms": len(obsolete_ids), "dropped_edges": 0}
     edges: set[tuple[str, str, str]] = set()
-    for child, parent, _ in is_a_edges:
-        if child in obsolete_ids or parent in obsolete_ids:
-            stats["dropped_edges"] += 1
-            continue
-        edges.add((child, "is_a", parent))
-    for child, rel, parent in rel_edges:
-        if parent not in all_ids or child in obsolete_ids or parent in obsolete_ids:
-            stats["dropped_edges"] += 1
-            continue
-        edges.add((child, rel, parent))
+    dropped = 0
+    for edge in is_a_edges + rel_edges:
+        child, _, parent = edge
+        if parent not in records or child in obsolete_ids or parent in obsolete_ids:
+            dropped += 1
+        else:
+            edges.add(edge)
 
     _check_acyclic(terms, edges)
 
     has_parent = {c for c, rel, _ in edges if rel == "is_a"}
     roots = {t for t in terms if t not in has_parent}
-    return Ontology(terms=terms, edges=edges, roots=roots,
-                    obsolete_ids=obsolete_ids, stats=stats)
+    return Ontology(terms=terms, edges=edges, roots=roots, obsolete_ids=obsolete_ids,
+                    stats={"obsolete_terms": len(obsolete_ids), "dropped_edges": dropped})
 
 
 def _check_acyclic(terms: Mapping[str, OntologyTerm],
@@ -230,6 +194,9 @@ def _check_acyclic(terms: Mapping[str, OntologyTerm],
     for child, rel, parent in edges:
         if rel == "is_a":
             parents[child].append(parent)
+    # sorted, so the cycle reported does not follow the set's hash order
+    for succ in parents.values():
+        succ.sort()
     WHITE, GREY, BLACK = 0, 1, 2
     color = {t: WHITE for t in terms}
     for start in sorted(terms):
@@ -258,31 +225,12 @@ def _check_acyclic(terms: Mapping[str, OntologyTerm],
                 stack.pop()
 
 
-def serialize_obo(ontology: Ontology) -> str:
-    """Write an Ontology back to OBO text (stanzas sorted by id)."""
-    by_child: dict[str, list[tuple[str, str]]] = {}
-    for child, rel, parent in ontology.edges:
-        by_child.setdefault(child, []).append((rel, parent))
-    out: list[str] = ["format-version: 1.2", ""]
-    for tid in sorted(ontology.terms):
-        term = ontology.terms[tid]
-        out.append("[Term]")
-        out.append(f"id: {tid}")
-        if term.label:
-            out.append(f"name: {term.label}")
-        if term.definition:
-            out.append(f'def: "{term.definition}" []')
-        for syn in term.synonyms:
-            out.append(f'synonym: "{syn}" EXACT []')
-        for rel, parent in sorted(by_child.get(tid, [])):
-            if rel == "is_a":
-                out.append(f"is_a: {parent}")
-            else:
-                out.append(f"relationship: {rel} {parent}")
-        for target in term.ld_targets:
-            out.append(f"intersection_of: {target}")
-        out.append("")
-    return "\n".join(out)
+def _data_rows(text: str, comment: str) -> Iterator[tuple[int, list[str]]]:
+    """The line number and tab-separated cells of each line that is
+    neither empty nor starts with ``comment``."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if raw and not raw.startswith(comment):
+            yield lineno, raw.split("\t")
 
 
 @dataclass
@@ -320,10 +268,7 @@ def parse_gaf(text: str, accession_to_gene: Mapping[str, str],
         "rows_skipped_unmapped": 0,
     })
     data_rows = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw or raw.startswith("!"):
-            continue
-        cols = raw.split("\t")
+    for lineno, cols in _data_rows(text, "!"):
         if len(cols) < 15:
             logger.warning("GAF line %d has %d columns, skipped", lineno, len(cols))
             amap.stats["rows_skipped_short"] += 1
@@ -350,10 +295,7 @@ def parse_gaf(text: str, accession_to_gene: Mapping[str, str],
 def parse_gene_phenotype(text: str) -> AnnotationMap:
     """Map genes to HP terms from a genes_to_phenotype-style TSV."""
     amap = AnnotationMap(stats={"rows_used": 0, "rows_skipped_malformed": 0})
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw or raw.startswith("#"):
-            continue
-        cols = raw.split("\t")
+    for lineno, cols in _data_rows(text, "#"):
         term = next((c for c in cols[1:] if HP_TERM_RE.match(c)), None)
         if not cols[0] or term is None:
             logger.warning("gene-phenotype line %d has no HP term, skipped", lineno)
@@ -380,10 +322,7 @@ def parse_disease_phenotype(text: str,
         "rows_skipped_unmapped": 0,
         "rows_skipped_malformed": 0,
     })
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw or raw.startswith("#"):
-            continue
-        cols = raw.split("\t")
+    for lineno, cols in _data_rows(text, "#"):
         if len(cols) < 4:
             amap.stats["rows_skipped_short"] += 1
             continue
@@ -408,10 +347,7 @@ def parse_disease_phenotype(text: str,
 def parse_mapping(text: str) -> dict[str, str]:
     """Two-column TSV (external id, canonical id); first entry wins."""
     mapping: dict[str, str] = {}
-    for raw in text.splitlines():
-        if not raw or raw.startswith("#"):
-            continue
-        cols = raw.split("\t")
+    for _, cols in _data_rows(text, "#"):
         if len(cols) < 2 or not cols[0] or not cols[1]:
             continue
         mapping.setdefault(cols[0], cols[1])
@@ -428,22 +364,25 @@ class CuratedAssociation:
 def parse_associations(text: str, gene_column: str = "gene_id",
                        disease_column: str = "disease_id",
                        source_column: str = "source") -> list[CuratedAssociation]:
-    """Read curated gene-disease association rows, merging sources per pair."""
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
+    """Read curated gene-disease association rows, merging sources per
+    pair. ParseError names a missing column or the line of an empty id."""
+    rows = _data_rows(text, "#")
+    _, header = next(rows, (0, None))
+    if header is None:
         raise ParseError("association file has no header row")
-    header = lines[0].split("\t")
     idx = {}
     for name in (gene_column, disease_column, source_column):
         if name not in header:
             raise ParseError(f"association file missing required column {name!r}")
         idx[name] = header.index(name)
     merged: dict[tuple[EntityId, EntityId], set[str]] = {}
-    for raw in lines[1:]:
-        cols = raw.split("\t")
+    for lineno, cols in rows:
         if len(cols) <= max(idx.values()):
-            logger.warning("association row %r too short, skipped", raw)
+            logger.warning("association row %r too short, skipped", "\t".join(cols))
             continue
+        for name in (gene_column, disease_column):
+            if not cols[idx[name]]:
+                raise ParseError(f"line {lineno}: empty {name!r} cell")
         gene = EntityId(cols[idx[gene_column]], GENE)
         disease = EntityId(cols[idx[disease_column]], DISEASE)
         merged.setdefault((gene, disease), set()).add(cols[idx[source_column]])

@@ -106,5 +106,8 @@ def write_pair_features(features: PairFeatures, path) -> None:
 
 def read_pair_features(path) -> PairFeatures:
     _, keys, rows = read_float_table(path, keys=2)
+    for lineno, (gene_id, disease_id) in enumerate(keys, start=2):
+        if not gene_id or not disease_id:
+            raise IntegrityError(f"{path}, line {lineno}: empty gene or disease id")
     return PairFeatures(rows, [(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"))
                                for gene_id, disease_id in keys])

@@ -174,7 +174,7 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path, out_override: str | None = None,
                   seed_override: int | None = None) -> "PipelineConfig":
-        """Load a JSON config; keys that name no field are ignored."""
+        """Load a JSON config; a key that names no field is an error."""
         raw = read_json(path)
         if seed_override is not None:
             raw["seeds"] = {name: seed_override + i
@@ -183,8 +183,10 @@ class PipelineConfig:
             raw["output_dir"] = out_override
         if "output_dir" not in raw:
             raise ConfigurationError("config needs an output_dir")
-        names = {f.name for f in fields(cls)} - {"raw"}
-        return cls(**{k: v for k, v in raw.items() if k in names}, raw=raw)
+        unknown = sorted(raw.keys() - {f.name for f in fields(cls) if f.name != "raw"})
+        if unknown:
+            raise ConfigurationError("unknown config keys: " + ", ".join(unknown))
+        return cls(**raw, raw=raw)
 
     def kge_config(self, seed: int) -> KgeTrainConfig:
         return KgeTrainConfig(**self.embedding, seed=seed)
@@ -320,7 +322,9 @@ def read_annotation_tsv(path: Path, kind: str) -> AnnotationMap:
     amap = AnnotationMap()
     rows = read_tsv(path)
     next(rows)  # header
-    for entity_id, term in rows:
+    for lineno, (entity_id, term) in enumerate(rows, start=2):
+        if not entity_id:
+            raise IntegrityError(f"{path}, line {lineno}: empty entity id")
         amap.add(EntityId(entity_id, kind), term)
     return amap
 

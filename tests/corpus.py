@@ -204,7 +204,6 @@ class PlantedCorpus:
             "seeds": seeds or {"sampling": 11, "split": 12,
                                "embedding": 13, "training": 14},
             "train_fraction": 0.7,
-            "deterministic": True,
             "output_dir": str(out_dir),
         }
         if ssm_measures is not None:

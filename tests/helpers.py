@@ -33,6 +33,33 @@ def random_ontology(rng: np.random.Generator, n_terms: int,
     return Ontology(terms=terms, edges=edges, roots={ids[0]})
 
 
+def serialize_obo(ontology: Ontology) -> str:
+    """Write an Ontology back to OBO text (stanzas sorted by id)."""
+    by_child: dict[str, list[tuple[str, str]]] = {}
+    for child, rel, parent in ontology.edges:
+        by_child.setdefault(child, []).append((rel, parent))
+    out: list[str] = ["format-version: 1.2", ""]
+    for tid in sorted(ontology.terms):
+        term = ontology.terms[tid]
+        out.append("[Term]")
+        out.append(f"id: {tid}")
+        if term.label:
+            out.append(f"name: {term.label}")
+        if term.definition:
+            out.append(f'def: "{term.definition}" []')
+        for syn in term.synonyms:
+            out.append(f'synonym: "{syn}" EXACT []')
+        for rel, parent in sorted(by_child.get(tid, [])):
+            if rel == "is_a":
+                out.append(f"is_a: {parent}")
+            else:
+                out.append(f"relationship: {rel} {parent}")
+        for target in term.ld_targets:
+            out.append(f"intersection_of: {target}")
+        out.append("")
+    return "\n".join(out)
+
+
 def random_annotations(rng: np.random.Generator, ontology: Ontology,
                        n_genes: int, n_diseases: int,
                        max_terms: int = 8) -> tuple[AnnotationMap, AnnotationMap]:

@@ -15,6 +15,7 @@ from gdapred.errors import IntegrityError
 from gdapred.kge import EmbeddingTable, read_embeddings, write_embeddings
 from gdapred.ontology import EntityId
 from gdapred.pairing import PairFeatures, read_pair_features, write_pair_features
+from gdapred.pipeline import read_annotation_tsv
 
 # any non-empty id a tab-separated source can carry: spaces and non-ASCII
 # included; "\r" ends a line in text mode just as "\n" does
@@ -162,6 +163,20 @@ class TestTableArtifacts:
                             f"g3\td3\t1.0\t{cell}\n")
         with pytest.raises(IntegrityError, match=r"f\.tsv, line 4: "):
             read_pair_features(features)
+
+    @pytest.mark.parametrize("row", ["\td1\t0.5", "g1\t\t0.5"])
+    def test_pair_features_empty_id_is_integrity_error(self, tmp_path, row):
+        path = tmp_path / "f.tsv"
+        path.write_text(f"gene\tdisease\tf0\ng0\td0\t1.0\n{row}\n")
+        with pytest.raises(IntegrityError,
+                           match=r"f\.tsv, line 3: empty gene or disease id"):
+            read_pair_features(path)
+
+    def test_annotations_empty_entity_is_integrity_error(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("entity\tterm\ng1\tHP:0000001\n\tHP:0000002\n")
+        with pytest.raises(IntegrityError, match=r"a\.tsv, line 3: empty entity id"):
+            read_annotation_tsv(path, "gene")
 
 
 #: (module, function, call) triples allowed to touch files directly

@@ -437,6 +437,18 @@ class TestCliSurface:
         assert "non-finite" in caplog.text
         assert not list((tmp_path / "out" / "train").glob("model_*.json"))
 
+    def test_empty_association_gene_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out", kg_variants=["HP"])
+        config_path = write_config(config, tmp_path / "config.json")
+        path = Path(config["inputs"]["associations"])
+        lines = path.read_text().splitlines()
+        lines[3] = "\t" + lines[3].split("\t", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"{path}: line 4: empty 'gene_id' cell" in caplog.text
+        assert not (tmp_path / "out" / "ingest" / "dataset.tsv").exists()
+
     def test_bad_forest_hyperparameter_exits_1(self, tmp_path, caplog):
         # checked when the config loads, so the first stage already fails
         corpus = small_corpus(tmp_path / "data")
@@ -598,7 +610,10 @@ class TestCliSurface:
                  r"grids\.random_forest: 'depth'"),
                 ("grids", {"random_forest": {"n_trees": []}},
                  r"grids\.random_forest\.n_trees must be a non-empty list"),
-                ("grid_folds", 1, "grid_folds must be at least 2"))):
+                ("grid_folds", 1, "grid_folds must be at least 2"),
+                # a misspelt top-level key, and the field filled by the loader
+                ("kg_variant", ["HP_GO_LD"], "unknown config keys: kg_variant"),
+                ("raw", {}, "unknown config keys: raw"))):
             bad = {**good, key: value}
             with pytest.raises(ConfigurationError, match=match):
                 PipelineConfig.from_file(

@@ -157,6 +157,19 @@ class TestStratifiedSplit:
         with pytest.raises(IntegrityError, match=rf"dataset\.tsv, line 4: .*'{cell}'"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_empty_id_is_integrity_error(self, tmp_path, column):
+        path = tmp_path / "dataset.tsv"
+        write_dataset(self.balanced(2, 3), path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split("\t")
+        cells[column] = ""
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IntegrityError,
+                           match=r"dataset\.tsv, line 3: empty gene or disease id"):
+            read_dataset(path)
+
     def test_partition_on_some_rows_only_is_integrity_error(self, tmp_path):
         path = tmp_path / "dataset.tsv"
         write_dataset(self.balanced(2, 3), path)

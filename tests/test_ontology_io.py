@@ -1,7 +1,14 @@
 """Parser contracts for OBO, GAF, phenotype tables, and associations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdapred.errors import (
     ConfigurationError,
@@ -13,6 +20,8 @@ from gdapred.errors import (
 from gdapred.ontology import (
     AnnotationMap,
     EntityId,
+    Ontology,
+    OntologyTerm,
     filter_associations,
     merge_annotation_maps,
     parse_associations,
@@ -22,10 +31,9 @@ from gdapred.ontology import (
     parse_mapping,
     parse_obo,
     prune_annotations,
-    serialize_obo,
 )
 
-from helpers import random_ontology
+from helpers import random_ontology, serialize_obo
 
 GAF_PREFIX = "UniProtKB\t{acc}\tGENE\t{qual}\t{term}\tGO_REF:0000002\t{ev}\t"
 GAF_SUFFIX = "\tP\tname\tsyn\tprotein\ttaxon:9606\t20200811\tUniProt\t\t"
@@ -153,6 +161,26 @@ class TestParseObo:
             with pytest.raises(CycleError):
                 parse_obo("\n".join(lines))
 
+    def test_cycle_reported_does_not_depend_on_hash_seed(self):
+        # HP:0000001 reaches two separate cycles; its parents come from a set
+        text = ("[Term]\nid: HP:0000001\nis_a: HP:0000002\nis_a: HP:0000004\n\n"
+                "[Term]\nid: HP:0000002\nis_a: HP:0000003\n\n"
+                "[Term]\nid: HP:0000003\nis_a: HP:0000002\n\n"
+                "[Term]\nid: HP:0000004\nis_a: HP:0000005\n\n"
+                "[Term]\nid: HP:0000005\nis_a: HP:0000004\n")
+        script = ("import sys\nfrom gdapred.ontology import parse_obo\n"
+                  "try:\n    parse_obo(sys.stdin.read())\n"
+                  "except Exception as err:\n    print(type(err).__name__, err)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = {
+            subprocess.run([sys.executable, "-c", script], input=text, text=True,
+                           capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed,
+                                "PYTHONPATH": os.pathsep.join(
+                                    [src, os.environ.get("PYTHONPATH", "")])}).stdout
+            for seed in ("0", "1")}
+        assert messages == {"CycleError is_a cycle: HP:0000002 -> HP:0000003 -> HP:0000002\n"}
+
     def test_pure_identical_bytes_identical_structures(self):
         text = ("[Term]\nid: HP:0000001\nname: A\n\n"
                 "[Term]\nid: HP:0000002\nis_a: HP:0000001\n")
@@ -275,6 +303,13 @@ class TestParseAssociations:
         rows = parse_associations(self.HEADER + "672\n672\tC0006142\tCTD_human\n")
         assert len(rows) == 1
 
+    @pytest.mark.parametrize("row, column", [("\tC0006142\tCTD_human", "gene_id"),
+                                             ("672\t\tCTD_human", "disease_id")])
+    def test_empty_id_names_the_line(self, row, column):
+        text = "# curated\n" + self.HEADER + "673\tC0006142\tCTD_human\n" + row + "\n"
+        with pytest.raises(ParseError, match=rf"^line 4: empty '{column}' cell$"):
+            parse_associations(text)
+
     def test_renamed_columns(self):
         text = "geneId\tdiseaseId\tdb\n672\tC0006142\tCTD_human\n"
         rows = parse_associations(text, gene_column="geneId",
@@ -358,3 +393,104 @@ class TestMappingAndHelpers:
         merged = merge_annotation_maps(a, b)
         assert merged.entries[EntityId("1", "gene")] == {"HP:1", "HP:2"}
         assert len(merged.entries) == 2
+
+
+# ---------------------------------------------------------------------------
+# property tests: round trips and skip counters on injected damage
+
+_TEXT = st.text(alphabet="abcdefghij XYZ-,.:()0123456789", max_size=20).map(str.strip)
+
+
+@st.composite
+def obo_ontologies(draw):
+    """Acyclic is_a DAGs with free relationships, labels, definitions,
+    synonyms and logical-definition links to GO terms."""
+    n = draw(st.integers(1, 12))
+    ids = [f"HP:{i:07d}" for i in range(n)]
+    terms, edges = {}, set()
+    for i, tid in enumerate(ids):
+        terms[tid] = OntologyTerm(
+            id=tid, label=draw(_TEXT), definition=draw(_TEXT),
+            synonyms=draw(st.lists(_TEXT.filter(bool), max_size=2)),
+            ld_targets=draw(st.lists(st.sampled_from(["GO:0000001", "GO:0000002",
+                                                      "GO:0000003"]),
+                                     max_size=2, unique=True)))
+        for p in draw(st.sets(st.integers(0, i - 1), max_size=2) if i else st.just(set())):
+            edges.add((tid, "is_a", ids[p]))
+        for rel, p in draw(st.lists(st.tuples(st.sampled_from(["part_of", "has_part"]),
+                                              st.integers(0, n - 1)), max_size=2)):
+            edges.add((tid, rel, ids[p]))
+    roots = {t for t in ids if not any(c == t and r == "is_a" for c, r, _ in edges)}
+    return Ontology(terms=terms, edges=edges, roots=roots)
+
+
+class TestParserProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(obo_ontologies())
+    def test_obo_round_trip(self, ont):
+        back = parse_obo(serialize_obo(ont))
+        assert back.terms == ont.terms
+        assert back.edges == ont.edges
+        assert back.roots == ont.roots
+        assert back.stats == {"obsolete_terms": 0, "dropped_edges": 0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gaf_skip_counters_match_injected_lines(self, data):
+        mapping = {"P1": "672", "P2": "673", "P3": "674"}
+        clean = [gaf_row(acc=data.draw(st.sampled_from(sorted(mapping))),
+                         term=data.draw(st.sampled_from(["GO:0000001", "GO:0000002"])))
+                 for _ in range(data.draw(st.integers(1, 6)))]
+        n = data.draw(st.fixed_dictionaries(
+            {k: st.integers(0, 3) for k in ("short", "not", "unmapped", "comment",
+                                            "blank")}))
+        damaged = (clean + ["a\tb\tc"] * n["short"]
+                   + [gaf_row(qual="NOT|enables")] * n["not"]
+                   + [gaf_row(acc="P999")] * n["unmapped"]
+                   + ["!comment"] * n["comment"] + [""] * n["blank"])
+        amap = parse_gaf("\n".join(data.draw(st.permutations(damaged))), mapping)
+        assert amap.entries == parse_gaf("\n".join(clean), mapping).entries
+        assert amap.stats == {"rows_used": len(clean), "rows_skipped_short": n["short"],
+                              "rows_skipped_not": n["not"], "rows_skipped_evidence": 0,
+                              "rows_skipped_unmapped": n["unmapped"]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_gene_phenotype_skip_counters_match_injected_lines(self, data):
+        clean = [f"{data.draw(st.sampled_from(['672', '673']))}\tSYM\t"
+                 f"{data.draw(st.sampled_from(['HP:0000001', 'HP:0000002']))}\tname"
+                 for _ in range(data.draw(st.integers(0, 6)))]
+        n = data.draw(st.fixed_dictionaries(
+            {k: st.integers(0, 3) for k in ("malformed", "comment", "blank")}))
+        # no HP term, or no gene id
+        malformed = [data.draw(st.sampled_from(["672\tSYM\tnot-a-term\tname",
+                                                "\tSYM\tHP:0000001\tname"]))
+                     for _ in range(n["malformed"])]
+        damaged = (clean + malformed + ["#comment"] * n["comment"] + [""] * n["blank"])
+        amap = parse_gene_phenotype("\n".join(data.draw(st.permutations(damaged))))
+        assert amap.entries == parse_gene_phenotype("\n".join(clean)).entries
+        assert amap.stats == {"rows_used": len(clean),
+                              "rows_skipped_malformed": n["malformed"]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_disease_phenotype_skip_counters_match_injected_lines(self, data):
+        mapping = {"OMIM:1": "C1", "ORPHA:2": "C2"}
+        clean = [f"{data.draw(st.sampled_from(sorted(mapping)))}\tname\t\t"
+                 f"{data.draw(st.sampled_from(['HP:0000001', 'HP:0000002']))}\tref\tTAS"
+                 for _ in range(data.draw(st.integers(0, 6)))]
+        n = data.draw(st.fixed_dictionaries(
+            {k: st.integers(0, 3) for k in ("short", "not", "unmapped", "malformed",
+                                            "comment", "blank")}))
+        damaged = (clean + ["OMIM:1\tname\t"] * n["short"]
+                   + ["OMIM:1\tname\tNOT\tHP:0000001\tref\tTAS"] * n["not"]
+                   + ["OMIM:9\tname\t\tHP:0000001\tref\tTAS"] * n["unmapped"]
+                   + ["OMIM:1\tname\t\tnot-a-term\tref\tTAS"] * n["malformed"]
+                   + ["#comment"] * n["comment"] + [""] * n["blank"])
+        amap = parse_disease_phenotype("\n".join(data.draw(st.permutations(damaged))),
+                                       mapping)
+        assert amap.entries == parse_disease_phenotype("\n".join(clean), mapping).entries
+        assert amap.stats == {"rows_used": len(clean), "rows_skipped_short": n["short"],
+                              "rows_skipped_not": n["not"],
+                              "rows_skipped_unmapped": n["unmapped"],
+                              "rows_skipped_malformed": n["malformed"]}
