@@ -17,7 +17,7 @@ class CycleError(GdapredError):
     """A subsumption hierarchy that must be acyclic contains a cycle."""
 
 
-class ConfigurationError(GdapredError):
+class ConfigurationError(GdapredError, ValueError):
     """Inconsistent or incomplete configuration / argument combination."""
 
 

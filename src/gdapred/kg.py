@@ -109,8 +109,6 @@ def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
     the LD variant additionally receives equivalence bridges. The HP
     variant leaves out terms that no triple touches.
     """
-    if variant not in KG_VARIANTS:
-        raise ConfigurationError(f"unknown KG variant {variant!r}")
     if gene_hp is None or disease_hp is None:
         raise ConfigurationError("gene and disease phenotype annotations are required")
     if variant == "HP":

@@ -2,41 +2,33 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..artifacts import read_float_table, write_tsv
-from ..errors import ConfigurationError, DivergenceError, IntegrityError
+from ..errors import DivergenceError, IntegrityError
+from ..validation import at_least, bound, check_fields
 
 KGE_METHODS = ("transe", "distmult", "walk", "walk_lexical")
 
 
 @dataclass
 class KgeTrainConfig:
-    dimension: int = 200
-    epochs: int = 100
-    learning_rate: float = 0.025
-    margin: float = 1.0
-    negatives_per_positive: int = 5
-    batch_size: int = 128
-    walks_per_node: int = 100
-    walk_depth: int = 4
-    window: int = 5
-    l2_penalty: float = 1e-4
-    seed: int = 0
+    dimension: int = at_least(1, 200)
+    epochs: int = at_least(1, 100)
+    learning_rate: float = bound("positive and finite", lambda v: v > 0, 0.025)
+    margin: float = bound("positive and finite", lambda v: v > 0, 1.0)
+    negatives_per_positive: int = at_least(1, 5)
+    batch_size: int = at_least(1, 128)
+    walks_per_node: int = at_least(1, 100)
+    walk_depth: int = at_least(1, 4)
+    window: int = at_least(1, 5)
+    l2_penalty: float = bound("non-negative and finite", lambda v: v >= 0, 1e-4)
+    seed: int = at_least(0, 0)
 
     def __post_init__(self):
-        for name in ("dimension", "epochs", "negatives_per_positive",
-                     "batch_size", "walks_per_node", "walk_depth", "window"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("learning_rate", "margin"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
-        if not 0 <= self.l2_penalty < math.inf:
-            raise ConfigurationError("l2_penalty must be non-negative and finite")
+        check_fields(self)
 
 
 @dataclass

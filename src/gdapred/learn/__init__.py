@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from ..artifacts import read_json
-from ..errors import ConfigurationError, IntegrityError
+from ..errors import IntegrityError
 from .base import BinaryClassifier
 from .forest import RandomForestClassifier
 from .grid import GridSpec, grid_search, stratified_kfold
@@ -48,7 +48,7 @@ def load_model(path) -> BinaryClassifier:
         model._import_state(payload["parameters"])
     except KeyError as err:
         raise IntegrityError(f"{path}: model file lacks the key {err}") from err
-    except (TypeError, ValueError, ConfigurationError) as err:
+    except (TypeError, ValueError) as err:
         raise IntegrityError(f"{path}: not a model file: {err}") from err
     return model
 

@@ -2,39 +2,26 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import fields
 
 import numpy as np
 
 from ..artifacts import write_json
-from ..errors import ConfigurationError
-from ..validation import as_matrix, check_fitted
-
-
-def check_number(kind: str, name: str, value, ok, must: str) -> None:
-    """Raise `ConfigurationError` unless ``value`` is a number, not a
-    bool, for which ``ok(value)`` holds; ``must`` says what it must be."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not ok(value):
-        raise ConfigurationError(f"{kind} {name} must be {must}, got {value!r}")
-
-
-def check_integer(kind: str, name: str, value, low: int) -> None:
-    check_number(kind, name, value,
-                 lambda v: isinstance(v, numbers.Integral) and v >= low,
-                 f"an integer of at least {low}")
+from ..validation import as_matrix, check_fields, check_fitted
 
 
 class BinaryClassifier:
     """Base of the classifiers: dataclasses whose fields are their
-    hyperparameters, checked by ``__post_init__``.
+    hyperparameters, each checked against its annotation and bound.
 
     A subclass sets ``kind`` and ``_fitted_attribute`` and provides
     ``fit``, ``predict_proba`` and, for persistence, ``_export_state`` /
     ``_import_state`` of the fitted parameters; hyperparameters travel
     via ``get_params``.
     """
+
+    def __post_init__(self):
+        check_fields(self, f"{self.kind} ")
 
     def get_params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

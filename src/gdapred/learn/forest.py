@@ -7,9 +7,9 @@ from itertools import compress
 
 import numpy as np
 
-from ..errors import ConfigurationError, DegenerateDataError
-from ..validation import as_labels, as_matrix, check_fitted
-from .base import BinaryClassifier, check_integer
+from ..errors import DegenerateDataError
+from ..validation import as_labels, as_matrix, at_least, bound, check_fitted
+from .base import BinaryClassifier
 
 #: bootstrap rows of the trees that one fit grows together; further
 #: trees grow in later groups, which bounds the size of a level's arrays
@@ -172,29 +172,17 @@ class RandomForestClassifier(BinaryClassifier):
     ``default_rng(seed + t)``: its bootstrap rows, then one uniform
     (open nodes, features) array per depth, its nodes in breadth-first
     order, so its draws do not depend on the trees grown beside it.
-    ``max_features`` is "sqrt" (floor(sqrt(d)) features per node) or
-    None (all of them); ``max_depth`` is None or at least 1.
+    ``max_features``: "sqrt" samples floor(sqrt(d)) features per node, None all.
     """
 
     kind = "random_forest"
     _fitted_attribute = "trees_"
 
-    n_trees: int = 100
-    max_depth: int | None = None
-    max_features: str | None = "sqrt"
-    min_samples_split: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        check_integer(self.kind, "n_trees", self.n_trees, 1)
-        if self.max_depth is not None:
-            check_integer(self.kind, "max_depth", self.max_depth, 1)
-        check_integer(self.kind, "min_samples_split", self.min_samples_split, 2)
-        check_integer(self.kind, "seed", self.seed, 0)
-        if self.max_features not in ("sqrt", None):
-            raise ConfigurationError(
-                f"{self.kind} max_features must be 'sqrt' or None, "
-                f"got {self.max_features!r}")
+    n_trees: int = at_least(1, 100)
+    max_depth: int | None = at_least(1, None)
+    max_features: str | None = bound("'sqrt' or None", lambda v: v == "sqrt", "sqrt")
+    min_samples_split: int = at_least(2, 2)
+    seed: int = at_least(0, 0)
 
     def fit(self, X, y):
         X = as_matrix(X)

@@ -3,28 +3,24 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DegenerateDataError
 from ..evaluation import waf
-from ..validation import as_labels, as_matrix
+from ..validation import as_labels, as_matrix, at_least, bound, check_fields
 
 
 @dataclass
 class GridSpec:
     """Candidate lists per hyperparameter; WAF picks the winner."""
 
-    param_grid: dict[str, list] = field(default_factory=dict)
-    fold_count: int = 5
+    param_grid: dict[str, list] = bound("a non-empty list", bool, default_factory=dict)
+    fold_count: int = at_least(2, 5)
 
     def __post_init__(self):
-        if self.fold_count < 2:
-            raise ValueError("fold_count must be at least 2")
-        for name, candidates in self.param_grid.items():
-            if not candidates:
-                raise ValueError(f"empty candidate list for {name!r}")
+        check_fields(self)
 
     def combinations(self) -> list[dict]:
         """Every combination, the last name varying fastest; an empty

@@ -8,14 +8,13 @@ backward pass is checked against central finite differences by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError, DegenerateDataError, DivergenceError
-from ..validation import as_labels, as_matrix, check_fitted
-from .base import BinaryClassifier, check_integer, check_number
+from ..errors import DegenerateDataError, DivergenceError
+from ..validation import as_labels, as_matrix, at_least, bound, check_fitted
+from .base import BinaryClassifier
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # (weights, biases) per layer
 
@@ -74,33 +73,17 @@ def _backward(params: Params, X: np.ndarray, y: np.ndarray):
 
 @dataclass(eq=False)
 class MLPClassifier(BinaryClassifier):
-    """``hidden_layers`` lists the hidden layer widths, kept as a tuple;
-    ``learning_rate`` is positive and finite, ``momentum`` in [0, 1)."""
+    """``hidden_layers`` lists the hidden layer widths, kept as a tuple."""
 
     kind = "mlp"
     _fitted_attribute = "params_"
 
-    hidden_layers: tuple[int, ...] = (100,)
-    learning_rate: float = 0.01
-    epochs: int = 200
-    batch_size: int = 32
-    momentum: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.hidden_layers, (list, tuple)):
-            raise ConfigurationError(f"{self.kind} hidden_layers must be a "
-                                     f"list of widths, got {self.hidden_layers!r}")
-        self.hidden_layers = tuple(self.hidden_layers)
-        for i, width in enumerate(self.hidden_layers):
-            check_integer(self.kind, f"hidden_layers[{i}]", width, 1)
-        check_number(self.kind, "learning_rate", self.learning_rate,
-                     lambda v: 0 < v < math.inf, "positive and finite")
-        check_integer(self.kind, "epochs", self.epochs, 1)
-        check_integer(self.kind, "batch_size", self.batch_size, 1)
-        check_number(self.kind, "momentum", self.momentum,
-                     lambda v: 0 <= v < 1, "in [0, 1)")
-        check_integer(self.kind, "seed", self.seed, 0)
+    hidden_layers: tuple[int, ...] = at_least(1, (100,))
+    learning_rate: float = bound("positive and finite", lambda v: v > 0, 0.01)
+    epochs: int = at_least(1, 200)
+    batch_size: int = at_least(1, 32)
+    momentum: float = bound("in [0, 1)", lambda v: 0 <= v < 1, 0.9)
+    seed: int = at_least(0, 0)
 
     def fit(self, X, y):
         X = as_matrix(X)

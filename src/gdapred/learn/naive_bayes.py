@@ -2,33 +2,27 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import DegenerateDataError
-from ..validation import as_labels, as_matrix, check_fitted
-from .base import BinaryClassifier, check_number
+from ..validation import as_labels, as_matrix, bound, check_fitted
+from .base import BinaryClassifier
 
 
 @dataclass(eq=False)
 class GaussianNaiveBayes(BinaryClassifier):
     """Per-label Gaussian likelihoods with empirical priors.
 
-    Variances are floored at ``var_smoothing`` (non-negative, finite)
-    times the largest feature variance so constant features stay
-    well-defined.
+    Variances are floored at ``var_smoothing`` times the largest feature
+    variance so constant features stay well-defined.
     """
 
     kind = "gaussian_nb"
     _fitted_attribute = "means_"
 
-    var_smoothing: float = 1e-9
-
-    def __post_init__(self):
-        check_number(self.kind, "var_smoothing", self.var_smoothing,
-                     lambda v: 0 <= v < math.inf, "non-negative and finite")
+    var_smoothing: float = bound("non-negative and finite", lambda v: v >= 0, 1e-9)
 
     def fit(self, X, y):
         X = as_matrix(X)

@@ -73,11 +73,13 @@ from .pairing import (
     write_pair_features,
 )
 from .semsim import SSM_CONFIGS, ic_table, ssm_baseline, write_scored_pairs
+from .validation import at_least, bound, check_fields, one_of
 
 logger = logging.getLogger(__name__)
 
 COSINE = "cosine"
 SEED_NAMES = ("sampling", "split", "embedding", "training")
+_SSM_NAMES = tuple(c.name for c in SSM_CONFIGS)
 
 REQUIRED_INPUTS = ("hp_obo", "gaf", "gene_accession_map", "gene_phenotype",
                    "disease_phenotype", "disease_map", "associations")
@@ -87,45 +89,38 @@ REQUIRED_INPUTS = ("hp_obo", "gaf", "gene_accession_map", "gene_phenotype",
 class PipelineConfig:
     output_dir: str
     inputs: dict[str, str] = field(default_factory=dict)
-    seeds: dict[str, int] = field(default_factory=dict)
+    seeds: dict[str, int] = at_least(0, default_factory=dict)
     excluded_sources: set[str] = field(default_factory=set)
     exclude_evidence: set[str] = field(default_factory=set)
-    kg_variants: list[str] = field(default_factory=lambda: ["HP"])
-    ssm_measures: list[str] = field(default_factory=lambda: [c.name for c in SSM_CONFIGS])
+    kg_variants: list[str] = one_of(KG_VARIANTS, default_factory=lambda: ["HP"])
+    ssm_measures: list[str] = one_of(_SSM_NAMES, default_factory=lambda: list(_SSM_NAMES))
     embedding: dict = field(default_factory=dict)
-    methods: list[str] = field(default_factory=lambda: ["walk"])
-    operators: list[str] = field(default_factory=lambda: ["hadamard"])
-    learners: list[str] = field(default_factory=lambda: ["random_forest", COSINE])
+    methods: list[str] = one_of(KGE_METHODS, default_factory=lambda: ["walk"])
+    operators: list[str] = one_of(PAIR_OPERATORS, default_factory=lambda: ["hadamard"])
+    learners: list[str] = one_of((*CLASSIFIER_KINDS, COSINE),
+                                 default_factory=lambda: ["random_forest", COSINE])
     #: classifier kind -> candidate lists; "default" becomes DEFAULT_GRIDS
     grids: dict = field(default_factory=dict)
     classifier_params: dict = field(default_factory=dict)
-    grid_folds: int = 5
-    train_fraction: float = 0.7
+    grid_folds: int = at_least(2, 5)
+    train_fraction: float = bound("in (0, 1)", lambda v: 0 < v < 1, 0.7)
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        # JSON has no sets
-        self.excluded_sources = set(self.excluded_sources)
-        self.exclude_evidence = set(self.exclude_evidence)
-        for name in REQUIRED_INPUTS:
-            if name not in self.inputs:
-                raise ConfigurationError(f"missing input path {name!r}")
+        check_fields(self)
+        for section, required, known in (
+                ("inputs", REQUIRED_INPUTS, {*REQUIRED_INPUTS, "go_obo"}),
+                ("seeds", SEED_NAMES, set(SEED_NAMES))):
+            given = getattr(self, section)
+            for name in required:
+                if name not in given:
+                    raise ConfigurationError(f"missing {section}.{name}")
+            unknown = sorted(given.keys() - known)
+            if unknown:
+                raise ConfigurationError(f"unknown {section} names: " + ", ".join(unknown))
         for name, path in self.inputs.items():
             if not Path(path).exists():
                 raise ConfigurationError(f"input {name!r} does not exist: {path}")
-        for name in SEED_NAMES:
-            if name not in self.seeds:
-                raise ConfigurationError(
-                    f"seeds must be explicit; missing seeds.{name}")
-        for values, known, what in (
-                (self.kg_variants, KG_VARIANTS, "KG variant"),
-                (self.ssm_measures, [c.name for c in SSM_CONFIGS], "SSM measure"),
-                (self.methods, KGE_METHODS, "embedding method"),
-                (self.operators, PAIR_OPERATORS, "pair operator"),
-                (self.learners, (*CLASSIFIER_KINDS, COSINE), "learner")):
-            for value in values:
-                if value not in known:
-                    raise ConfigurationError(f"unknown {what} {value!r}")
         if any(v != "HP" for v in self.kg_variants) and "go_obo" not in self.inputs:
             raise ConfigurationError("GO-based variants need inputs.go_obo")
         grids = {}
@@ -161,21 +156,21 @@ class PipelineConfig:
                 if grid:
                     grids[kind] = value
         self.grids = grids
-        if self.grid_folds < 2:
-            raise ConfigurationError("grid_folds must be at least 2")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigurationError(
-                "train_fraction must lie strictly between 0 and 1")
         try:
             self.kge_config(0)
-        except TypeError as err:
+        except (TypeError, ConfigurationError) as err:
             raise ConfigurationError(f"embedding: {err}") from err
 
     @classmethod
     def from_file(cls, path, out_override: str | None = None,
                   seed_override: int | None = None) -> "PipelineConfig":
         """Load a JSON config; a key that names no field is an error."""
-        raw = read_json(path)
+        try:
+            raw = read_json(path)
+        except (OSError, ValueError) as err:
+            raise ConfigurationError(f"{path}: {err}") from err
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: the top level is not a JSON object")
         if seed_override is not None:
             raw["seeds"] = {name: seed_override + i
                             for i, name in enumerate(SEED_NAMES)}

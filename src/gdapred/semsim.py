@@ -15,6 +15,7 @@ from .artifacts import write_tsv
 from .errors import DegenerateDataError
 from .kg import KnowledgeGraph
 from .ontology import AnnotationMap, EntityId
+from .validation import check_fields, one_of
 
 if TYPE_CHECKING:
     from .evaluation import AssociationDataset
@@ -70,14 +71,11 @@ class _AncestorMasks:
 
 @dataclass(frozen=True)
 class SimilarityConfig:
-    aggregation: str
-    ic_flavor: str
+    aggregation: str = one_of(AGGREGATIONS)
+    ic_flavor: str = one_of((IC_SECO, IC_RESNIK_CORPUS))
 
     def __post_init__(self):
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"unknown aggregation {self.aggregation!r}")
-        if self.ic_flavor not in (IC_SECO, IC_RESNIK_CORPUS):
-            raise ValueError(f"unknown IC flavor {self.ic_flavor!r}")
+        check_fields(self)
 
     @property
     def name(self) -> str:

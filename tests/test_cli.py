@@ -488,6 +488,61 @@ class TestCliSurface:
         assert re.search(match, caplog.text)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("train_fraction", "0.7", r"train_fraction must be in \(0, 1\), got '0\.7'"),
+        ("grid_folds", 2.5, r"grid_folds must be an integer of at least 2, got 2\.5"),
+        ("seeds", {"sampling": "1"},
+         r"seeds\.sampling must be a non-negative integer, got '1'"),
+        ("seeds", {"training": True},
+         r"seeds\.training must be a non-negative integer, got True"),
+        ("excluded_sources", "UNIPROT",
+         r"excluded_sources must be a list, got 'UNIPROT'"),
+        ("exclude_evidence", "IEA", r"exclude_evidence must be a list, got 'IEA'"),
+        ("embedding", {"dimension": 2.5},
+         r"embedding: dimension must be an integer of at least 1, got 2\.5"),
+        ("grids", ["random_forest"], r"grids must be a mapping"),
+        ("kg_variants", ["HP", 3], r"kg_variants\[1\] must be one of 'HP'"),
+    ], ids=["fraction-str", "folds-float", "seed-str", "seed-bool",
+            "sources-str", "evidence-str", "dimension-float", "grids-list",
+            "variant-int"])
+    def test_mistyped_values_exit_1_at_load(self, tmp_path, caplog, key, value,
+                                            match):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out")
+        if isinstance(value, dict):  # one key of a section is mistyped
+            value = {**config[key], **value}
+        config_path = write_config({**config, key: value},
+                                   tmp_path / "config.json")
+        with pytest.raises(ConfigurationError, match=match):
+            PipelineConfig.from_file(config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert re.search(match, caplog.text)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"output_dir": ', "[1, 2]"],
+                             ids=["truncated", "top-level-list"])
+    def test_malformed_config_file_exits_1(self, tmp_path, caplog, text):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        with pytest.raises(ConfigurationError, match=re.escape(str(config_path))):
+            PipelineConfig.from_file(config_path)
+        assert main(["ingest", "--config", str(config_path)]) == 1
+        assert f"{config_path}: " in caplog.text
+
+    def test_readme_example_config_loads(self, tmp_path):
+        # the documented schema must stay one the loader accepts
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("## Configuration schema", 1)[1]
+        block = section.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        config = json.loads(re.sub(r"//.*", "", block))
+        corpus = small_corpus(tmp_path / "data")
+        written = small_config(corpus, tmp_path / "out")["inputs"]
+        assert written.keys() == config["inputs"].keys()
+        config.update(inputs=written, output_dir=str(tmp_path / "out"))
+        loaded = PipelineConfig.from_file(write_config(config, tmp_path / "c.json"))
+        assert loaded.excluded_sources == {"UNIPROT", "OMIM", "ORPHANET"}
+        assert loaded.grids["mlp"]["hidden_layers"] == [[100], [200], [100, 50]]
+
     def test_foreign_model_file_exits_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")
         config = small_config(
@@ -610,7 +665,12 @@ class TestCliSurface:
                  r"grids\.random_forest: 'depth'"),
                 ("grids", {"random_forest": {"n_trees": []}},
                  r"grids\.random_forest\.n_trees must be a non-empty list"),
-                ("grid_folds", 1, "grid_folds must be at least 2"),
+                ("grid_folds", 1, "grid_folds must be an integer of at least 2, got 1"),
+                # a misspelt input or seed name
+                ("inputs", {**good["inputs"], "go_ob": good["inputs"]["hp_obo"]},
+                 "unknown inputs names: go_ob"),
+                ("seeds", {**good["seeds"], "embeding": 9},
+                 "unknown seeds names: embeding"),
                 # a misspelt top-level key, and the field filled by the loader
                 ("kg_variant", ["HP_GO_LD"], "unknown config keys: kg_variant"),
                 ("raw", {}, "unknown config keys: raw"))):
