@@ -28,19 +28,22 @@ Triple = tuple[str, str, str]
 class KnowledgeGraph:
     """Immutable typed triple store with closure queries.
 
+    A graph is its triples: its nodes are their ends, the entity nodes
+    those with a GENE or DISEASE prefix and the term nodes the rest.
     Construction happens once; ancestor closures are cached lazily and
     read-only queries are safe to run concurrently.
     """
 
     def __init__(self, variant: str, triples: Iterable[Triple],
-                 term_nodes: Iterable[str], entity_nodes: Iterable[str],
                  notes: dict | None = None):
         if variant not in KG_VARIANTS:
             raise ConfigurationError(f"unknown KG variant {variant!r}")
         self.variant = variant
         self.triples: frozenset[Triple] = frozenset(triples)
-        self.term_nodes: frozenset[str] = frozenset(term_nodes)
-        self.entity_nodes: frozenset[str] = frozenset(entity_nodes)
+        self.nodes: frozenset[str] = frozenset(
+            node for s, _, o in self.triples for node in (s, o))
+        self.entity_nodes: frozenset[str] = frozenset(filter(is_entity_node, self.nodes))
+        self.term_nodes: frozenset[str] = self.nodes - self.entity_nodes
         self.notes: dict = dict(notes or {})
         up: dict[str, set[str]] = {}
         for s, rel, o in self.triples:
@@ -51,12 +54,8 @@ class KnowledgeGraph:
         self._walk_adj: dict[str, tuple[tuple[str, str], ...]] | None = None
 
     @property
-    def nodes(self) -> frozenset[str]:
-        return self.term_nodes | self.entity_nodes
-
-    @property
     def node_count(self) -> int:
-        return len(self.term_nodes) + len(self.entity_nodes)
+        return len(self.nodes)
 
     @property
     def triple_count(self) -> int:
@@ -105,98 +104,54 @@ def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
 
     `is_a` edges become subClassOf triples, other ontology relationships
     keep their labels, and every annotated entity gains hasAnnotation
-    triples. Dual-ontology variants are joined under a virtual root;
-    the LD variant additionally receives equivalence bridges. The HP
-    variant leaves out terms that no triple touches.
+    triples. The HP variant reads only ``hp``, ``gene_hp`` and
+    ``disease_hp``. The GO variants join GO and its annotations and
+    parent every term without a subClassOf parent to the virtual root;
+    the LD variant adds both directions of each logical-definition link
+    of ``hp`` to a joined term, counting the links added and skipped in
+    ``notes``.
     """
     if gene_hp is None or disease_hp is None:
         raise ConfigurationError("gene and disease phenotype annotations are required")
-    if variant == "HP":
-        if go is not None or gene_go is not None:
-            raise ConfigurationError("variant HP takes no GO inputs")
-        ontologies = [hp]
-        annotation_maps = [gene_hp, disease_hp]
-    else:
+    ontologies, annotation_maps = [hp], [gene_hp, disease_hp]
+    if variant != "HP":
         if go is None or gene_go is None:
             raise ConfigurationError(f"variant {variant} requires GO and GO annotations")
-        ontologies = [hp, go]
-        annotation_maps = [gene_hp, disease_hp, gene_go]
+        ontologies.append(go)
+        annotation_maps.append(gene_go)
 
-    term_nodes: set[str] = set()
-    triples: set[Triple] = set()
-    for ont in ontologies:
-        term_nodes |= set(ont.terms)
-        for child, rel, parent in ont.edges:
-            label = SUBCLASS_OF if rel == "is_a" else rel
-            triples.add((child, label, parent))
-
-    entity_nodes: set[str] = set()
+    terms = {tid for ont in ontologies for tid in ont.terms}
+    triples = {(child, SUBCLASS_OF if rel == "is_a" else rel, parent)
+               for ont in ontologies for child, rel, parent in ont.edges}
     missing: set[str] = set()
     for amap in annotation_maps:
-        for entity, terms in amap.entries.items():
-            for term in terms:
-                if term not in term_nodes:
-                    missing.add(term)
-                    continue
-                triples.add((entity.node_id, HAS_ANNOTATION, term))
-                entity_nodes.add(entity.node_id)
+        for entity, annotated in amap.entries.items():
+            missing |= annotated - terms
+            triples.update((entity.node_id, HAS_ANNOTATION, term)
+                           for term in annotated & terms)
     if missing:
         raise IntegrityError(
             "annotations reference terms missing from the ontologies: "
             + ", ".join(sorted(missing)))
 
-    if variant == "HP":
-        # the triples file is the graph's only record, so a term that no
-        # triple touches would not survive write_triples/read_triples
-        term_nodes &= {node for s, _, o in triples for node in (s, o)}
-    kg = KnowledgeGraph(variant, triples, term_nodes, entity_nodes)
+    notes = {}
     if variant != "HP":
-        kg = add_virtual_root(kg)
+        has_parent = {s for s, rel, _ in triples if rel == SUBCLASS_OF}
+        triples.update((root, SUBCLASS_OF, VIRTUAL_ROOT)
+                       for root in terms - has_parent)
     if variant == "HP_GO_LD":
-        kg = apply_logical_definitions(kg, hp)
-    return kg
-
-
-def add_virtual_root(kg: KnowledgeGraph) -> KnowledgeGraph:
-    """Parent every ontology root to a shared virtual root. Idempotent."""
-    has_parent = {s for s, rel, _ in kg.triples if rel == SUBCLASS_OF}
-    roots = sorted(t for t in kg.term_nodes
-                   if t != VIRTUAL_ROOT and t not in has_parent)
-    triples = set(kg.triples)
-    for root in roots:
-        triples.add((root, SUBCLASS_OF, VIRTUAL_ROOT))
-    return KnowledgeGraph(kg.variant, triples,
-                          kg.term_nodes | {VIRTUAL_ROOT},
-                          kg.entity_nodes, kg.notes)
-
-
-def apply_logical_definitions(kg: KnowledgeGraph, hp: Ontology) -> KnowledgeGraph:
-    """Add bidirectional equivalence triples for logical-definition links.
-
-    Every term of ``hp`` that names foreign-prefix targets in its logical
-    definition is bridged to each target present in the graph; absent
-    targets are skipped and counted in ``notes``.
-    """
-    triples = set(kg.triples)
-    added = 0
-    skipped = 0
-    for tid, term in hp.terms.items():
-        if tid not in kg.term_nodes:
-            continue
-        for target in term.ld_targets:
-            if target in kg.term_nodes:
+        added = skipped = 0
+        for tid, term in hp.terms.items():
+            for target in term.ld_targets:
+                if target not in terms:
+                    skipped += 1
+                    continue
                 before = len(triples)
-                triples.add((tid, EQUIVALENT_TO, target))
-                triples.add((target, EQUIVALENT_TO, tid))
-                if len(triples) > before:
-                    added += 1
-            else:
-                skipped += 1
-    notes = dict(kg.notes)
-    notes["ld_pairs_added"] = added
-    notes["ld_targets_skipped"] = skipped
-    return KnowledgeGraph(kg.variant, triples, kg.term_nodes,
-                          kg.entity_nodes, notes)
+                triples.update({(tid, EQUIVALENT_TO, target),
+                                (target, EQUIVALENT_TO, tid)})
+                added += len(triples) > before
+        notes = {"ld_pairs_added": added, "ld_targets_skipped": skipped}
+    return KnowledgeGraph(variant, triples, notes)
 
 
 def write_triples(kg: KnowledgeGraph, path) -> None:
@@ -205,7 +160,13 @@ def write_triples(kg: KnowledgeGraph, path) -> None:
 
 
 def read_triples(path, variant: str) -> KnowledgeGraph:
-    triples: set[Triple] = set(map(tuple, read_tsv(path, width=3, header=False)))
-    nodes = {s for s, _, _ in triples} | {o for _, _, o in triples}
-    entity_nodes = {n for n in nodes if is_entity_node(n)}
-    return KnowledgeGraph(variant, triples, nodes - entity_nodes, entity_nodes)
+    """The graph of a triples file. A line whose cells are not three, or
+    that has an empty cell or a node with nothing after its prefix
+    (``GENE:``), raises IntegrityError naming it."""
+    triples = []
+    for lineno, cells in enumerate(read_tsv(path, width=3, header=False), start=1):
+        if not all(cells) or cells[0].endswith(":") or cells[2].endswith(":"):
+            raise IntegrityError(f"{path}, line {lineno}: a cell is empty "
+                                 f"or names no id: {cells}")
+        triples.append(tuple(cells))
+    return KnowledgeGraph(variant, triples)

@@ -24,11 +24,10 @@ class WalkCorpus:
 
 def generate_walks(kg: KnowledgeGraph, walks_per_node: int, depth: int,
                    seed: int) -> WalkCorpus:
-    """Random walks of at most ``depth`` edge steps from every node.
+    """Random walks of ``depth`` edge steps from every node.
 
     Sentences alternate node and relation tokens; edges are traversable
-    in both directions and walks stop early at isolated nodes. The same
-    seed always yields the same corpus.
+    in both directions. The same seed always yields the same corpus.
     """
     if depth < 1:
         raise ValueError("walk depth must be at least 1")
@@ -41,8 +40,6 @@ def generate_walks(kg: KnowledgeGraph, walks_per_node: int, depth: int,
             current = node
             for _ in range(depth):
                 neighbours = adjacency[current]
-                if not neighbours:
-                    break
                 rel, nxt = neighbours[int(rng.integers(len(neighbours)))]
                 walk.append(rel)
                 walk.append(nxt)

@@ -32,14 +32,16 @@ class GridSpec:
 def stratified_kfold(y, fold_count: int, seed: int) -> list[np.ndarray]:
     """Index arrays per fold, each with (nearly) the label mix of ``y``."""
     y = np.asarray(y)
+    labels, counts = np.unique(y, return_counts=True)
+    for label, count in zip(labels, counts):
+        if count < fold_count:
+            raise DegenerateDataError(
+                f"label {label} has {count} members; cannot build "
+                f"{fold_count} stratified folds")
     folds: list[list[int]] = [[] for _ in range(fold_count)]
     rng = np.random.default_rng(seed)
-    for label in np.unique(y):
+    for label in labels:
         idx = np.nonzero(y == label)[0]
-        if idx.size < fold_count:
-            raise DegenerateDataError(
-                f"label {label} has {idx.size} members; cannot build "
-                f"{fold_count} stratified folds")
         idx = idx[rng.permutation(idx.size)]
         for pos, i in enumerate(idx):
             folds[pos % fold_count].append(int(i))

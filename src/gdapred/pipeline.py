@@ -462,11 +462,8 @@ def cmd_build_kg(config: PipelineConfig, run: StageRun) -> dict:
 
     details = {}
     for variant in config.kg_variants:
-        if variant == "HP":
-            kg = build_kg(variant, hp, gene_hp=gene_hp, disease_hp=disease_hp)
-        else:
-            kg = build_kg(variant, hp, go, gene_hp=gene_hp,
-                          disease_hp=disease_hp, gene_go=gene_go)
+        kg = build_kg(variant, hp, go, gene_hp=gene_hp, disease_hp=disease_hp,
+                      gene_go=gene_go)
         write_triples(kg, run.output(f"kg_{variant}.tsv"))
         details[variant] = {"nodes": kg.node_count, "triples": kg.triple_count,
                             **kg.notes}
@@ -620,10 +617,15 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
     for features, cell_config, model_name, seed in _classifier_cells(
             run, config, dataset):
         with run.timed(_cell_name(cell_config)):
-            record(evaluate_run(
-                dataset, "classifier",
-                model=load_model(run.need("train", model_name)),
-                features=features, config=cell_config, seed=seed))
+            model_path = run.need("train", model_name)
+            model = load_model(model_path)
+            width = features.rows.shape[1]
+            if model.n_features_ != width:
+                raise IntegrityError(
+                    f"{model_path} was trained on {model.n_features_} feature "
+                    f"columns, the pair features have {width}; rerun the train stage")
+            record(evaluate_run(dataset, "classifier", model=model,
+                                features=features, config=cell_config, seed=seed))
     summary.sort(key=lambda r: r[:4])
     write_tsv(run.output("summary.tsv"),
               ("variant", "method", "operator", "learner", "waf", "auc", "threshold"),

@@ -37,7 +37,8 @@ def check_fields(obj, prefix: str = "") -> None:
     """Check each field of the dataclass ``obj``, frozen or not, against
     its annotation and bound, and store it in its annotated container:
     a `_KINDS` key, ``X | None``, ``list``/``set``/``tuple[X, ...]`` or
-    ``dict[str, X]``. A failure raises `ConfigurationError` naming
+    ``dict[str, X]``. An integer must fit in int64, and a ``list[X]``
+    must not repeat a value. A failure raises `ConfigurationError` naming
     ``prefix`` and the key path, what the value must be, and the value."""
     for name, hint, bound_ in _field_checks(type(obj)):
         value = _checked(getattr(obj, name), hint, bound_, prefix + name)
@@ -61,13 +62,19 @@ def _checked(value, hint, bound_, path: str):
         must = "a mapping"
     elif origin is not None:  # list, set or tuple
         if isinstance(value, (list, tuple, set)):
-            return origin(_checked(v, args[0], bound_, f"{path}[{i}]")
-                          for i, v in enumerate(value))
+            items = [_checked(v, args[0], bound_, f"{path}[{i}]")
+                     for i, v in enumerate(value)]
+            for i, v in enumerate(items):
+                if origin is list and v in items[:i]:
+                    raise ConfigurationError(f"{path}[{i}] repeats {v!r}")
+            return origin(items)
         must = "a list"
     else:
         must, kind = _KINDS[hint]
         must, ok = bound_ or (must, lambda v: True)
-        if (isinstance(value, kind) and not isinstance(value, bool)  # a float64 for a float
+        if hint is int and isinstance(value, kind) and not -2**63 <= value < 2**63:
+            must = "an integer that fits in int64"
+        elif (isinstance(value, kind) and not isinstance(value, bool)  # a float64 for a float
                 and (hint is not float or abs(value) <= sys.float_info.max) and ok(value)):
             return value
     raise ConfigurationError(f"{path} must be {must}, got {value!r}")

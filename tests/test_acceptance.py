@@ -25,7 +25,7 @@ from gdapred.evaluation import (
     roc_auc,
     waf,
 )
-from gdapred.kg import SUBCLASS_OF, VIRTUAL_ROOT, add_virtual_root, build_kg
+from gdapred.kg import SUBCLASS_OF, VIRTUAL_ROOT, build_kg
 from gdapred.kge import (
     distmult_logistic_loss,
     sgns_loss,
@@ -341,13 +341,14 @@ def test_criterion_7_kg_variant_contracts(tmp_path):
                        disease_hp=disease_hp, gene_go=gene_go)
     assert bridged.triples >= plain.triples
 
-    single = build_kg("HP", hp, gene_hp=gene_hp, disease_hp=disease_hp)
-    rooted = add_virtual_root(single)
-    assert rooted.node_count == single.node_count + 1
-    new_triples = rooted.triples - single.triples
-    assert len(new_triples) == len(hp.roots)
-    assert all(rel == SUBCLASS_OF and obj == VIRTUAL_ROOT
-               for _, rel, obj in new_triples)
+    # the joined graph holds every term of both ontologies, one virtual
+    # root above their roots and every annotated entity
+    root_triples = {t for t in plain.triples if VIRTUAL_ROOT in t}
+    assert root_triples == {(root, SUBCLASS_OF, VIRTUAL_ROOT)
+                            for root in hp.roots | go.roots}
+    entities = {entity.node_id for amap in (gene_hp, disease_hp, gene_go)
+                for entity, terms in amap.entries.items() if terms}
+    assert plain.node_count == len(hp.terms) + len(go.terms) + 1 + len(entities)
     print("\nACCEPTANCE 7 PASS: LD-variant triples are a superset of the "
           "dual-ontology variant; the virtual root adds exactly one node "
           "and one triple per ontology root")

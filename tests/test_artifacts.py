@@ -2,6 +2,7 @@
 files, and one module that opens artifacts."""
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import gdapred
 from gdapred.artifacts import read_json, read_tsv, write_json, write_tsv
 from gdapred.errors import IntegrityError
+from gdapred.kg import read_triples
 from gdapred.kge import EmbeddingTable, read_embeddings, write_embeddings
 from gdapred.ontology import EntityId
 from gdapred.pairing import PairFeatures, read_pair_features, write_pair_features
@@ -178,6 +180,14 @@ class TestTableArtifacts:
         with pytest.raises(IntegrityError, match=r"a\.tsv, line 3: empty entity id"):
             read_annotation_tsv(path, "gene")
 
+    @pytest.mark.parametrize("row", ["HP:2\tsubClassOf\t", "\tsubClassOf\tHP:1",
+                                     "HP:2\t\tHP:1", "GENE:\thasAnnotation\tHP:1"])
+    def test_kg_empty_cell_is_integrity_error(self, tmp_path, row):
+        path = tmp_path / "kg.tsv"
+        path.write_text(f"HP:2\tsubClassOf\tHP:1\n{row}\n")
+        with pytest.raises(IntegrityError, match=r"kg\.tsv, line 2: a cell is empty"):
+            read_triples(path, "HP")
+
 
 #: (module, function, call) triples allowed to touch files directly
 ALLOWED = {
@@ -230,3 +240,19 @@ def test_only_the_artifacts_module_opens_files():
                       for function, call, line in visitor.found
                       if (path.name, function, call) not in ALLOWED]
     assert offenders == []
+
+
+def test_the_package_imports_numpy_and_the_standard_library_only():
+    package = Path(gdapred.__file__).parent
+    foreign = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, name, node.lineno) for name in names
+                        if name.partition(".")[0] not in {*sys.stdlib_module_names, "numpy"}]
+    assert foreign == []

@@ -398,6 +398,22 @@ class TestCliSurface:
         assert main(["baseline", "--config", str(config_path)]) == 1
         assert f"{kg_path}, line 5: expected 3 cells, found 2" in caplog.text
 
+    def test_empty_kg_cell_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], learners=["cosine"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        kg_path = tmp_path / "out" / "kg" / "kg_HP.tsv"
+        lines = kg_path.read_text().splitlines()
+        kg_path.write_text("\n".join([*lines, "HP:0000001\tsubClassOf\t"]) + "\n")
+        for stage in ("baseline", "embed"):
+            caplog.clear()
+            assert main([stage, "--config", str(config_path)]) == 1
+            assert f"{kg_path}, line {len(lines) + 1}: a cell is empty" in caplog.text
+
     def test_damaged_dataset_row_exits_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")
         config_path = write_config(
@@ -502,9 +518,13 @@ class TestCliSurface:
          r"embedding: dimension must be an integer of at least 1, got 2\.5"),
         ("grids", ["random_forest"], r"grids must be a mapping"),
         ("kg_variants", ["HP", 3], r"kg_variants\[1\] must be one of 'HP'"),
+        ("embedding", {"dimension": 10**30},
+         r"embedding: dimension must be an integer that fits in int64, got 1000"),
+        ("learners", ["random_forest", "random_forest", "cosine"],
+         r"learners\[1\] repeats 'random_forest'"),
     ], ids=["fraction-str", "folds-float", "seed-str", "seed-bool",
             "sources-str", "evidence-str", "dimension-float", "grids-list",
-            "variant-int"])
+            "variant-int", "dimension-beyond-int64", "learner-repeated"])
     def test_mistyped_values_exit_1_at_load(self, tmp_path, caplog, key, value,
                                             match):
         corpus = small_corpus(tmp_path / "data")
@@ -574,6 +594,25 @@ class TestCliSurface:
             caplog.clear()
             assert main([stage, "--config", str(config_path)]) == 1
             assert "rerun the pair stage" in caplog.text
+
+    def test_model_of_other_features_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config = small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                              methods=["walk"], operators=["hadamard"],
+                              learners=["gaussian_nb"])
+        config_path = write_config(config, tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair", "train"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        # new embeddings of another width, and features built from them
+        config["embedding"]["dimension"] = 8
+        write_config(config, config_path)
+        for stage in ("embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        assert main(["evaluate", "--config", str(config_path)]) == 1
+        model_path = (tmp_path / "out" / "train"
+                      / "model_HP_walk_hadamard_gaussian_nb.json")
+        assert f"{model_path} was trained on 16 feature columns, the pair " \
+            "features have 8; rerun the train stage" in caplog.text
 
     def test_cosine_only_grid_needs_no_pair_stage(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")

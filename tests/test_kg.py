@@ -10,8 +10,6 @@ from gdapred.kg import (
     SUBCLASS_OF,
     VIRTUAL_ROOT,
     KnowledgeGraph,
-    add_virtual_root,
-    apply_logical_definitions,
     build_kg,
     read_triples,
     write_triples,
@@ -69,11 +67,6 @@ class TestBuildKg:
             build_kg("HP_GO", HP3,
                      gene_hp=annotations(g1=["HP:3"]),
                      disease_hp=annotations(d1=["HP:2"]))
-        with pytest.raises(ConfigurationError):
-            build_kg("HP", HP3, GO2,
-                     gene_hp=annotations(g1=["HP:3"]),
-                     disease_hp=annotations(d1=["HP:2"]),
-                     gene_go=annotations(g1=["GO:2"]))
 
     def test_unknown_annotation_term_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="HP:404"):
@@ -82,10 +75,13 @@ class TestBuildKg:
                      disease_hp=annotations(d1=["HP:2"]))
 
     def test_hp_variant_has_no_go_nodes(self):
-        kg = build_kg("HP", HP3,
+        # the HP variant reads neither GO nor the GO annotations
+        kg = build_kg("HP", HP3, GO2,
                       gene_hp=annotations(g1=["HP:3"]),
-                      disease_hp=annotations(d1=["HP:2"]))
+                      disease_hp=annotations(d1=["HP:2"]),
+                      gene_go=annotations(g1=["GO:2"]))
         assert not any(n.startswith("GO:") for n in kg.nodes)
+        assert VIRTUAL_ROOT not in kg.nodes
 
     def test_ld_variant_is_superset_of_hp_go(self):
         hp = make_ontology(["HP:1", "HP:2"], [("HP:2", "HP:1")])
@@ -111,11 +107,6 @@ class TestBuildKg:
 
 
 class TestVirtualRoot:
-    def base(self):
-        return build_kg("HP", HP3,
-                        gene_hp=annotations(g1=["HP:3"]),
-                        disease_hp=annotations(d1=["HP:2"]))
-
     def test_two_ontologies_one_root_each(self):
         kg = build_kg("HP_GO", HP3, GO2,
                       gene_hp=annotations(g1=["HP:3"]),
@@ -125,49 +116,37 @@ class TestVirtualRoot:
         assert root_links == {("HP:1", SUBCLASS_OF, VIRTUAL_ROOT),
                               ("GO:1", SUBCLASS_OF, VIRTUAL_ROOT)}
 
-    def test_idempotent(self):
-        once = add_virtual_root(self.base())
-        twice = add_virtual_root(once)
-        assert once.triples == twice.triples
-        assert once.nodes == twice.nodes
-
-    def test_single_ontology_adds_one_node_one_triple(self):
-        kg = self.base()
-        rooted = add_virtual_root(kg)
-        assert rooted.node_count == kg.node_count + 1
-        assert rooted.triple_count == kg.triple_count + 1
-
 
 class TestLogicalDefinitions:
+    """The LD variant against the HP_GO variant built from the same inputs."""
+
+    @staticmethod
+    def both(hp, go=GO2, go_term="GO:2"):
+        kwargs = dict(gene_hp=annotations(g1=[next(iter(hp.roots))]),
+                      disease_hp=annotations(d1=sorted(hp.terms)),
+                      gene_go=annotations(g1=[go_term]))
+        return (build_kg("HP_GO", hp, go, **kwargs),
+                build_kg("HP_GO_LD", hp, go, **kwargs))
+
     def test_no_targets_leaves_graph_unchanged(self):
-        kg = build_kg("HP", HP3,
-                      gene_hp=annotations(g1=["HP:3"]),
-                      disease_hp=annotations(d1=["HP:2"]))
-        out = apply_logical_definitions(kg, HP3)
-        assert out.triples == kg.triples
-        assert out.notes["ld_pairs_added"] == 0
+        plain, bridged = self.both(HP3)
+        assert bridged.triples == plain.triples
+        assert bridged.notes == {"ld_pairs_added": 0, "ld_targets_skipped": 0}
 
     def test_absent_target_counted(self):
         hp = make_ontology(["HP:1", "HP:2"], [("HP:2", "HP:1")])
         hp.terms["HP:2"].ld_targets = ["GO:404"]
-        kg = build_kg("HP", hp,
-                      gene_hp=annotations(g1=["HP:2"]),
-                      disease_hp=annotations(d1=["HP:2"]))
-        out = apply_logical_definitions(kg, hp)
-        assert out.triples == kg.triples
-        assert out.notes["ld_targets_skipped"] == 1
+        plain, bridged = self.both(hp)
+        assert bridged.triples == plain.triples
+        assert bridged.notes == {"ld_pairs_added": 0, "ld_targets_skipped": 1}
 
     def test_present_target_gets_two_directed_triples(self):
         hp = make_ontology(["HP:365", "HP:1"], [("HP:365", "HP:1")])
         hp.terms["HP:365"].ld_targets = ["GO:7605"]
-        kg = build_kg("HP_GO", hp, make_ontology(["GO:7605"], []),
-                      gene_hp=annotations(g1=["HP:365"]),
-                      disease_hp=annotations(d1=["HP:365"]),
-                      gene_go=annotations(g1=["GO:7605"]))
-        out = apply_logical_definitions(kg, hp)
-        added = out.triples - kg.triples
-        assert added == {("HP:365", EQUIVALENT_TO, "GO:7605"),
-                         ("GO:7605", EQUIVALENT_TO, "HP:365")}
+        plain, bridged = self.both(hp, make_ontology(["GO:7605"], []), "GO:7605")
+        assert bridged.triples - plain.triples == {
+            ("HP:365", EQUIVALENT_TO, "GO:7605"), ("GO:7605", EQUIVALENT_TO, "HP:365")}
+        assert bridged.notes == {"ld_pairs_added": 1, "ld_targets_skipped": 0}
 
 
 class TestAncestors:
@@ -178,10 +157,10 @@ class TestAncestors:
         assert kg.ancestor_set("HP:3") == {"HP:3", "HP:2", "HP:1"}
 
     def test_root_with_virtual_root(self):
-        kg = add_virtual_root(build_kg(
-            "HP", HP3,
-            gene_hp=annotations(g1=["HP:3"]),
-            disease_hp=annotations(d1=["HP:2"])))
+        kg = build_kg("HP_GO", HP3, GO2,
+                      gene_hp=annotations(g1=["HP:3"]),
+                      disease_hp=annotations(d1=["HP:2"]),
+                      gene_go=annotations(g1=["GO:2"]))
         assert kg.ancestor_set("HP:1") == {"HP:1", VIRTUAL_ROOT}
 
     def test_diamond(self):
@@ -237,25 +216,30 @@ class TestTripleExport:
         assert back.term_nodes == kg.term_nodes
         assert back.entity_nodes == kg.entity_nodes
 
-    @pytest.mark.parametrize("variant", ["HP", "HP_GO"])
+    @pytest.mark.parametrize("variant", ["HP", "HP_GO", "HP_GO_LD"])
     def test_roundtrip_with_isolated_term(self, tmp_path, variant):
-        # HP:4 has no edge and no annotation
+        # HP:4 has no edge and no annotation; HP:3's logical definition
+        # names one GO term that is present and one that is not
         hp = make_ontology(["HP:1", "HP:2", "HP:3", "HP:4"],
                            [("HP:2", "HP:1"), ("HP:3", "HP:2")])
-        go = {} if variant == "HP" else {
-            "go": GO2, "gene_go": annotations(g1=["GO:2"])}
-        kg = build_kg(variant, hp, gene_hp=annotations(g1=["HP:3"]),
-                      disease_hp=annotations(d1=["HP:2"]), **go)
+        hp.terms["HP:3"].ld_targets = ["GO:1", "GO:404"]
+        kg = build_kg(variant, hp, GO2, gene_hp=annotations(g1=["HP:3"]),
+                      disease_hp=annotations(d1=["HP:2"]),
+                      gene_go=annotations(g1=["GO:2"]))
+        assert ("HP:4" in kg.term_nodes) == (variant != "HP")
+        if variant == "HP_GO_LD":
+            assert kg.notes == {"ld_pairs_added": 1, "ld_targets_skipped": 1}
         path = tmp_path / "kg.tsv"
         write_triples(kg, path)
         back = read_triples(path, variant)
+        assert back.triples == kg.triples
         assert back.term_nodes == kg.term_nodes
+        assert back.entity_nodes == kg.entity_nodes
         assert ic_seco(back).values == ic_seco(kg).values
 
     def test_sorted_lines(self, tmp_path):
         kg = KnowledgeGraph("HP", {("HP:2", SUBCLASS_OF, "HP:1"),
-                                   ("HP:3", SUBCLASS_OF, "HP:1")},
-                            {"HP:1", "HP:2", "HP:3"}, set())
+                                   ("HP:3", SUBCLASS_OF, "HP:1")})
         path = tmp_path / "kg.tsv"
         write_triples(kg, path)
         lines = path.read_text().splitlines()

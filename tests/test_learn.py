@@ -340,6 +340,11 @@ class TestGridSearch:
         with pytest.raises(DegenerateDataError):
             stratified_kfold(y, 2, seed=0)
 
+    def test_fold_count_beyond_label_counts_allocates_nothing(self):
+        # checked before one list per fold exists
+        with pytest.raises(DegenerateDataError, match="1000000000 stratified folds"):
+            stratified_kfold(np.array([0, 1] * 3), 10**9, seed=0)
+
     def test_folds_are_stratified_and_partition(self):
         y = np.array([1] * 9 + [0] * 6)
         folds = stratified_kfold(y, 3, seed=1)

@@ -23,7 +23,7 @@ FIELDS = [(cls, f) for cls in (KgeTrainConfig, RandomForestClassifier,
 #: plain annotation -> (values of that kind, values of another kind)
 SCALARS = {
     int: (st.integers(-3, 10**6),
-          st.text() | st.booleans() | st.floats()
+          st.text() | st.booleans() | st.floats() | st.just(10**30)
           | st.lists(st.integers(), max_size=2)),
     float: (st.floats(-2, 2) | st.floats(-1e6, 1e6) | st.integers(-3, 100),
             st.text() | st.booleans()
