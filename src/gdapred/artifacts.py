@@ -2,14 +2,18 @@
 
 A table is UTF-8 lines of tab-separated cells under one header row (the
 KG triples file has none). A float cell is ``repr(float(v))``, which
-reads back exactly, and any other cell ``str(v)``. A JSON document is
-indented by 2, has sorted keys and ends with a newline.
+reads back exactly, and any other cell ``str(v)``. A float matrix with
+one id per row (embeddings, pair features) is two ``.npy`` arrays in one
+file: the float64 matrix, then the UTF-8 ids joined by newlines as
+uint8. A JSON document is indented by 2, has sorted keys and ends with
+a newline.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Iterable, Iterator, Sequence
+import zipfile
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,16 +32,16 @@ def write_tsv(path, header: Sequence | None, rows: Iterable[Sequence]) -> None:
         fh.writelines(map(_line, rows))
 
 
-def read_tsv(path, width: int | Callable[[list[str]], int] = len,
+def read_tsv(path, width: int | None = None,
              header: bool = True) -> Iterator[list[str]]:
     """Yield the cells of each line, the header row first. Each later row
-    must have ``width`` cells, or ``width(header)``: by default as many
-    as the header. Another count raises IntegrityError naming the line."""
+    must have ``width`` cells, by default as many as the header; another
+    count raises IntegrityError naming the line."""
     with open(path, encoding="utf-8") as fh:
         if header:
             cells = fh.readline().rstrip("\n").split("\t")
             yield cells
-            width = width(cells) if callable(width) else width
+            width = width or len(cells)
         for lineno, line in enumerate(fh, start=2 if header else 1):
             cells = line.rstrip("\n").split("\t")
             if len(cells) != width:
@@ -46,26 +50,47 @@ def read_tsv(path, width: int | Callable[[list[str]], int] = len,
             yield cells
 
 
-def read_float_table(path, keys: int, width: int | Callable[[list[str]], int] = len
-                     ) -> tuple[list[str], list[list[str]], np.ndarray]:
-    """The header, the first ``keys`` cells of each later row, and the
-    float64 matrix of the remaining cells. A cell that is not a finite
-    float raises IntegrityError naming its line."""
-    rows = read_tsv(path, width)
-    ids, values, lineno = [], [], 1
+def write_matrix(path, ids: Sequence[str], matrix) -> None:
+    """One file: the float64 matrix, then its row ids as one uint8 array
+    of their UTF-8 bytes joined by newlines, each saved by ``np.save``."""
+    joined = np.frombuffer("\n".join(ids).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(matrix, dtype=np.float64), allow_pickle=False)
+        np.save(fh, joined, allow_pickle=False)
+
+
+def read_matrix(path, cells: int = 1) -> tuple[list, np.ndarray]:
+    """The row ids and the matrix `write_matrix` saved, each id split at
+    tabs into ``cells`` non-empty cells (a tuple if ``cells`` > 1). A
+    damaged file, other arrays, a non-finite value or ids that do not fit
+    the rows raise IntegrityError naming the file."""
+    with open(path, "rb") as fh:
+        try:
+            arrays = [np.load(fh, allow_pickle=False) for _ in range(2)]
+        except (EOFError, ValueError, zipfile.BadZipFile) as err:
+            raise IntegrityError(f"{path}: not a matrix file: {err}") from None
+        if fh.read(1):
+            raise IntegrityError(f"{path}: bytes follow the ids")
+    found = [(str(getattr(a, "dtype", None)), getattr(a, "ndim", None)) for a in arrays]
+    if found != [("float64", 2), ("uint8", 1)]:
+        raise IntegrityError(f"{path}: expected a 2-D float64 matrix and 1-D uint8 "
+                             f"ids, found (dtype, ndim) {found}")
+    matrix, joined = arrays
     try:
-        header = next(rows)  # a callable width parses it
-        for lineno, cells in enumerate(rows, start=2):
-            ids.append(cells[:keys])
-            values.append(list(map(float, cells[keys:])))
-    except ValueError as err:
-        raise IntegrityError(f"{path}, line {lineno}: {err}") from None
-    matrix = np.array(values, dtype=np.float64)
+        ids = joined.tobytes().decode("utf-8").split("\n") if joined.size or len(matrix) else []
+    except UnicodeDecodeError as err:
+        raise IntegrityError(f"{path}: the ids are not UTF-8: {err}") from None
+    if len(ids) != len(matrix):
+        raise IntegrityError(f"{path}: {len(ids)} ids for {len(matrix)} rows")
+    keys = [i.split("\t") for i in ids]
+    for row, key in enumerate(keys, start=1):
+        if len(key) != cells or not all(key):
+            raise IntegrityError(f"{path}, row {row}: expected {cells} non-empty "
+                                 f"id cells, found {key!r}")
     finite = np.isfinite(matrix).all(axis=-1)
     if not finite.all():
-        raise IntegrityError(f"{path}, line {2 + int(np.argmin(finite))}: "
-                             "values must be finite")
-    return header, ids, matrix
+        raise IntegrityError(f"{path}, row {1 + int(np.argmin(finite))}: values must be finite")
+    return (ids if cells == 1 else list(map(tuple, keys))), matrix
 
 
 def _json_default(value):
@@ -75,9 +100,9 @@ def _json_default(value):
 
 
 def write_json(path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

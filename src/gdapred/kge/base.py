@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..artifacts import read_float_table, write_tsv
+from ..artifacts import read_matrix, write_matrix
 from ..errors import DivergenceError, IntegrityError
 from ..validation import at_least, bound, check_fields
 
@@ -85,22 +85,16 @@ def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray,
 
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
-    """A `node_count<TAB>dimension` first row, then one row per node."""
-    write_tsv(path, (len(table.vectors), table.dimension), (
-        (node, *table.vectors[node].tolist()) for node in sorted(table.vectors)))
-
-
-def _row_width(header: list[str]) -> int:
-    """Cells per row under a `node_count<TAB>dimension` first row; its
-    ValueError on a damaged row becomes an IntegrityError naming line 1."""
-    _, dim = map(int, header)
-    return dim + 1
+    """One row per node, in sorted node order."""
+    nodes = sorted(table.vectors)
+    write_matrix(path, nodes, np.reshape(
+        [table.vectors[node] for node in nodes], (len(nodes), table.dimension)))
 
 
 def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
-    header, nodes, matrix = read_float_table(path, keys=1, width=_row_width)
-    count, dim = map(int, header)
-    vectors = {node: row for (node,), row in zip(nodes, matrix)}
-    if len(vectors) != count:
-        raise IntegrityError(f"{path}, line 1: expected {count} rows, found {len(vectors)}")
-    return EmbeddingTable(dim, vectors, method, seed)
+    nodes, matrix = read_matrix(path)
+    vectors = dict(zip(nodes, matrix))
+    if len(vectors) != len(nodes):
+        repeated = next(n for i, n in enumerate(nodes) if n in nodes[:i])
+        raise IntegrityError(f"{path}: node {repeated!r} has more than one row")
+    return EmbeddingTable(matrix.shape[1], vectors, method, seed)

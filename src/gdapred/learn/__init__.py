@@ -9,7 +9,7 @@ from ..errors import IntegrityError
 from .base import BinaryClassifier
 from .forest import RandomForestClassifier
 from .grid import GridSpec, grid_search, stratified_kfold
-from .mlp import MLPClassifier, mlp_gradient_check
+from .mlp import MLPClassifier
 from .naive_bayes import GaussianNaiveBayes
 
 CLASSIFIER_KINDS = {cls.kind: cls for cls in (
@@ -57,5 +57,5 @@ __all__ = [
     "BinaryClassifier", "CLASSIFIER_KINDS", "DEFAULT_GRIDS",
     "GaussianNaiveBayes", "GridSpec", "MLPClassifier",
     "RandomForestClassifier", "grid_search", "load_model",
-    "make_classifier", "mlp_gradient_check", "stratified_kfold",
+    "make_classifier", "stratified_kfold",
 ]

@@ -1,9 +1,7 @@
 """Fully connected network: ReLU hidden layers, logistic output.
 
 Trained with mini-batch gradient descent plus momentum on the binary
-cross-entropy, raising `DivergenceError` once a weight is non-finite; the
-backward pass is checked against central finite differences by
-``mlp_gradient_check``.
+cross-entropy, raising `DivergenceError` once a weight is non-finite.
 """
 
 from __future__ import annotations
@@ -135,39 +133,3 @@ class MLPClassifier(BinaryClassifier):
             for W, b in zip(state["weights"], state["biases"])
         ]
 
-
-def mlp_gradient_check(layer_sizes, seed=0, params: Params | None = None,
-                       X=None, y=None, step: float = 1e-6) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    With only ``layer_sizes`` and ``seed`` given, a random network and a
-    small random batch are generated; explicit ``params``/``X``/``y``
-    override them (used for constructed edge cases).
-    """
-    rng = np.random.default_rng(seed)
-    if params is None:
-        params = _init_params(list(layer_sizes), rng)
-    if X is None:
-        X = rng.normal(size=(5, layer_sizes[0]))
-    if y is None:
-        y = rng.integers(0, 2, size=X.shape[0]).astype(np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-
-    analytic = _backward(params, X, y)
-    worst = 0.0
-    for layer, (W, b) in enumerate(params):
-        for arr, grad in ((W, analytic[layer][0]), (b, analytic[layer][1])):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + step
-                up = _loss(params, X, y)
-                arr[idx] = orig - step
-                down = _loss(params, X, y)
-                arr[idx] = orig
-                numeric = (up - down) / (2.0 * step)
-                denom = max(abs(grad[idx]), abs(numeric), 1e-6)
-                worst = max(worst, abs(grad[idx] - numeric) / denom)
-    return worst

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .artifacts import read_float_table, write_tsv
+from .artifacts import read_matrix, write_matrix
 from .errors import IntegrityError, ZeroVectorError
 from .ontology import EntityId
 
@@ -98,16 +98,11 @@ def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
 
 
 def write_pair_features(features: PairFeatures, path) -> None:
-    width = features.rows.shape[1]
-    write_tsv(path, ("gene", "disease", *(f"f{i}" for i in range(width))), (
-        (gene.id, disease.id, *row)
-        for (gene, disease), row in zip(features.pairs, features.rows.tolist())))
+    write_matrix(path, [f"{gene.id}\t{disease.id}" for gene, disease in features.pairs],
+                 features.rows)
 
 
 def read_pair_features(path) -> PairFeatures:
-    _, keys, rows = read_float_table(path, keys=2)
-    for lineno, (gene_id, disease_id) in enumerate(keys, start=2):
-        if not gene_id or not disease_id:
-            raise IntegrityError(f"{path}, line {lineno}: empty gene or disease id")
+    keys, rows = read_matrix(path, cells=2)
     return PairFeatures(rows, [(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"))
                                for gene_id, disease_id in keys])

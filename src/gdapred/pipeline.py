@@ -143,9 +143,13 @@ class PipelineConfig:
                     if key not in names:
                         raise ConfigurationError(
                             f"{where}: {key!r} is not a parameter of {kind}")
-                    if grid and not (isinstance(candidates, list) and candidates):
-                        raise ConfigurationError(
-                            f"{where}.{key} must be a non-empty list")
+                    if not grid:
+                        continue
+                    if not (isinstance(candidates, list) and candidates):
+                        raise ConfigurationError(f"{where}.{key} must be a non-empty list")
+                    for i, option in enumerate(candidates):
+                        if option in candidates[:i]:
+                            raise ConfigurationError(f"{where}.{key}[{i}] repeats {option!r}")
                 # checked by the class itself: bench/tracing.py wraps
                 # make_classifier here and expects it inside a stage
                 for params in GridSpec(value).combinations() if grid else [value]:
@@ -343,8 +347,8 @@ def _grid(config: PipelineConfig):
     the names of its features files, by pair operator."""
     for variant in config.kg_variants:
         for method in config.methods:
-            yield variant, method, f"embeddings_{variant}_{method}.txt", {
-                op: f"features_{variant}_{method}_{op}.tsv"
+            yield variant, method, f"embeddings_{variant}_{method}.npy", {
+                op: f"features_{variant}_{method}_{op}.npy"
                 for op in config.operators}
 
 

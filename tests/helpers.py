@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from gdapred.kg import build_kg
+from gdapred.learn.mlp import _backward, _init_params, _loss
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
 
 
@@ -328,3 +329,31 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     numeric = np.asarray(numeric, dtype=np.float64).ravel()
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def mlp_gradient_error(layer_sizes, seed: int) -> float:
+    """Max relative error between the MLP's backprop gradients and central
+    differences, on a random network and a batch of 5 random rows."""
+    rng = np.random.default_rng(seed)
+    params = _init_params(list(layer_sizes), rng)
+    X = rng.normal(size=(5, layer_sizes[0]))
+    y = rng.integers(0, 2, size=5).astype(np.float64)
+    worst = 0.0
+    for (W, b), grads in zip(params, _backward(params, X, y)):
+        for arr, grad in zip((W, b), grads):
+            numeric = finite_difference(lambda: _loss(params, X, y), arr, step=1e-6)
+            worst = max(worst, max_relative_error(grad, numeric))
+    return worst
+
+
+def save_arrays(path, *arrays) -> None:
+    """``np.save`` each array into one file, the way `write_matrix` does,
+    to build matrix files that `write_matrix` itself never writes."""
+    with open(path, "wb") as fh:
+        for array in arrays:
+            np.save(fh, array, allow_pickle=False)
+
+
+def utf8(text: str) -> np.ndarray:
+    """The ids array of a matrix file: ``text``'s UTF-8 bytes as uint8."""
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)

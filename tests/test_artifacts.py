@@ -11,13 +11,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gdapred
-from gdapred.artifacts import read_json, read_tsv, write_json, write_tsv
+from gdapred.artifacts import (
+    read_json,
+    read_matrix,
+    read_tsv,
+    write_json,
+    write_matrix,
+    write_tsv,
+)
 from gdapred.errors import IntegrityError
 from gdapred.kg import read_triples
 from gdapred.kge import EmbeddingTable, read_embeddings, write_embeddings
 from gdapred.ontology import EntityId
 from gdapred.pairing import PairFeatures, read_pair_features, write_pair_features
 from gdapred.pipeline import read_annotation_tsv
+
+from helpers import save_arrays, utf8
 
 # any non-empty id a tab-separated source can carry: spaces and non-ASCII
 # included; "\r" ends a line in text mode just as "\n" does
@@ -82,9 +91,9 @@ class TestTsv:
 
     def test_width_from_header(self, tmp_path):
         path = tmp_path / "t.tsv"
-        path.write_text("1\t2\nn\t0.5\t0.25\nm\t1.0\n")
-        rows = read_tsv(path, width=lambda first: int(first[1]) + 1)
-        assert next(rows) == ["1", "2"]
+        path.write_text("id\ta\tb\nn\t0.5\t0.25\nm\t1.0\n")
+        rows = read_tsv(path)
+        assert next(rows) == ["id", "a", "b"]
         assert next(rows) == ["n", "0.5", "0.25"]
         with pytest.raises(IntegrityError, match="line 3: expected 3 cells, found 2"):
             next(rows)
@@ -113,11 +122,12 @@ class TestTableArtifacts:
     @settings(max_examples=40, deadline=None)
     @given(table=id_float_tables(unique_ids=True))
     @example(table=(["GENE:HLA A", "DISEASE:x"], [EDGE_FLOATS[:2], EDGE_FLOATS[2:4]], 2))
+    @example(table=(["N:a\x00", "\x00", "é"], [[1.0], [2.0], [3.0]], 1))  # NULs kept
     def test_embeddings_roundtrip_exact(self, tmp_path_factory, table):
         nodes, rows, dim = table
         original = EmbeddingTable(dim, {n: np.array(r) for n, r in zip(nodes, rows)},
                                   "walk", 3)
-        path = tmp_path_factory.mktemp("emb") / "e.txt"
+        path = tmp_path_factory.mktemp("emb") / "e.npy"
         write_embeddings(original, path)
         back = read_embeddings(path)
         assert back.dimension == dim
@@ -127,52 +137,129 @@ class TestTableArtifacts:
 
     @settings(max_examples=40, deadline=None)
     @given(table=id_float_tables(), diseases=st.lists(ids, min_size=6, max_size=6))
+    @example(table=(["g\x00"], [[0.5]], 1), diseases=["d\x00"] * 6)
     def test_pair_features_roundtrip_exact(self, tmp_path_factory, table, diseases):
         genes, rows, width = table
         assume(genes)  # a features file always has rows
         pairs = [(EntityId(g, "gene"), EntityId(d, "disease"))
                  for g, d in zip(genes, diseases)]
         original = PairFeatures(np.array(rows, dtype=np.float64), pairs)
-        path = tmp_path_factory.mktemp("pf") / "f.tsv"
+        path = tmp_path_factory.mktemp("pf") / "f.npy"
         write_pair_features(original, path)
         back = read_pair_features(path)
         assert back.pairs == pairs
         assert same_bits(back.rows, original.rows)
 
+    def test_matrix_file_layout(self, tmp_path):
+        # two np.save arrays: the float64 matrix, then the UTF-8 ids as uint8
+        path = tmp_path / "m.npy"
+        write_matrix(path, ["g1\td1", "g2\tdé"], [[0.5, -0.0], [5e-324, 1.0]])
+        with open(path, "rb") as fh:
+            matrix, ids = np.load(fh), np.load(fh)
+            assert fh.read() == b""
+        assert matrix.dtype == np.float64 and matrix.shape == (2, 2)
+        assert ids.dtype == np.uint8 and ids.tobytes() == "g1\td1\ng2\tdé".encode()
+        assert read_matrix(path, cells=2)[0] == [("g1", "d1"), ("g2", "dé")]
+        write_matrix(path, [], np.empty((0, 3)))
+        ids, matrix = read_matrix(path)
+        assert ids == [] and matrix.shape == (0, 3)
+
     def test_embeddings_truncated_is_integrity_error(self, tmp_path):
         table = EmbeddingTable(2, {"N:a": np.zeros(2), "N:b": np.ones(2)}, "walk", 0)
-        path = tmp_path / "e.txt"
+        path = tmp_path / "e.npy"
         write_embeddings(table, path)
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
-        with pytest.raises(IntegrityError, match=r"e\.txt, line 1: expected 2 rows"):
-            read_embeddings(path)
+        data = path.read_bytes()
+        # inside the first header, the matrix, the second header and the ids
+        for size in (20, 140, 180, len(data) - 1):
+            path.write_bytes(data[:size])
+            with pytest.raises(IntegrityError, match=r"e\.npy: not a matrix file"):
+                read_embeddings(path)
 
     def test_embeddings_short_row_is_integrity_error(self, tmp_path):
-        path = tmp_path / "e.txt"
-        path.write_text("1\t2\nN:a\t0.5\n")
-        with pytest.raises(IntegrityError, match=r"e\.txt, line 2: expected 3 cells"):
+        # a row of one vector only: the matrix is 1-D
+        path = tmp_path / "e.npy"
+        save_arrays(path, np.array([0.5]), utf8("N:a"))
+        with pytest.raises(IntegrityError, match=r"e\.npy: expected a 2-D float64 matrix"):
             read_embeddings(path)
 
     @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf", "-inf"])
     def test_bad_float_cell_is_integrity_error(self, tmp_path, cell):
-        embeddings = tmp_path / "e.txt"
-        embeddings.write_text(f"2\t2\nN:a\t0.5\t1.0\nN:b\t{cell}\t1.0\n")
-        with pytest.raises(IntegrityError, match=r"e\.txt, line 3: "):
+        # a text cell makes the whole matrix one of strings; the others are
+        # floats that are not finite
+        value = cell if cell in ("abc", "") else float(cell)
+        embeddings = tmp_path / "e.npy"
+        save_arrays(embeddings, np.array([[0.5, 1.0], [value, 1.0]]), utf8("N:a\nN:b"))
+        match = "expected a 2-D float64 matrix" if isinstance(value, str) \
+            else "row 2: values must be finite"
+        with pytest.raises(IntegrityError, match=rf"e\.npy[:,] {match}"):
             read_embeddings(embeddings)
-        features = tmp_path / "f.tsv"
-        features.write_text("gene\tdisease\tf0\tf1\n"
-                            "g1\td1\t0.5\t1.0\ng2\td2\t0.5\t1.0\n"
-                            f"g3\td3\t1.0\t{cell}\n")
-        with pytest.raises(IntegrityError, match=r"f\.tsv, line 4: "):
+        features = tmp_path / "f.npy"
+        save_arrays(features, np.array([[0.5, 1.0], [0.5, 1.0], [1.0, value]]),
+                    utf8("g1\td1\ng2\td2\ng3\td3"))
+        match = match.replace("row 2", "row 3")
+        with pytest.raises(IntegrityError, match=rf"f\.npy[:,] {match}"):
             read_pair_features(features)
 
     @pytest.mark.parametrize("row", ["\td1\t0.5", "g1\t\t0.5"])
     def test_pair_features_empty_id_is_integrity_error(self, tmp_path, row):
-        path = tmp_path / "f.tsv"
-        path.write_text(f"gene\tdisease\tf0\ng0\td0\t1.0\n{row}\n")
+        gene, disease, value = row.split("\t")
+        path = tmp_path / "f.npy"
+        write_matrix(path, ["g0\td0", f"{gene}\t{disease}"], [[1.0], [float(value)]])
         with pytest.raises(IntegrityError,
-                           match=r"f\.tsv, line 3: empty gene or disease id"):
+                           match=r"f\.npy, row 2: expected 2 non-empty id cells"):
             read_pair_features(path)
+
+    @pytest.mark.parametrize("arrays, match", [
+        ((), "not a matrix file: No data left in file"),
+        ((np.ones((1, 1)),), "not a matrix file: No data left in file"),
+        ((np.ones((1, 1), dtype=np.float32), utf8("a")), "expected a 2-D float64"),
+        ((np.ones((1, 1, 1)), utf8("a")), "expected a 2-D float64"),
+        ((np.ones((1, 1)), np.arange(1)), "expected a 2-D float64 matrix and 1-D uint8"),
+        ((np.ones((1, 1)), np.frombuffer(b"\xff", np.uint8)), "the ids are not UTF-8"),
+        ((np.ones((2, 1)), utf8("a")), "1 ids for 2 rows"),
+        ((np.ones((1, 1)), utf8("a\nb")), "2 ids for 1 rows"),
+        ((np.ones((1, 1)), utf8("")), "row 1: expected 1 non-empty id cells"),
+        ((np.ones((2, 1)), utf8("a\n")), "row 2: expected 1 non-empty id cells"),
+        ((np.ones((1, 1)), utf8("a\tb")), "row 1: expected 1 non-empty id cells"),
+        ((np.array([[1.0], [-np.inf]]), utf8("a\nb")), "row 2: values must be finite"),
+        ((np.ones((1, 1)), utf8("a"), utf8("b")), "bytes follow the ids"),
+    ], ids=["empty", "no-ids", "float32", "3-D", "int-ids", "latin-1-ids",
+            "fewer-ids", "more-ids", "empty-id", "empty-last-id", "tab-in-node",
+            "non-finite", "trailing"])
+    def test_damaged_matrix_is_integrity_error(self, tmp_path, arrays, match):
+        path = tmp_path / "m.npy"
+        save_arrays(path, *arrays)
+        with pytest.raises(IntegrityError, match=rf"m\.npy[:,] {match}"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("pair_id", ["g", "g\td\tx"])
+    def test_pair_id_needs_exactly_one_tab(self, tmp_path, pair_id):
+        path = tmp_path / "f.npy"
+        write_matrix(path, [pair_id], [[1.0]])
+        with pytest.raises(IntegrityError,
+                           match=r"f\.npy, row 1: expected 2 non-empty id cells"):
+            read_pair_features(path)
+
+    def test_foreign_files_are_integrity_errors(self, tmp_path):
+        path = tmp_path / "m.npy"
+        # a text table where the matrix belongs, an object array (read with
+        # allow_pickle=False) and a broken zip archive: each not a matrix file
+        path.write_text("gene\tdisease\tf0\ng1\td1\t0.5\n")
+        with pytest.raises(IntegrityError, match=r"m\.npy: not a matrix file"):
+            read_matrix(path)
+        with open(path, "wb") as fh:
+            np.save(fh, np.array([{"a": 1}], dtype=object), allow_pickle=True)
+        with pytest.raises(IntegrityError, match=r"m\.npy: not a matrix file"):
+            read_matrix(path)
+        path.write_bytes(b"PK\x03\x04" + bytes(40))
+        with pytest.raises(IntegrityError, match=r"m\.npy: not a matrix file"):
+            read_matrix(path)
+
+    def test_repeated_embedding_node_is_integrity_error(self, tmp_path):
+        path = tmp_path / "e.npy"
+        write_matrix(path, ["N:a", "N:b", "N:a"], np.ones((3, 2)))
+        with pytest.raises(IntegrityError, match=r"e\.npy: node 'N:a' has more than one row"):
+            read_embeddings(path)
 
     def test_annotations_empty_entity_is_integrity_error(self, tmp_path):
         path = tmp_path / "a.tsv"
@@ -195,7 +282,10 @@ ALLOWED = {
     ("pipeline.py", "_parse_input", "read_text"),  # a configured input
     ("pipeline.py", "cmd_report", "open"),  # report.md is Markdown, not a table
 }
-FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile"}
+#: numpy functions that read or write files, called as ``np.<name>``
+NUMPY_FILE_CALLS = {"save", "load", "savez", "savez_compressed", "savetxt",
+                    "loadtxt", "genfromtxt", "fromfile", "memmap"}
 
 
 class _FileCalls(ast.NodeVisitor):
@@ -214,9 +304,11 @@ class _FileCalls(ast.NodeVisitor):
         if isinstance(func, ast.Name) and func.id == "open":
             name = "open"
         elif isinstance(func, ast.Attribute):
-            if isinstance(func.value, ast.Name) and func.value.id == "json" \
-                    and func.attr in ("dump", "load"):
+            module = func.value.id if isinstance(func.value, ast.Name) else None
+            if module == "json" and func.attr in ("dump", "load"):
                 name = f"json.{func.attr}"
+            elif module in ("np", "numpy") and func.attr in NUMPY_FILE_CALLS:
+                name = f"np.{func.attr}"
             elif func.attr in FILE_METHODS:
                 name = func.attr
         if name is not None:
@@ -234,6 +326,9 @@ def test_only_the_artifacts_module_opens_files():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders.append((path.name, "<module>", "from json import", node.lineno))
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
+                    and {a.name for a in node.names} & NUMPY_FILE_CALLS:
+                offenders.append((path.name, "<module>", "from numpy import", node.lineno))
         visitor = _FileCalls()
         visitor.visit(tree)
         offenders += [(path.name, function, call, line)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from gdapred.artifacts import read_matrix, write_matrix
 from gdapred.cli import build_parser, main
-from gdapred.errors import ConfigurationError, StageDependencyError
+from gdapred.errors import ConfigurationError, IntegrityError, StageDependencyError
 from gdapred.pipeline import (
     STAGE_FUNCTIONS,
     STAGES,
@@ -174,8 +175,8 @@ class TestStages:
         hp_annotations = {"ingest/annotations_gene_hp.tsv",
                           "ingest/annotations_disease_hp.tsv"}
         ontologies = {config["inputs"]["hp_obo"], config["inputs"]["go_obo"]}
-        embeddings = {f"embed/embeddings_{c}.txt" for c in cells}
-        features = {f"pair/features_{c}.tsv" for c in cells_op}
+        embeddings = {f"embed/embeddings_{c}.npy" for c in cells}
+        features = {f"pair/features_{c}.npy" for c in cells_op}
         models = {f"train/model_{c}_random_forest.json" for c in cells_op}
         # exactly the files each stage read
         read = {
@@ -358,12 +359,11 @@ class TestCliSurface:
             assert main([stage, "--config", str(config_path)]) == 0
         gene = "GENE:" + (tmp_path / "out" / "ingest" / "dataset.tsv") \
             .read_text().splitlines()[1].split("\t")[0]
-        emb_path = tmp_path / "out" / "embed" / "embeddings_HP_walk.txt"
-        header, *rows = emb_path.read_text().splitlines()
-        rows = [r for r in rows if r.split("\t")[0] != gene]
-        count, dim = header.split("\t")
-        assert len(rows) == int(count) - 1
-        emb_path.write_text(f"{len(rows)}\t{dim}\n" + "\n".join(rows) + "\n")
+        emb_path = tmp_path / "out" / "embed" / "embeddings_HP_walk.npy"
+        nodes, matrix = read_matrix(emb_path)
+        kept = [i for i, node in enumerate(nodes) if node != gene]
+        assert len(kept) == len(nodes) - 1
+        write_matrix(emb_path, [nodes[i] for i in kept], matrix[kept])
         assert main(["evaluate", "--config", str(config_path)]) == 1
         assert gene in caplog.text
 
@@ -379,10 +379,33 @@ class TestCliSurface:
             assert main([stage, "--config", str(config_path)]) == 0
         out = tmp_path / "out"
         assert "HLA A\t" in (out / "ingest" / "dataset.tsv").read_text()
-        rows = (out / "embed" / "embeddings_HP_walk.txt").read_text().splitlines()
-        assert any(row.startswith("GENE:HLA A\t") for row in rows)
-        assert "HLA A\t" in (out / "pair" / "features_HP_walk_hadamard.tsv").read_text()
+        nodes, _ = read_matrix(out / "embed" / "embeddings_HP_walk.npy")
+        assert "GENE:HLA A" in nodes
+        pairs, _ = read_matrix(out / "pair" / "features_HP_walk_hadamard.npy", cells=2)
+        assert any(gene == "HLA A" for gene, _ in pairs)
         assert len(list((out / "evaluate").glob("eval_*.json"))) == 2
+
+    def test_truncated_matrix_files_exit_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"],
+                         methods=["walk"], operators=["hadamard"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "embed", "pair"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        for damaged, stages in (("embed/embeddings_HP_walk.npy", ("pair", "evaluate")),
+                                ("pair/features_HP_walk_hadamard.npy", ("train",))):
+            path = out / damaged
+            intact = path.read_bytes()
+            path.write_bytes(intact[:len(intact) // 2])
+            for stage in stages:
+                caplog.clear()
+                assert main([stage, "--config", str(config_path)]) == 1
+                assert f"{path}: not a matrix file" in caplog.text
+                with pytest.raises(IntegrityError, match=re.escape(f"{path}: ")):
+                    STAGE_FUNCTIONS[stage](PipelineConfig.from_file(config_path))
+            path.write_bytes(intact)
 
     def test_damaged_kg_row_exits_1(self, tmp_path, caplog):
         corpus = small_corpus(tmp_path / "data")
@@ -522,15 +545,18 @@ class TestCliSurface:
          r"embedding: dimension must be an integer that fits in int64, got 1000"),
         ("learners", ["random_forest", "random_forest", "cosine"],
          r"learners\[1\] repeats 'random_forest'"),
+        ("grids", {"random_forest": {"n_trees": [10, 10]}},
+         r"grids\.random_forest\.n_trees\[1\] repeats 10"),
     ], ids=["fraction-str", "folds-float", "seed-str", "seed-bool",
             "sources-str", "evidence-str", "dimension-float", "grids-list",
-            "variant-int", "dimension-beyond-int64", "learner-repeated"])
+            "variant-int", "dimension-beyond-int64", "learner-repeated",
+            "grid-candidate-repeated"])
     def test_mistyped_values_exit_1_at_load(self, tmp_path, caplog, key, value,
                                             match):
         corpus = small_corpus(tmp_path / "data")
         config = small_config(corpus, tmp_path / "out")
         if isinstance(value, dict):  # one key of a section is mistyped
-            value = {**config[key], **value}
+            value = {**config.get(key, {}), **value}
         config_path = write_config({**config, key: value},
                                    tmp_path / "config.json")
         with pytest.raises(ConfigurationError, match=match):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdapred.artifacts import read_matrix, write_matrix
 from gdapred.errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -43,7 +44,7 @@ from gdapred.kge.skipgram import (
 )
 from gdapred.ontology import Ontology, OntologyTerm
 
-from helpers import finite_difference, max_relative_error
+from helpers import finite_difference, max_relative_error, save_arrays, utf8
 from sgns_reference import segment_unique_reference, train_skipgram_reference
 from triple_reference import train_distmult_reference, train_transe_reference
 
@@ -234,7 +235,7 @@ class TestTrainTranse:
     def test_seed_determinism_byte_identical(self, tmp_path):
         kg = ring_kg()
         blobs = []
-        for name in ("a.txt", "b.txt"):
+        for name in ("a.npy", "b.npy"):
             table = train_transe(kg, KgeTrainConfig(**self.CFG, seed=9))
             path = tmp_path / name
             write_embeddings(table, path)
@@ -469,7 +470,7 @@ class TestTrainSkipgram:
         kg, _ = self.two_cliques()
         config = KgeTrainConfig(**self.CFG, seed=7)
         paths = []
-        for name in ("a.txt", "b.txt"):
+        for name in ("a.npy", "b.npy"):
             corpus = generate_walks(kg, config.walks_per_node,
                                     config.walk_depth, config.seed)
             table = train_skipgram(corpus, config)
@@ -682,22 +683,28 @@ class TestEmbedDispatch:
             EmbeddingTable(2, {"N:a": np.array([1.0, np.inf])}, "walk", 0)
 
     def test_read_embeddings_count_mismatch(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("2\t2\nN:a\t0.0\t1.0\n")
-        with pytest.raises(IntegrityError, match="expected 2"):
+        path = tmp_path / "bad.npy"
+        write_matrix(path, ["N:a"], [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(IntegrityError, match=r"bad\.npy: 1 ids for 2 rows"):
             read_embeddings(path)
 
-    @pytest.mark.parametrize("header", ["x\t2", "2.5\t2", "2", "2\t2\t2"])
-    def test_read_embeddings_bad_header(self, tmp_path, header):
-        path = tmp_path / "bad.txt"
-        path.write_text(f"{header}\nN:a\t0.0\t1.0\nN:b\t1.0\t0.0\n")
-        with pytest.raises(IntegrityError, match=r"bad\.txt, line 1: "):
+    @pytest.mark.parametrize("matrix", [
+        np.array([["x", "2"], ["y", "2"]]),
+        np.ones((2, 2), dtype=np.float32),
+        np.ones(2),
+        np.ones((2, 2, 2)),
+    ], ids=["str-cells", "float32", "1-D", "3-D"])
+    def test_read_embeddings_bad_header(self, tmp_path, matrix):
+        # the .npy header of the matrix declares another dtype or shape
+        path = tmp_path / "bad.npy"
+        save_arrays(path, matrix, utf8("N:a\nN:b"))
+        with pytest.raises(IntegrityError, match=r"bad\.npy: expected a 2-D float64 matrix"):
             read_embeddings(path)
 
     def test_node_id_with_a_space_roundtrips(self, tmp_path):
         table = EmbeddingTable(2, {"GENE:HLA A": np.array([0.1, -0.0]),
                                    "DISEASE:C1": np.array([5e-324, 1.0])}, "walk", 0)
-        path = tmp_path / "emb.txt"
+        path = tmp_path / "emb.npy"
         write_embeddings(table, path)
         back = read_embeddings(path)
         assert sorted(back.vectors) == ["DISEASE:C1", "GENE:HLA A"]
@@ -708,11 +715,12 @@ class TestEmbedDispatch:
         table = train_transe(ring_kg(), KgeTrainConfig(
             dimension=6, epochs=3, learning_rate=0.05, negatives_per_positive=2,
             batch_size=8, seed=5))
-        path = tmp_path / "emb.txt"
+        path = tmp_path / "emb.npy"
         write_embeddings(table, path)
         back = read_embeddings(path, method=table.method, seed=table.seed)
         assert set(back.vectors) == set(table.vectors)
         for node, vec in table.vectors.items():
             assert np.array_equal(back.vectors[node], vec)
-        header = path.read_text().splitlines()[0]
-        assert header == f"{len(table.vectors)}\t6"
+        nodes, matrix = read_matrix(path)
+        assert nodes == sorted(table.vectors)
+        assert matrix.shape == (len(table.vectors), 6)

@@ -25,13 +25,12 @@ from gdapred.learn import (
     grid_search,
     load_model,
     make_classifier,
-    mlp_gradient_check,
     stratified_kfold,
 )
 from gdapred.learn import forest
 from gdapred.learn.forest import _dense_ranks, _level_splits
 
-from helpers import oracle_forest, oracle_gini_best_split
+from helpers import mlp_gradient_error, oracle_forest, oracle_gini_best_split
 
 
 def separable_1d(n=30, margin=1.0, seed=0):
@@ -235,7 +234,7 @@ class TestMlp:
         assert (model.predict(X) == y).all()
 
     def test_gradient_check_random_points(self):
-        worst = max(mlp_gradient_check((2, 8, 1), seed=s) for s in range(20))
+        worst = max(mlp_gradient_error((2, 8, 1), seed=s) for s in range(20))
         assert worst < 1e-4
 
     def test_zero_network_zero_input_hidden_gradients(self):

@@ -254,7 +254,7 @@ class TestPairFeatures:
     def test_tsv_roundtrip(self, tmp_path):
         dataset, table = toy_dataset_and_table()
         features = build_pair_features(dataset, table, "concatenation")
-        path = tmp_path / "features.tsv"
+        path = tmp_path / "features.npy"
         write_pair_features(features, path)
         back = read_pair_features(path)
         assert np.array_equal(back.rows, features.rows)
