@@ -11,6 +11,7 @@ a newline.
 
 from __future__ import annotations
 
+import itertools
 import json
 import zipfile
 from typing import Iterable, Iterator, Sequence
@@ -34,20 +35,25 @@ def write_tsv(path, header: Sequence | None, rows: Iterable[Sequence]) -> None:
 
 def read_tsv(path, width: int | None = None,
              header: bool = True) -> Iterator[list[str]]:
-    """Yield the cells of each line, the header row first. Each later row
-    must have ``width`` cells, by default as many as the header; another
-    count raises IntegrityError naming the line."""
+    """Yield the cells of each line, the header row first. Each row must
+    have ``width`` cells, by default as many as the header; another count
+    raises IntegrityError naming the line, and bytes that are not UTF-8
+    raise it naming the file."""
     with open(path, encoding="utf-8") as fh:
-        if header:
-            cells = fh.readline().rstrip("\n").split("\t")
-            yield cells
-            width = width or len(cells)
-        for lineno, line in enumerate(fh, start=2 if header else 1):
-            cells = line.rstrip("\n").split("\t")
-            if len(cells) != width:
-                raise IntegrityError(f"{path}, line {lineno}: expected {width} "
-                                     f"cells, found {len(cells)}")
-            yield cells
+        try:
+            lines = iter(fh)
+            if header:  # read from an empty file too: one empty cell
+                first = fh.readline()
+                width = width or len(first.split("\t"))
+                lines = itertools.chain([first], fh)
+            for lineno, line in enumerate(lines, start=1):
+                cells = line.rstrip("\n").split("\t")
+                if len(cells) != width:
+                    raise IntegrityError(f"{path}, line {lineno}: expected {width} "
+                                         f"cells, found {len(cells)}")
+                yield cells
+        except UnicodeDecodeError as err:
+            raise IntegrityError(f"{path}: not UTF-8: {err}") from None
 
 
 def write_matrix(path, ids: Sequence[str], matrix) -> None:
@@ -106,5 +112,10 @@ def write_json(path, payload) -> None:
 
 
 def read_json(path):
+    """The document in ``path``; bytes that are not UTF-8 JSON raise
+    IntegrityError naming the file."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # JSONDecodeError or UnicodeDecodeError
+            raise IntegrityError(f"{path}: not UTF-8 JSON: {err}") from None

@@ -137,11 +137,12 @@ def write_dataset(dataset: AssociationDataset, path) -> None:
 def read_dataset(path) -> AssociationDataset:
     """IntegrityError names the line of a label other than positive or
     negative, of a partition other than train, test or empty, of an empty
-    gene or disease id, or of the first row whose partition cell is set
-    when the first row's is empty, or empty when it is set."""
+    gene or disease id, of a repeated (gene, disease) pair, or of the
+    first row whose partition cell is set when the first row's is empty,
+    or empty when it is set. A file without pairs raises it too."""
     labels = {"positive": POSITIVE, "negative": NEGATIVE}
-    pairs, split = [], {}
-    rows = read_tsv(path)
+    pairs, split = {}, {}  # (gene id, disease id) -> pair, pair key -> partition
+    rows = read_tsv(path, width=4)
     next(rows)  # header
     for lineno, (gene_id, disease_id, label, part) in enumerate(rows, start=2):
         if label not in labels or part not in (TRAIN, TEST, ""):
@@ -154,10 +155,15 @@ def read_dataset(path) -> AssociationDataset:
                                  "partitions must be set on every row or on none")
         pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
                            labels[label])
-        pairs.append(pair)
+        if (gene_id, disease_id) in pairs:
+            raise IntegrityError(f"{path}, line {lineno}: repeats the pair "
+                                 f"({gene_id}, {disease_id})")
+        pairs[gene_id, disease_id] = pair
         if part:
             split[pair.key] = part
-    return AssociationDataset(pairs, split=split or None)
+    if not pairs:
+        raise IntegrityError(f"{path}: holds no pairs")
+    return AssociationDataset(list(pairs.values()), split=split or None)
 
 
 def _confusion(y_true, scores, thresholds):

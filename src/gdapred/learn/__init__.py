@@ -45,7 +45,9 @@ def load_model(path) -> BinaryClassifier:
     try:
         payload = read_json(path)
         model = make_classifier(payload["kind"], payload["hyperparameters"])
-        model._import_state(payload["parameters"])
+        state = payload["parameters"]
+        model._import_state(state)
+        model.n_features_ = state["n_features"]
     except KeyError as err:
         raise IntegrityError(f"{path}: model file lacks the key {err}") from err
     except (TypeError, ValueError) as err:

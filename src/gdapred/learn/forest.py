@@ -7,8 +7,7 @@ from itertools import compress
 
 import numpy as np
 
-from ..errors import DegenerateDataError
-from ..validation import as_labels, as_matrix, at_least, bound, check_fitted
+from ..validation import at_least, bound
 from .base import BinaryClassifier
 
 #: bootstrap rows of the trees that one fit grows together; further
@@ -165,7 +164,7 @@ def _tree_proba(node, X):
 class RandomForestClassifier(BinaryClassifier):
     """Bagged CART trees; sqrt(d) features per split, bootstrap rows.
 
-    ``fit`` grows all trees together, one depth at a time, as SPRINT
+    ``_fit`` grows all trees together, one depth at a time, as SPRINT
     does (Shafer, Agrawal & Mehta 1996): each depth runs one segmented
     split search over the bootstrap rows of every open node, then one
     stable partition of those rows into the children. Tree t draws from
@@ -176,7 +175,6 @@ class RandomForestClassifier(BinaryClassifier):
     """
 
     kind = "random_forest"
-    _fitted_attribute = "trees_"
 
     n_trees: int = at_least(1, 100)
     max_depth: int | None = at_least(1, None)
@@ -184,13 +182,8 @@ class RandomForestClassifier(BinaryClassifier):
     min_samples_split: int = at_least(2, 2)
     seed: int = at_least(0, 0)
 
-    def fit(self, X, y):
-        X = as_matrix(X)
-        y = as_labels(y, X.shape[0])
-        if np.unique(y).size < 2:
-            raise DegenerateDataError("training data has a single label")
-        n, self.n_features_ = X.shape
-        k = self.n_features_
+    def _fit(self, X, y):
+        n, k = X.shape
         if self.max_features == "sqrt":
             k = max(1, int(np.sqrt(k)))
         ranks = _dense_ranks(X)
@@ -201,19 +194,15 @@ class RandomForestClassifier(BinaryClassifier):
                           self.seed + min(first + group, self.n_trees))
             self.trees_ += _grow_trees(X, ranks, y, seeds, k, self.max_depth,
                                        self.min_samples_split)
-        return self
 
-    def predict_proba(self, X):
-        check_fitted(self, "trees_")
-        X = self._check_input(X, self.n_features_)
+    def _positive(self, X):
         pos = np.zeros(X.shape[0], dtype=np.float64)
         for tree in self.trees_:
             pos += _tree_proba(tree, X)
-        return self._stack_proba(pos / len(self.trees_))
+        return pos / len(self.trees_)
 
     def _export_state(self) -> dict:
-        return {"n_features": self.n_features_, "trees": self.trees_}
+        return {"trees": self.trees_}
 
     def _import_state(self, state: dict) -> None:
-        self.n_features_ = state["n_features"]
         self.trees_ = state["trees"]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateDataError, DivergenceError
-from ..validation import as_labels, as_matrix, at_least, bound, check_fitted
+from ..errors import DivergenceError
+from ..validation import at_least, bound
 from .base import BinaryClassifier
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # (weights, biases) per layer
@@ -74,7 +74,6 @@ class MLPClassifier(BinaryClassifier):
     """``hidden_layers`` lists the hidden layer widths, kept as a tuple."""
 
     kind = "mlp"
-    _fitted_attribute = "params_"
 
     hidden_layers: tuple[int, ...] = at_least(1, (100,))
     learning_rate: float = bound("positive and finite", lambda v: v > 0, 0.01)
@@ -83,12 +82,7 @@ class MLPClassifier(BinaryClassifier):
     momentum: float = bound("in [0, 1)", lambda v: 0 <= v < 1, 0.9)
     seed: int = at_least(0, 0)
 
-    def fit(self, X, y):
-        X = as_matrix(X)
-        y = as_labels(y, X.shape[0])
-        if np.unique(y).size < 2:
-            raise DegenerateDataError("training data has a single label")
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, y):
         sizes = [X.shape[1], *self.hidden_layers, 1]
         rng = np.random.default_rng(self.seed)
         params = _init_params(sizes, rng)
@@ -111,23 +105,17 @@ class MLPClassifier(BinaryClassifier):
                 raise DivergenceError(f"mlp: non-finite weights at epoch {epoch} "
                                       f"(learning_rate={self.learning_rate})")
         self.params_ = params
-        return self
 
-    def predict_proba(self, X):
-        check_fitted(self, "params_")
-        X = self._check_input(X, self.n_features_)
-        p = _forward(self.params_, X)[0][-1][:, 0]
-        return self._stack_proba(p)
+    def _positive(self, X):
+        return _forward(self.params_, X)[0][-1][:, 0]
 
     def _export_state(self) -> dict:
         return {
-            "n_features": self.n_features_,
             "weights": [W.tolist() for W, _ in self.params_],
             "biases": [b.tolist() for _, b in self.params_],
         }
 
     def _import_state(self, state: dict) -> None:
-        self.n_features_ = state["n_features"]
         self.params_ = [
             (np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
             for W, b in zip(state["weights"], state["biases"])

@@ -9,6 +9,7 @@ the same structures.
 
 from __future__ import annotations
 
+import graphlib
 import logging
 import re
 from dataclasses import dataclass, field
@@ -190,39 +191,17 @@ def parse_obo(text: str) -> Ontology:
 
 def _check_acyclic(terms: Mapping[str, OntologyTerm],
                    edges: Iterable[tuple[str, str, str]]) -> None:
-    parents: dict[str, list[str]] = {t: [] for t in terms}
-    for child, rel, parent in edges:
-        if rel == "is_a":
-            parents[child].append(parent)
-    # sorted, so the cycle reported does not follow the set's hash order
-    for succ in parents.values():
-        succ.sort()
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {t: WHITE for t in terms}
-    for start in sorted(terms):
-        if color[start] != WHITE:
-            continue
-        path: list[str] = []
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GREY
-        path.append(start)
-        while stack:
-            node, idx = stack[-1]
-            succ = parents[node]
-            if idx < len(succ):
-                stack[-1] = (node, idx + 1)
-                nxt = succ[idx]
-                if color[nxt] == GREY:
-                    cycle = path[path.index(nxt):] + [nxt]
-                    raise CycleError("is_a cycle: " + " -> ".join(cycle))
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
+    # each term a node, each is_a edge leading from child to parent, all
+    # added sorted, so the cycle reported does not follow the hash order
+    sorter = graphlib.TopologicalSorter()
+    for term in sorted(terms):
+        sorter.add(term)
+    for child, parent in sorted((c, p) for c, rel, p in edges if rel == "is_a"):
+        sorter.add(parent, child)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError as err:
+        raise CycleError("is_a cycle: " + " -> ".join(err.args[1])) from None
 
 
 def _data_rows(text: str, comment: str) -> Iterator[tuple[int, list[str]]]:

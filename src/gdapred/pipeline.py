@@ -24,6 +24,7 @@ from .errors import (
     ConfigurationError,
     GdapredError,
     IntegrityError,
+    ParseError,
     StageDependencyError,
 )
 from .evaluation import (
@@ -119,8 +120,9 @@ class PipelineConfig:
             if unknown:
                 raise ConfigurationError(f"unknown {section} names: " + ", ".join(unknown))
         for name, path in self.inputs.items():
-            if not Path(path).exists():
-                raise ConfigurationError(f"input {name!r} does not exist: {path}")
+            if not Path(path).is_file():
+                raise ConfigurationError(f"input {name!r} does not exist or is "
+                                         f"not a file: {path}")
         if any(v != "HP" for v in self.kg_variants) and "go_obo" not in self.inputs:
             raise ConfigurationError("GO-based variants need inputs.go_obo")
         grids = {}
@@ -171,8 +173,10 @@ class PipelineConfig:
         """Load a JSON config; a key that names no field is an error."""
         try:
             raw = read_json(path)
-        except (OSError, ValueError) as err:
+        except OSError as err:
             raise ConfigurationError(f"{path}: {err}") from err
+        except IntegrityError as err:
+            raise ConfigurationError(str(err)) from err
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: the top level is not a JSON object")
         if seed_override is not None:
@@ -319,7 +323,7 @@ def write_annotation_tsv(amap: AnnotationMap, path: Path) -> None:
 
 def read_annotation_tsv(path: Path, kind: str) -> AnnotationMap:
     amap = AnnotationMap()
-    rows = read_tsv(path)
+    rows = read_tsv(path, width=2)
     next(rows)  # header
     for lineno, (entity_id, term) in enumerate(rows, start=2):
         if not entity_id:
@@ -333,6 +337,8 @@ def _parse_input(run: StageRun, parser, name: str, *args):
     path = run.read(run.config.inputs[name])
     try:
         return parser(path.read_text(encoding="utf-8"), *args)
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8: {err}") from None
     except GdapredError as err:
         raise type(err)(f"{path}: {err}") from err
 

@@ -267,6 +267,27 @@ class TestTableArtifacts:
         with pytest.raises(IntegrityError, match=r"a\.tsv, line 3: empty entity id"):
             read_annotation_tsv(path, "gene")
 
+    def test_annotations_row_of_another_width_is_integrity_error(self, tmp_path):
+        # the header has three cells, the reader takes two
+        path = tmp_path / "a.tsv"
+        path.write_text("entity\tterm\tnote\ng1\tHP:0000001\tx\n")
+        with pytest.raises(IntegrityError,
+                           match=r"a\.tsv, line 1: expected 2 cells, found 3"):
+            read_annotation_tsv(path, "gene")
+
+    @pytest.mark.parametrize("name, read, data", [
+        ("t.tsv", lambda p: list(read_tsv(p)), b"\xff\xfea\tb\n"),
+        ("t.tsv", lambda p: list(read_tsv(p)), b"a\tb\nc\t\xff\n"),
+        ("d.json", read_json, b'{"a": "\xff"}\n'),
+        ("d.json", read_json, b""),
+        ("d.json", read_json, b'{"a": [1, '),
+    ], ids=["tsv-header", "tsv-row", "json-bytes", "json-empty", "json-truncated"])
+    def test_undecodable_file_is_integrity_error(self, tmp_path, name, read, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(IntegrityError, match=rf"{name}: not UTF-8"):
+            read(path)
+
     @pytest.mark.parametrize("row", ["HP:2\tsubClassOf\t", "\tsubClassOf\tHP:1",
                                      "HP:2\t\tHP:1", "GENE:\thasAnnotation\tHP:1"])
     def test_kg_empty_cell_is_integrity_error(self, tmp_path, row):

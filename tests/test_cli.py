@@ -1,5 +1,6 @@
 """Pipeline staging and CLI surface, on a small planted corpus."""
 
+import contextlib
 import json
 import math
 import re
@@ -10,7 +11,13 @@ import pytest
 
 from gdapred.artifacts import read_matrix, write_matrix
 from gdapred.cli import build_parser, main
-from gdapred.errors import ConfigurationError, IntegrityError, StageDependencyError
+from gdapred.errors import (
+    ConfigurationError,
+    IntegrityError,
+    ParseError,
+    StageDependencyError,
+)
+from gdapred.learn import CLASSIFIER_KINDS
 from gdapred.pipeline import (
     STAGE_FUNCTIONS,
     STAGES,
@@ -787,3 +794,140 @@ class TestCliSurface:
         for stage in ("ingest", "build-kg", "baseline", "embed", "pair",
                       "train", "evaluate", "report"):
             assert stage in helptext
+
+
+#: three damages of a file's bytes
+DAMAGES = {"empty": lambda data: b"", "first-half": lambda data: data[:len(data) // 2],
+           "not-utf8": lambda data: b"\xff\xfe" + data}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """Every stage run once, over every learner, on a tiny corpus."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    corpus = small_corpus(root / "data", n_genes=12, n_diseases=8)
+    config = small_config(
+        corpus, root / "out", kg_variants=["HP"], methods=["walk_lexical"],
+        operators=["hadamard"], learners=[*CLASSIFIER_KINDS, "cosine"],
+        ssm_measures=["BMA_seco"],
+        classifier_params={"random_forest": {"n_trees": 3},
+                           "mlp": {"hidden_layers": [4], "epochs": 3}})
+    config_path = write_config(config, root / "config.json")
+    for stage in STAGES:
+        assert main([stage, "--config", str(config_path)]) == 0
+    return root / "out", config_path
+
+
+@contextlib.contextmanager
+def damaged(path: Path, data: bytes, out_dir: Path):
+    """``path`` holds ``data`` inside the block; afterwards it and every
+    stage's files are as before."""
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    path.write_bytes(data)
+    try:
+        yield
+    finally:
+        for p in out_dir.rglob("*"):
+            if p.is_file() and p not in before:
+                p.unlink()
+        for p, content in before.items():
+            if p.read_bytes() != content:
+                p.write_bytes(content)
+
+
+class TestDamagedFiles:
+    def test_no_stage_raises_on_a_damaged_artifact(self, tiny_run):
+        # each stage, with each file of an earlier stage that it read damaged
+        out_dir, config_path = tiny_run
+        runs = 0
+        for manifest_path in sorted(out_dir.glob("*/manifest.json")):
+            manifest = json.loads(manifest_path.read_text())
+            for path in map(Path, manifest["inputs"]):
+                if not path.is_relative_to(out_dir):
+                    continue  # a configured input
+                for name, damage in DAMAGES.items():
+                    with damaged(path, damage(path.read_bytes()), out_dir):
+                        code = main([manifest["stage"], "--config", str(config_path)])
+                    assert code in (0, 1), (manifest["stage"], path, name)
+                    runs += 1
+        assert runs > 50
+
+    @pytest.mark.parametrize("stage, name, damage", [
+        ("build-kg", "ingest/annotations_gene_hp.tsv", "not-utf8"),
+        ("baseline", "ingest/dataset.tsv", "not-utf8"),
+        ("baseline", "kg/kg_HP.tsv", "not-utf8"),
+        ("embed", "kg/kg_HP.tsv", "not-utf8"),
+        ("pair", "ingest/dataset.tsv", "not-utf8"),
+        ("train", "ingest/dataset.tsv", "not-utf8"),
+        ("baseline", "ingest/annotations_disease_hp.tsv", "not-utf8"),
+        ("evaluate", "ingest/dataset.tsv", "not-utf8"),
+        ("report", "baseline/baseline.json", "empty"),
+        ("report", "evaluate/manifest.json", "first-half"),
+        ("report", "evaluate/manifest.json", "not-utf8"),
+    ], ids=str)
+    def test_undecodable_artifact_exits_1_naming_it(self, tiny_run, caplog,
+                                                    stage, name, damage):
+        out_dir, config_path = tiny_run
+        path = out_dir / name
+        with damaged(path, DAMAGES[damage](path.read_bytes()), out_dir):
+            assert main([stage, "--config", str(config_path)]) == 1
+        assert f"{path}: not UTF-8" in caplog.text
+
+    def test_empty_annotations_file_exits_1(self, tiny_run, caplog):
+        # header and all: without the header check it read as no annotations
+        out_dir, config_path = tiny_run
+        path = out_dir / "ingest" / "annotations_gene_hp.tsv"
+        with damaged(path, b"", out_dir):
+            assert main(["build-kg", "--config", str(config_path)]) == 1
+        assert f"{path}, line 1: expected 2 cells, found 1" in caplog.text
+
+    @pytest.mark.parametrize("stage", ["baseline", "pair", "train", "evaluate"])
+    def test_repeated_dataset_pair_exits_1_naming_the_line(self, tiny_run, caplog,
+                                                           stage):
+        out_dir, config_path = tiny_run
+        path = out_dir / "ingest" / "dataset.tsv"
+        lines = path.read_bytes().splitlines(keepends=True)
+        with damaged(path, b"".join([*lines, lines[3]]), out_dir):
+            assert main([stage, "--config", str(config_path)]) == 1
+        gene, disease = lines[3].decode().split("\t")[:2]
+        assert (f"{path}, line {len(lines) + 1}: repeats the pair "
+                f"({gene}, {disease})") in caplog.text
+
+    @pytest.mark.parametrize("stage", ["baseline", "pair", "train", "evaluate"])
+    def test_dataset_without_pairs_exits_1(self, tiny_run, caplog, stage):
+        out_dir, config_path = tiny_run
+        path = out_dir / "ingest" / "dataset.tsv"
+        header = path.read_bytes().splitlines(keepends=True)[0]
+        with damaged(path, header, out_dir):
+            assert main([stage, "--config", str(config_path)]) == 1
+        assert f"{path}: holds no pairs" in caplog.text
+
+    @pytest.mark.parametrize("stage", ["ingest", "build-kg", "embed"])
+    def test_configured_input_not_utf8_is_parse_error(self, tiny_run, tmp_path,
+                                                      caplog, stage):
+        out_dir, config_path = tiny_run
+        config = json.loads(config_path.read_text())
+        hp_obo = tmp_path / "hp.obo"
+        hp_obo.write_bytes(b"\xff\xfe" + Path(config["inputs"]["hp_obo"]).read_bytes())
+        config["inputs"]["hp_obo"] = str(hp_obo)
+        config["output_dir"] = str(tmp_path / "out")
+        shutil.copytree(out_dir, tmp_path / "out")
+        if stage == "ingest":
+            (tmp_path / "out" / "ingest" / "dataset.tsv").unlink()
+        bad_config = write_config(config, tmp_path / "config.json")
+        assert main([stage, "--config", str(bad_config)]) == 1
+        assert f"{hp_obo}: not UTF-8" in caplog.text
+        with pytest.raises(ParseError, match=re.escape(f"{hp_obo}: not UTF-8")):
+            STAGE_FUNCTIONS[stage](PipelineConfig.from_file(bad_config))
+
+    def test_input_that_is_a_directory_fails_at_load(self, tiny_run, tmp_path,
+                                                     caplog):
+        _, config_path = tiny_run
+        config = json.loads(config_path.read_text())
+        config["inputs"]["gaf"] = str(tmp_path)
+        bad_config = write_config(config, tmp_path / "config.json")
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"input 'gaf' does not exist or is not a file: {tmp_path}")):
+            PipelineConfig.from_file(bad_config)
+        assert main(["ingest", "--config", str(bad_config)]) == 1
+        assert f"is not a file: {tmp_path}" in caplog.text

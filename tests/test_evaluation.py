@@ -179,6 +179,14 @@ class TestStratifiedSplit:
         with pytest.raises(IntegrityError, match=r"dataset\.tsv, line 3: .*'train'"):
             read_dataset(path)
 
+    def test_row_of_another_width_is_integrity_error(self, tmp_path):
+        # the header has three cells, the reader takes four
+        path = tmp_path / "dataset.tsv"
+        path.write_text("gene\tdisease\tlabel\ng1\td1\tpositive\n")
+        with pytest.raises(IntegrityError,
+                           match=r"dataset\.tsv, line 1: expected 4 cells, found 3"):
+            read_dataset(path)
+
     def test_unsplit_roundtrip(self, tmp_path):
         path = tmp_path / "dataset.tsv"
         write_dataset(self.balanced(2, 3), path)

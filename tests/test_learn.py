@@ -274,6 +274,15 @@ class TestMlp:
                            match=r"non-finite weights at epoch \d+ \(learning_rate=1e\+200\)"):
             MLPClassifier(learning_rate=1e200, epochs=20, seed=0).fit(X, y)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_fit_leaves_the_model_unfitted(self):
+        X, y = separable_1d()
+        model = MLPClassifier(learning_rate=1e200, epochs=20, seed=0)
+        with pytest.raises(DivergenceError):
+            model.fit(X, y)
+        with pytest.raises(ValueError, match="not fitted"):
+            model.predict_proba(X)
+
     @pytest.mark.parametrize("name, value", [
         ("epochs", 0), ("epochs", -1), ("epochs", 2.5), ("epochs", True),
         ("batch_size", 0), ("batch_size", 8.0),
@@ -455,6 +464,56 @@ class TestModelFiles:
         path.write_text('{"kind": "mlp"')
         with pytest.raises(IntegrityError, match="model.json"):
             load_model(path)
+
+
+#: quick hyperparameters of each kind
+FAST_PARAMS = {"random_forest": {"n_trees": 3}, "gaussian_nb": {},
+               "mlp": {"hidden_layers": (4,), "epochs": 3}}
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSIFIER_KINDS))
+class TestClassifierContract:
+    """What `BinaryClassifier` checks and keeps for every kind."""
+
+    def assert_unfitted(self, model, tmp_path):
+        with pytest.raises(ValueError, match="not fitted"):
+            model.predict_proba(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="not fitted"):
+            model.save(tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
+    def test_unfitted_model_neither_predicts_nor_saves(self, kind, tmp_path):
+        self.assert_unfitted(make_classifier(kind, FAST_PARAMS[kind]), tmp_path)
+
+    def test_single_label_fit_rejected(self, kind, tmp_path):
+        model = make_classifier(kind, FAST_PARAMS[kind])
+        with pytest.raises(DegenerateDataError, match="single label"):
+            model.fit(np.ones((4, 1)), [1, 1, 1, 1])
+        self.assert_unfitted(model, tmp_path)
+
+    def test_wrong_width_rejected(self, kind):
+        X, y = separable_1d(n=10)
+        model = make_classifier(kind, FAST_PARAMS[kind]).fit(X, y)
+        with pytest.raises(ValueError, match="feature dimension mismatch: "
+                                             "trained with 1, got 3"):
+            model.predict_proba(np.zeros((2, 3)))
+
+    def test_fit_that_raised_leaves_the_model_unfitted(self, kind, tmp_path):
+        X, y = separable_1d(n=10)
+        model = make_classifier(kind, FAST_PARAMS[kind]).fit(X, y)
+        with mock.patch.object(type(model), "_fit",
+                               side_effect=DivergenceError("planted")):
+            with pytest.raises(DivergenceError, match="planted"):
+                model.fit(X, y)
+        self.assert_unfitted(model, tmp_path)
+
+    def test_saved_width_round_trips(self, kind, tmp_path):
+        X, y = separable_1d(n=10)
+        make_classifier(kind, FAST_PARAMS[kind]).fit(
+            np.hstack([X, X]), y).save(tmp_path / "model.json")
+        assert json.loads((tmp_path / "model.json").read_text())[
+            "parameters"]["n_features"] == 2
+        assert load_model(tmp_path / "model.json").n_features_ == 2
 
 
 class TestDispatcher:

@@ -99,6 +99,15 @@ class TestParseObo:
         with pytest.raises(CycleError, match="HP:0000001"):
             parse_obo(text)
 
+    def test_cycle_reported_child_to_parent_from_the_smallest_id(self):
+        text = ("[Term]\nid: HP:0000003\nis_a: HP:0000001\n\n"
+                "[Term]\nid: HP:0000002\nis_a: HP:0000003\n\n"
+                "[Term]\nid: HP:0000001\nis_a: HP:0000002\n")
+        with pytest.raises(CycleError) as err:
+            parse_obo(text)
+        assert str(err.value) == ("is_a cycle: HP:0000001 -> HP:0000002 -> "
+                                  "HP:0000003 -> HP:0000001")
+
     def test_obsolete_terms_dropped_with_edges(self):
         text = ("[Term]\nid: HP:0000001\nname: A\n\n"
                 "[Term]\nid: HP:0000002\nname: old\nis_obsolete: true\n"
