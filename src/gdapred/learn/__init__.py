@@ -40,14 +40,18 @@ def make_classifier(kind: str, params: dict | None = None,
 
 def load_model(path) -> BinaryClassifier:
     """Rebuild a persisted model; predictions round-trip bit-exactly. A
-    file that does not hold a model of a known kind raises
-    `IntegrityError` naming it."""
+    file that does not hold a model of a known kind, or whose state does
+    not fit its width and hyperparameters, raises `IntegrityError`
+    naming it."""
     try:
         payload = read_json(path)
         model = make_classifier(payload["kind"], payload["hyperparameters"])
         state = payload["parameters"]
-        model._import_state(state)
         model.n_features_ = state["n_features"]
+        if type(model.n_features_) is not int or model.n_features_ < 1:
+            raise ValueError(f"n_features must be a positive integer, "
+                             f"found {model.n_features_!r}")
+        model._import_state(state)
     except KeyError as err:
         raise IntegrityError(f"{path}: model file lacks the key {err}") from err
     except (TypeError, ValueError) as err:

@@ -20,7 +20,9 @@ class BinaryClassifier:
     provides only its algorithm: ``_fit(X, y)`` on checked inputs,
     ``_positive(X)``, the positive-label probability of each checked
     row, and ``_export_state`` / ``_import_state`` of what ``_fit``
-    learned; hyperparameters travel via ``get_params``.
+    learned; ``_import_state`` runs with ``n_features_`` set and raises
+    ValueError for a state that does not fit it and the hyperparameters.
+    Hyperparameters travel via ``get_params``.
     """
 
     def __post_init__(self):
@@ -36,6 +38,8 @@ class BinaryClassifier:
         y = as_labels(y, X.shape[0])
         if np.unique(y).size < 2:
             raise DegenerateDataError("training data has a single label")
+        if X.shape[1] == 0:
+            raise DegenerateDataError("training data has no feature columns")
         vars(self).pop("n_features_", None)
         self._fit(X, y)
         self.n_features_ = X.shape[1]
@@ -58,4 +62,18 @@ class BinaryClassifier:
         check_fitted(self, "n_features_")
         write_json(path, {"kind": self.kind, "hyperparameters": self.get_params(),
                           "parameters": {"n_features": self.n_features_,
-                                         **self._export_state()}})
+                                         **self._export_state()}}, one_line=True)
+
+
+def state_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` of a model file as a float64 array; one of another shape
+    or with a non-finite value raises ValueError naming it."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} is not an array of numbers: {err}") from None
+    if array.shape != shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return array

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import compress
 
@@ -144,6 +145,38 @@ def _grow_trees(X, ranks, y, seeds, k, max_depth, min_samples_split):
     return roots
 
 
+def _finite_float(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+def _check_tree(tree, n_features: int) -> None:
+    """Raise ValueError unless every node of ``tree`` is a leaf of two
+    finite floats or a split on a feature in [0, n_features) at a finite
+    threshold with a left and a right node."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, dict):
+            raise ValueError(f"a tree node must be a mapping, found {node!r}")
+        keys = sorted(node)
+        if keys == ["leaf"]:
+            leaf = node["leaf"]
+            if not (isinstance(leaf, list) and len(leaf) == 2
+                    and all(map(_finite_float, leaf))):
+                raise ValueError(f"a leaf must hold 2 finite floats, found {leaf!r}")
+        elif keys == ["feature", "left", "right", "threshold"]:
+            feature = node["feature"]
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(f"a split feature must be an integer in "
+                                 f"[0, {n_features}), found {feature!r}")
+            if not _finite_float(node["threshold"]):
+                raise ValueError(f"a split threshold must be a finite float, "
+                                 f"found {node['threshold']!r}")
+            stack += [node["left"], node["right"]]
+        else:
+            raise ValueError(f"a tree node must be a leaf or a split, found {keys!r}")
+
+
 def _tree_proba(node, X):
     out = np.empty(X.shape[0], dtype=np.float64)
     stack = [(node, np.arange(X.shape[0]))]
@@ -205,4 +238,9 @@ class RandomForestClassifier(BinaryClassifier):
         return {"trees": self.trees_}
 
     def _import_state(self, state: dict) -> None:
-        self.trees_ = state["trees"]
+        trees = state["trees"]
+        if not isinstance(trees, list) or len(trees) != self.n_trees:
+            raise ValueError(f"expected a list of {self.n_trees} trees")
+        for tree in trees:
+            _check_tree(tree, self.n_features_)
+        self.trees_ = trees

@@ -1,7 +1,17 @@
 """Fully connected network: ReLU hidden layers, logistic output.
 
-Trained with mini-batch gradient descent plus momentum on the binary
-cross-entropy, raising `DivergenceError` once a weight is non-finite.
+Trained with mini-batch gradient descent plus classical momentum
+(Sutskever et al. 2013) on the binary cross-entropy, raising
+`DivergenceError` once a weight is non-finite.
+
+The weights and biases of all layers are one float64 vector, each
+layer's ``W`` and ``b`` a reshaped view of it, and the gradient is a
+second vector of the same layout that `_backward`, the backprop the
+gradient check also calls, fills in place. A step is then three in-place
+passes over whole vectors, ``v *= m; v -= lr * g; theta += v``: the
+per-element operations of ``v = m·v − lr·g; W = W + v`` written per
+layer, so the weights are the same to the bit, and the update builds no
+array. ``tests/mlp_reference.py`` keeps the per-layer form as the oracle.
 """
 
 from __future__ import annotations
@@ -12,61 +22,73 @@ import numpy as np
 
 from ..errors import DivergenceError
 from ..validation import at_least, bound
-from .base import BinaryClassifier
+from .base import BinaryClassifier, state_array
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # (weights, biases) per layer
 
 
-def _init_params(layer_sizes, rng) -> Params:
-    params = []
+def _views(vector: np.ndarray, layer_sizes) -> Params:
+    """Each layer's ``(W, b)`` as views of ``vector``, which holds the
+    layers in order, each its row-major ``W`` and then its ``b``."""
+    params, start = [], 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        params.append((W, np.zeros(fan_out)))
+        stop = start + fan_in * fan_out
+        params.append((vector[start:stop].reshape(fan_in, fan_out),
+                       vector[stop:stop + fan_out]))
+        start = stop + fan_out
     return params
 
 
+def _init_params(layer_sizes, rng) -> np.ndarray:
+    """The parameter vector: Glorot-uniform weights drawn layer by layer,
+    zero biases."""
+    vector = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out
+                          in zip(layer_sizes[:-1], layer_sizes[1:])))
+    for W, _ in _views(vector, layer_sizes):
+        limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    return vector
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign so neither exp() overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    # e^-|z| never overflows: 1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _forward(params: Params, X: np.ndarray):
-    """Activations per layer; hidden ReLU, logistic output column."""
+def _forward(params: Params, X: np.ndarray) -> list[np.ndarray]:
+    """Activations per layer, ``X`` first; hidden ReLU, logistic output
+    column."""
     activations = [X]
-    pre = []
-    a = X
     for i, (W, b) in enumerate(params):
-        z = a @ W + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < len(params) - 1 else _sigmoid(z)
-        activations.append(a)
-    return activations, pre
+        z = activations[-1] @ W
+        z += b
+        activations.append(np.maximum(z, 0.0, out=z) if i < len(params) - 1
+                           else _sigmoid(z))
+    return activations
 
 
 def _loss(params: Params, X: np.ndarray, y: np.ndarray) -> float:
-    p = _forward(params, X)[0][-1][:, 0]
+    p = _forward(params, X)[-1][:, 0]
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _backward(params: Params, X: np.ndarray, y: np.ndarray):
-    """Mean-cross-entropy gradients for every weight matrix and bias."""
+def _backward(params: Params, grads: Params, X: np.ndarray, y: np.ndarray) -> None:
+    """Write the mean-cross-entropy gradient of every weight matrix and
+    bias into ``grads``, arrays of the shapes of ``params``."""
     n = X.shape[0]
-    activations, pre = _forward(params, X)
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)
+    activations = _forward(params, X)
     delta = (activations[-1][:, 0] - y).reshape(-1, 1) / n
     for layer in range(len(params) - 1, -1, -1):
-        W, _ = params[layer]
-        grads[layer] = (activations[layer].T @ delta, delta.sum(axis=0))
+        gW, gb = grads[layer]
+        np.matmul(activations[layer].T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if layer > 0:
-            delta = (delta @ W.T) * (pre[layer - 1] > 0.0)
-    return grads
+            W = params[layer][0]
+            # one column: an outer product, the bits of the matmul without BLAS
+            delta = delta * W.T if W.shape[1] == 1 else delta @ W.T
+            delta *= activations[layer] > 0.0  # ReLU output > 0 where its input is
 
 
 @dataclass(eq=False)
@@ -82,32 +104,32 @@ class MLPClassifier(BinaryClassifier):
     momentum: float = bound("in [0, 1)", lambda v: 0 <= v < 1, 0.9)
     seed: int = at_least(0, 0)
 
+    def _layer_sizes(self, n_features: int) -> list[int]:
+        return [n_features, *self.hidden_layers, 1]
+
     def _fit(self, X, y):
-        sizes = [X.shape[1], *self.hidden_layers, 1]
+        sizes = self._layer_sizes(X.shape[1])
         rng = np.random.default_rng(self.seed)
-        params = _init_params(sizes, rng)
-        velocity = [(np.zeros_like(W), np.zeros_like(b)) for W, b in params]
+        theta = _init_params(sizes, rng)
+        grad, velocity = np.empty_like(theta), np.zeros_like(theta)
+        params, grads = _views(theta, sizes), _views(grad, sizes)
         y_float = y.astype(np.float64)
         n = X.shape[0]
         for epoch in range(self.epochs):
             order = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = order[start:start + self.batch_size]
-                grads = _backward(params, X[batch], y_float[batch])
-                for layer, (gW, gb) in enumerate(grads):
-                    vW, vb = velocity[layer]
-                    vW = self.momentum * vW - self.learning_rate * gW
-                    vb = self.momentum * vb - self.learning_rate * gb
-                    W, b = params[layer]
-                    params[layer] = (W + vW, b + vb)
-                    velocity[layer] = (vW, vb)
-            if not all(np.isfinite(p).all() for layer in params for p in layer):
+                _backward(params, grads, X[batch], y_float[batch])
+                velocity *= self.momentum
+                velocity -= self.learning_rate * grad
+                theta += velocity
+            if not np.isfinite(theta).all():
                 raise DivergenceError(f"mlp: non-finite weights at epoch {epoch} "
                                       f"(learning_rate={self.learning_rate})")
         self.params_ = params
 
     def _positive(self, X):
-        return _forward(self.params_, X)[0][-1][:, 0]
+        return _forward(self.params_, X)[-1][:, 0]
 
     def _export_state(self) -> dict:
         return {
@@ -116,8 +138,13 @@ class MLPClassifier(BinaryClassifier):
         }
 
     def _import_state(self, state: dict) -> None:
+        sizes = self._layer_sizes(self.n_features_)
+        weights, biases = state["weights"], state["biases"]
+        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
+            raise ValueError(f"expected {len(sizes) - 1} weight matrices and bias "
+                             f"vectors, found {len(weights)} and {len(biases)}")
         self.params_ = [
-            (np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
-            for W, b in zip(state["weights"], state["biases"])
-        ]
-
+            (state_array(W, (fan_in, fan_out), f"weights[{i}]"),
+             state_array(b, (fan_out,), f"biases[{i}]"))
+            for i, (W, b, fan_in, fan_out)
+            in enumerate(zip(weights, biases, sizes[:-1], sizes[1:]))]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..validation import bound
-from .base import BinaryClassifier
+from .base import BinaryClassifier, state_array
 
 
 @dataclass(eq=False)
@@ -54,6 +54,9 @@ class GaussianNaiveBayes(BinaryClassifier):
         }
 
     def _import_state(self, state: dict) -> None:
-        self.means_ = np.asarray(state["means"], dtype=np.float64)
-        self.variances_ = np.asarray(state["variances"], dtype=np.float64)
-        self.priors_ = np.asarray(state["priors"], dtype=np.float64)
+        shape = (2, self.n_features_)
+        self.means_ = state_array(state["means"], shape, "means")
+        self.variances_ = state_array(state["variances"], shape, "variances")
+        self.priors_ = state_array(state["priors"], (2,), "priors")
+        if not ((self.variances_ > 0).all() and (self.priors_ > 0).all()):
+            raise ValueError("variances and priors must be positive")

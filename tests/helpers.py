@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gdapred.kg import build_kg
-from gdapred.learn.mlp import _backward, _init_params, _loss
+from gdapred.learn.mlp import _backward, _init_params, _loss, _views
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
 
 
@@ -335,12 +335,15 @@ def mlp_gradient_error(layer_sizes, seed: int) -> float:
     """Max relative error between the MLP's backprop gradients and central
     differences, on a random network and a batch of 5 random rows."""
     rng = np.random.default_rng(seed)
-    params = _init_params(list(layer_sizes), rng)
+    theta = _init_params(list(layer_sizes), rng)
+    params = _views(theta, layer_sizes)
     X = rng.normal(size=(5, layer_sizes[0]))
     y = rng.integers(0, 2, size=5).astype(np.float64)
+    grads = _views(np.empty_like(theta), layer_sizes)
+    _backward(params, grads, X, y)
     worst = 0.0
-    for (W, b), grads in zip(params, _backward(params, X, y)):
-        for arr, grad in zip((W, b), grads):
+    for (W, b), layer_grads in zip(params, grads):
+        for arr, grad in zip((W, b), layer_grads):
             numeric = finite_difference(lambda: _loss(params, X, y), arr, step=1e-6)
             worst = max(worst, max_relative_error(grad, numeric))
     return worst

@@ -108,6 +108,11 @@ class TestJson:
             '  "b": [\n    1,\n    2\n  ]\n}\n')
         assert read_json(path) == {"a": {"x": None, "y": 0.1}, "b": [1, 2]}
 
+    def test_one_line_dialect(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"b": (1, 2), "a": {"y": 0.1, "x": None}}, one_line=True)
+        assert path.read_text() == '{"a": {"x": null, "y": 0.1}, "b": [1, 2]}\n'
+
     def test_numpy_scalars_become_numbers(self, tmp_path):
         path = tmp_path / "d.json"
         write_json(path, {"n": np.int64(3), "f": np.float32(0.5), "t": (np.int64(1),)})

@@ -873,6 +873,17 @@ class TestDamagedFiles:
             assert main([stage, "--config", str(config_path)]) == 1
         assert f"{path}: not UTF-8" in caplog.text
 
+    def test_model_that_does_not_fit_its_width_exits_1_naming_it(self, tiny_run,
+                                                                 caplog):
+        out_dir, config_path = tiny_run
+        path = out_dir / "train" / "model_HP_walk_lexical_hadamard_mlp.json"
+        model = json.loads(path.read_text())
+        model["parameters"]["weights"][1].pop()  # a 3x1 layer after a dx4 one
+        with damaged(path, json.dumps(model).encode(), out_dir):
+            assert main(["evaluate", "--config", str(config_path)]) == 1
+        assert (f"{path}: not a model file: weights[1] has shape (3, 1), "
+                f"expected (4, 1)") in caplog.text
+
     def test_empty_annotations_file_exits_1(self, tiny_run, caplog):
         # header and all: without the header check it read as no annotations
         out_dir, config_path = tiny_run

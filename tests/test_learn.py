@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdapred.artifacts import read_json, write_json
 from gdapred.errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -31,6 +32,7 @@ from gdapred.learn import forest
 from gdapred.learn.forest import _dense_ranks, _level_splits
 
 from helpers import mlp_gradient_error, oracle_forest, oracle_gini_best_split
+from mlp_reference import predict_proba_reference, train_mlp_reference
 
 
 def separable_1d(n=30, margin=1.0, seed=0):
@@ -238,9 +240,10 @@ class TestMlp:
         assert worst < 1e-4
 
     def test_zero_network_zero_input_hidden_gradients(self):
-        from gdapred.learn.mlp import _backward
-        params = [(np.zeros((3, 4)), np.zeros(4)), (np.zeros((4, 1)), np.zeros(1))]
-        grads = _backward(params, np.zeros((2, 3)), np.array([1.0, 0.0]))
+        from gdapred.learn.mlp import _backward, _views
+        params = _views(np.zeros(21), [3, 4, 1])
+        grads = _views(np.full(21, np.nan), [3, 4, 1])
+        _backward(params, grads, np.zeros((2, 3)), np.array([1.0, 0.0]))
         assert np.all(grads[0][0] == 0.0)
         assert np.all(grads[0][1] == 0.0)
 
@@ -249,7 +252,8 @@ class TestMlp:
         model = MLPClassifier(hidden_layers=(4,), learning_rate=0.5,
                               epochs=20000, batch_size=20, seed=0).fit(X, y)
         from gdapred.learn.mlp import _backward
-        grads = _backward(model.params_, X, y.astype(float))
+        grads = [(np.empty_like(W), np.empty_like(b)) for W, b in model.params_]
+        _backward(model.params_, grads, X, y.astype(float))
         norm = np.sqrt(sum(float(np.sum(g**2) + np.sum(b**2)) for g, b in grads))
         assert norm < 1e-6
 
@@ -423,6 +427,26 @@ class TestPersistence:
         self.roundtrip(model, X, tmp_path)
 
 
+class TestMlpReference:
+    @settings(max_examples=40, deadline=None)
+    @given(params=VALID_PARAMS["mlp"], rows=st.integers(2, 30),
+           width=st.integers(1, 4), data_seed=st.integers(0, 2**32))
+    @example(params={"hidden_layers": [], "learning_rate": 0.1, "epochs": 3,
+                     "batch_size": 7, "momentum": 0.9, "seed": 0},
+             rows=20, width=3, data_seed=0)
+    def test_flat_trainer_equals_per_layer_reference(self, params, rows, width,
+                                                     data_seed):
+        X = np.random.default_rng(data_seed).normal(size=(rows, width))
+        y = np.arange(rows) % 2
+        model = MLPClassifier(**params).fit(X, y)
+        reference = train_mlp_reference(X, y, **params)
+        assert len(model.params_) == len(reference) == len(params["hidden_layers"]) + 1
+        for (W, b), (W_ref, b_ref) in zip(model.params_, reference):
+            assert np.array_equal(W, W_ref) and np.array_equal(b, b_ref)
+        assert np.array_equal(model.predict_proba(X),
+                              predict_proba_reference(reference, X))
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("kind", sorted(VALID_PARAMS))
     @settings(max_examples=20, deadline=None)
@@ -439,19 +463,60 @@ class TestModelFiles:
         grid = np.linspace(-3.0, 3.0, 61).reshape(-1, 1)
         assert np.array_equal(back.predict_proba(grid), model.predict_proba(grid))
 
-    @pytest.mark.parametrize("damage, match", [
-        (lambda p: p.update(kind="xgboost"), "unknown classifier kind 'xgboost'"),
-        (lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
-        (lambda p: p["hyperparameters"].update(n_trees=0), "n_trees"),
-        (lambda p: p.pop("parameters"), "lacks the key 'parameters'"),
-        (lambda p: p["parameters"].pop("trees"), "lacks the key 'trees'"),
+    @pytest.mark.parametrize("kind, damage, match", [
+        ("random_forest", lambda p: p.update(kind="xgboost"),
+         "unknown classifier kind 'xgboost'"),
+        ("random_forest", lambda p: p["hyperparameters"].update(bogus=1), "bogus"),
+        ("random_forest", lambda p: p["hyperparameters"].update(n_trees=0), "n_trees"),
+        ("random_forest", lambda p: p.pop("parameters"), "lacks the key 'parameters'"),
+        ("random_forest", lambda p: p["parameters"].pop("trees"),
+         "lacks the key 'trees'"),
+        ("random_forest", lambda p: p["parameters"]["trees"].pop(),
+         "expected a list of 2 trees"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(0, {
+            "feature": 1, "threshold": 0.5, "left": {"leaf": [1.0, 0.0]},
+            "right": {"leaf": [0.0, 1.0]}}),
+         r"a split feature must be an integer in \[0, 1\), found 1"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(0, {
+            "feature": 0, "threshold": "0.5", "left": {"leaf": [1.0, 0.0]},
+            "right": {"leaf": [0.0, 1.0]}}),
+         "a split threshold must be a finite float, found '0.5'"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
+            0, {"leaf": [1.0]}), r"a leaf must hold 2 finite floats, found \[1.0\]"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
+            0, {"leaf": [1.0, 0.0], "left": {}}),
+         r"a tree node must be a leaf or a split, found \['leaf', 'left'\]"),
+        ("random_forest", lambda p: p["parameters"].update(n_features=0),
+         "n_features must be a positive integer, found 0"),
+        ("mlp", lambda p: p["parameters"]["weights"][1].pop(),
+         r"weights\[1\] has shape \(3, 1\), expected \(4, 1\)"),
+        ("mlp", lambda p: p["parameters"].update(n_features=2),
+         r"weights\[0\] has shape \(1, 4\), expected \(2, 4\)"),
+        ("mlp", lambda p: p["parameters"]["biases"].pop(),
+         "expected 2 weight matrices and bias vectors, found 2 and 1"),
+        ("mlp", lambda p: p["parameters"]["biases"][0].__setitem__(0, [0.5]),
+         r"biases\[0\] is not an array of numbers"),
+        ("gaussian_nb", lambda p: p["parameters"]["means"].pop(),
+         r"means has shape \(1, 1\), expected \(2, 1\)"),
+        ("gaussian_nb", lambda p: p["parameters"]["priors"].append(0.5),
+         r"priors has shape \(3,\), expected \(2,\)"),
+        ("gaussian_nb", lambda p: p["parameters"]["variances"][1].__setitem__(
+            0, float("nan")), "variances holds a non-finite value"),
+        ("gaussian_nb", lambda p: p["parameters"]["variances"][0].__setitem__(0, 0.0),
+         "variances and priors must be positive"),
     ], ids=["kind", "unknown-hyperparameter", "bad-hyperparameter",
-            "no-parameters", "no-trees"])
-    def test_damaged_or_foreign_file_is_integrity_error(self, tmp_path, damage,
-                                                        match):
+            "no-parameters", "no-trees", "tree-count", "split-feature",
+            "split-threshold", "short-leaf", "node-keys", "no-features",
+            "mlp-layer-shape", "mlp-width", "mlp-layer-count", "mlp-ragged",
+            "nb-means", "nb-priors", "nb-non-finite", "nb-zero-variance"])
+    def test_damaged_or_foreign_file_is_integrity_error(self, tmp_path, kind,
+                                                        damage, match):
         X, y = separable_1d()
         path = tmp_path / "model.json"
-        RandomForestClassifier(n_trees=2, seed=1).fit(X, y).save(path)
+        make_classifier(kind, {"random_forest": {"n_trees": 2, "seed": 1},
+                               "gaussian_nb": {}, "mlp": {"hidden_layers": (4,),
+                                                          "epochs": 3}}[kind]
+                        ).fit(X, y).save(path)
         payload = json.loads(path.read_text())
         damage(payload)
         path.write_text(json.dumps(payload))
@@ -506,6 +571,23 @@ class TestClassifierContract:
             with pytest.raises(DivergenceError, match="planted"):
                 model.fit(X, y)
         self.assert_unfitted(model, tmp_path)
+
+    def test_no_feature_columns_rejected(self, kind, tmp_path):
+        model = make_classifier(kind, FAST_PARAMS[kind])
+        with pytest.raises(DegenerateDataError, match="no feature columns"):
+            model.fit(np.ones((6, 0)), [0, 1, 0, 1, 0, 1])
+        self.assert_unfitted(model, tmp_path)
+
+    def test_model_file_is_one_line_of_the_indented_document(self, kind, tmp_path):
+        X, y = separable_1d(n=10)
+        model = make_classifier(kind, FAST_PARAMS[kind]).fit(X, y)
+        model.save(tmp_path / "model.json")
+        text = (tmp_path / "model.json").read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        write_json(tmp_path / "indented.json", {
+            "kind": kind, "hyperparameters": model.get_params(),
+            "parameters": {"n_features": 1, **model._export_state()}})
+        assert json.loads(text) == read_json(tmp_path / "indented.json")
 
     def test_saved_width_round_trips(self, kind, tmp_path):
         X, y = separable_1d(n=10)
