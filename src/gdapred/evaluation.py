@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .artifacts import read_json, read_tsv, write_json, write_tsv
+from .artifacts import read_tsv, write_json, write_tsv
 from .errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
 from .ontology import EntityId
 
@@ -44,9 +44,6 @@ class AssociationDataset:
         keys = [p.key for p in self.pairs]
         if len(set(keys)) != len(keys):
             raise ValueError("dataset contains duplicate gene-disease pairs")
-
-    def negatives(self) -> list[LabeledPair]:
-        return [p for p in self.pairs if p.label == NEGATIVE]
 
     def labels(self) -> np.ndarray:
         return np.array([p.label for p in self.pairs], dtype=np.int64)
@@ -203,11 +200,6 @@ def _count_metrics(tp, fp, fn, tn):
             (weighted / (tp + fp + fn + tn)).tolist())
 
 
-def per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
-    """Precision/recall/F1 and support for the positive and negative label."""
-    return _count_metrics(*_confusion(y_true, y_pred, 0.5))[0]
-
-
 def waf(y_true, y_pred) -> float:
     """Weighted average of per-label F-measures (weights = true supports)."""
     return _count_metrics(*_confusion(y_true, y_pred, 0.5))[1]
@@ -274,10 +266,6 @@ class EvalReport:
 
     def write(self, path) -> None:
         write_json(path, {k: v for k, v in vars(self).items() if k != "roc"})
-
-    @classmethod
-    def read(cls, path) -> "EvalReport":
-        return cls(**read_json(path))
 
 
 def write_roc_tsv(points: Sequence[tuple[float | None, float, float]], path) -> None:

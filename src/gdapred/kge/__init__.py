@@ -20,14 +20,12 @@ from .base import (
     write_embeddings,
 )
 from .corpus import WalkCorpus, build_lexical_corpus, generate_walks
-from .skipgram import sgns_loss, train_skipgram
+from .skipgram import train_skipgram
 from .translational import (
     distmult_logistic_loss,
-    distmult_score,
     train_distmult,
     train_transe,
     transe_margin_loss,
-    transe_score,
 )
 
 
@@ -51,8 +49,7 @@ def embed(kg: KnowledgeGraph, method: str,
 
 __all__ = [
     "KGE_METHODS", "EmbeddingTable", "KgeTrainConfig", "WalkCorpus",
-    "build_lexical_corpus", "distmult_logistic_loss", "distmult_score",
-    "embed", "generate_walks", "read_embeddings", "sgns_loss",
-    "train_distmult", "train_skipgram", "train_transe",
-    "transe_margin_loss", "transe_score", "write_embeddings",
+    "build_lexical_corpus", "distmult_logistic_loss", "embed",
+    "generate_walks", "read_embeddings", "train_distmult", "train_skipgram",
+    "train_transe", "transe_margin_loss", "write_embeddings",
 ]

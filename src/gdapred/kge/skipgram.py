@@ -12,25 +12,6 @@ from .base import EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate
 from .corpus import WalkCorpus
 
 
-def sgns_loss(center, positive, negatives):
-    """Single-pair objective and gradients for the gradient-check oracle.
-
-    loss = -log sigmoid(u_pos . v) - sum_k log sigmoid(-u_k . v)
-    """
-    v = np.asarray(center, dtype=np.float64)
-    u_pos = np.asarray(positive, dtype=np.float64)
-    u_negs = np.asarray(negatives, dtype=np.float64)
-    pos_dot = float(np.dot(u_pos, v))
-    neg_dots = u_negs @ v
-    loss = float(np.logaddexp(0.0, -pos_dot) + np.sum(np.logaddexp(0.0, neg_dots)))
-    s_pos = 1.0 / (1.0 + np.exp(-pos_dot))
-    s_neg = 1.0 / (1.0 + np.exp(-neg_dots))
-    g_center = (s_pos - 1.0) * u_pos + s_neg @ u_negs
-    g_positive = (s_pos - 1.0) * v
-    g_negatives = s_neg[:, None] * v[None, :]
-    return loss, (g_center, g_positive, g_negatives)
-
-
 def _pair_template(length: int, window: int, cache: dict):
     """Center/context index arrays for a sentence of the given length."""
     key = length

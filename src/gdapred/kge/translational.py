@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import DegenerateDataError
 from ..kg import KnowledgeGraph
-from ..validation import as_vector, check_same_dimension
 from .base import (EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate,
                    scatter_add)
 
@@ -32,14 +31,6 @@ def _distance(diff: np.ndarray, norm: str) -> np.ndarray:
     if norm == L2:
         return np.linalg.norm(diff, axis=-1)
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def transe_score(h, r, t, norm: str = L2) -> float:
-    """Negated translation residual; higher means more plausible."""
-    h, r, t = as_vector(h), as_vector(r), as_vector(t)
-    check_same_dimension(h, r)
-    check_same_dimension(h, t)
-    return -float(_distance(h + r - t, norm))
 
 
 def transe_margin_loss(h, r, t, h2, r2, t2, margin: float = 1.0,
@@ -68,14 +59,6 @@ def transe_margin_loss(h, r, t, h2, r2, t2, margin: float = 1.0,
     neg *= active
     g_neg = -neg
     return loss, (g_pos, g_pos, -g_pos, g_neg, g_neg, neg)
-
-
-def distmult_score(h, r, t) -> float:
-    """Trilinear product sum_i h_i * r_i * t_i."""
-    h, r, t = as_vector(h), as_vector(r), as_vector(t)
-    check_same_dimension(h, r)
-    check_same_dimension(h, t)
-    return float(np.sum(h * r * t))
 
 
 def distmult_logistic_loss(h, r, t, label, l2_penalty: float = 1e-4):

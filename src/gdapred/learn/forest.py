@@ -11,8 +11,10 @@ import numpy as np
 from ..validation import at_least, bound
 from .base import BinaryClassifier
 
-#: bootstrap rows of the trees that one fit grows together; further
-#: trees grow in later groups, which bounds the size of a level's arrays
+#: positions of one step: the bootstrap draws of the trees that one fit
+#: grows together (a tree keeps each drawn row once), and the (tree, row)
+#: pairs of the trees that one prediction descends together; further
+#: trees go in later groups, which bounds the size of a step's arrays
 _GROUP_ROWS = 1 << 15
 
 
@@ -28,48 +30,52 @@ def _dense_ranks(X):
     return np.ascontiguousarray(ranks.T)
 
 
-def _level_splits(X, ranks, y, rows, starts, features):
+def _level_splits(X, ranks, y, rows, counts, starts, features):
     """Best split of every node of one level, in one segmented pass per
     sampled-feature slot.
 
-    Node ``s`` holds the rows ``rows[starts[s]:starts[s + 1]]`` of ``X``
-    and samples the features ``features[s]``, in ascending order;
-    ``ranks`` is ``_dense_ranks(X)``. Returns each node's feature (-1
-    when no feature separates its rows), threshold and weighted Gini.
-    Thresholds are midpoints between consecutive distinct values. Ties
-    go to the first sampled feature, which a later one must beat by
-    more than 1e-15, and to the smallest threshold, which keeps training
-    deterministic.
+    Node ``s`` holds the distinct rows ``rows[starts[s]:starts[s + 1]]``
+    of ``X``, row ``rows[i]`` drawn ``counts[i]`` times, and samples the
+    features ``features[s]``, in ascending order; ``ranks`` is
+    ``_dense_ranks(X)``. Returns each node's feature (-1 when no feature
+    separates its rows), threshold and weighted Gini, all as for the
+    node's rows repeated by their counts. Thresholds are midpoints
+    between consecutive distinct values. Ties go to the first sampled
+    feature, which a later one must beat by more than 1e-15, and to the
+    smallest threshold, which keeps training deterministic.
     """
     n, m, nodes = X.shape[0], rows.size, starts.size
-    sizes = np.diff(starts, append=m)
-    seg = np.repeat(np.arange(nodes), sizes)
-    y_rows = y[rows]
-    # position i scores the split after it, within its node
-    n_node = sizes[seg]
-    n_left = np.arange(1, m + 1) - starts[seg]
-    n_right = n_node - n_left
-    last = n_right == 0
-    n_right_or_1 = np.where(last, 1, n_right)  # last positions are masked
-    pos_node = np.add.reduceat(y_rows, starts)[seg]
+    seg = np.repeat(np.arange(nodes), np.diff(starts, append=m))
+    # draw counts as floats: exact integers, so every ratio below is the
+    # one the integer counts give
+    counts = counts.astype(np.float64)
+    counts_pos = counts * y[rows]
+    n_node = np.add.reduceat(counts, starts)
+    pos_node = np.add.reduceat(counts_pos, starts)
+    # the draws of the nodes before each position's own
+    n_before = (np.cumsum(n_node) - n_node)[seg]
+    pos_before = (np.cumsum(pos_node) - pos_node)[seg]
+    n_node, pos_node = n_node[seg], pos_node[seg]
+    ends = np.append(starts[1:], m) - 1  # a split after a node's end is none
     node_key = seg * n  # sort keys group positions by node, then rank
     positions = np.arange(m)
     best_f = np.full(nodes, -1)
     best_t = np.zeros(nodes)
     best_w = np.full(nodes, np.inf)
     for slot in features.T:
+        # position i scores the split after it, within its node
         keys = node_key + ranks[slot[seg], rows]
         order = np.argsort(keys)
         keys = keys[order]
-        ys = y_rows[order]
-        cum = np.cumsum(ys)
-        pos_left = cum - (cum[starts] - ys[starts])[seg]
+        n_left = np.cumsum(counts[order]) - n_before
+        pos_left = np.cumsum(counts_pos[order]) - pos_before
+        n_right = n_node - n_left
         p_left = pos_left / n_left
-        p_right = (pos_node - pos_left) / n_right_or_1
+        p_right = (pos_node - pos_left) / np.maximum(n_right, 1.0)
         gini_left = 1.0 - p_left**2 - (1.0 - p_left)**2
         gini_right = 1.0 - p_right**2 - (1.0 - p_right)**2
         weighted = (n_left * gini_left + n_right * gini_right) / n_node
-        weighted[last] = np.inf
+        weighted[ends] = np.inf
         weighted[:-1][keys[1:] == keys[:-1]] = np.inf
         low = np.minimum.reduceat(weighted, starts)
         first = np.minimum.reduceat(
@@ -89,39 +95,46 @@ def _grow_trees(X, ranks, y, seeds, k, max_depth, min_samples_split):
     A tree draws its bootstrap rows from ``default_rng(seed)``, then at
     each depth one ``random((nodes it searches, features))`` array, its
     nodes in breadth-first order; a node samples the ``k`` features with
-    the smallest draws in its row.
+    the smallest draws in its row. A node holds each distinct bootstrap
+    row once, with the number of times it was drawn.
     """
     n, n_features = X.shape
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rows = np.concatenate([rng.integers(0, n, size=n) for rng in rngs])
+    drawn = np.concatenate([np.bincount(rng.integers(0, n, size=n),
+                                        minlength=n) for rng in rngs])
+    rows = np.flatnonzero(drawn)
+    counts = drawn[rows]
     # the level's nodes, grouped by (tree, node) in breadth-first order:
     # each one's first position in rows, its tree and its dict
-    starts = np.arange(len(rngs)) * n
+    starts = np.searchsorted(rows, np.arange(len(rngs)) * n)
+    rows %= n
     tree = np.arange(len(rngs))
     level: list[dict] = [{} for _ in rngs]
     roots = level
     depth = 0
     while level:
         sizes = np.diff(starts, append=rows.size)
-        pos = np.add.reduceat(y[rows], starts)
-        split = (sizes >= min_samples_split) & (pos > 0) & (pos < sizes)
+        total = np.add.reduceat(counts, starts)
+        pos = np.add.reduceat(counts * y[rows], starts)
+        split = (total >= min_samples_split) & (pos > 0) & (pos < total)
         if max_depth is not None and depth >= max_depth:
             split[:] = False
         if split.any():
-            counts = np.bincount(tree[split], minlength=len(rngs))
+            n_searched = np.bincount(tree[split], minlength=len(rngs))
             draws = np.concatenate([rng.random((c, n_features))
-                                    for rng, c in zip(rngs, counts) if c])
+                                    for rng, c in zip(rngs, n_searched) if c])
             features = np.sort(
                 np.argsort(draws, axis=1, kind="stable")[:, :k], axis=1)
-            rows = rows[np.repeat(split, sizes)]
+            kept = np.repeat(split, sizes)
+            rows, counts = rows[kept], counts[kept]
             searched = sizes[split]
             starts = np.cumsum(searched) - searched
-            f, t, _ = _level_splits(X, ranks, y, rows, starts, features)
+            f, t, _ = _level_splits(X, ranks, y, rows, counts, starts, features)
             left = X[rows, np.repeat(f, searched)] < np.repeat(t, searched)
             n_left = np.add.reduceat(left, starts)
             grown = (f >= 0) & (n_left > 0) & (n_left < searched)
             split[split] = grown  # a search that found no split makes a leaf
-        p = (pos[~split] / sizes[~split]).tolist()
+        p = (pos[~split] / total[~split]).tolist()
         for node, p_node in zip(compress(level, ~split), p):
             node["leaf"] = [1.0 - p_node, p_node]
         if not split.any():
@@ -136,7 +149,8 @@ def _grow_trees(X, ranks, y, seeds, k, max_depth, min_samples_split):
         kept = np.repeat(grown, searched)
         child = np.repeat(np.arange(0, len(children), 2), searched[grown]) \
             + ~left[kept]
-        rows = rows[kept][np.argsort(child, kind="stable")]
+        order = np.argsort(child, kind="stable")
+        rows, counts = rows[kept][order], counts[kept][order]
         child_sizes = np.bincount(child, minlength=len(children))
         starts = np.cumsum(child_sizes) - child_sizes
         tree = np.repeat(tree[split], 2)
@@ -145,66 +159,78 @@ def _grow_trees(X, ranks, y, seeds, k, max_depth, min_samples_split):
     return roots
 
 
-def _finite_float(value) -> bool:
-    return type(value) is float and math.isfinite(value)
+_LEAF_KEYS = {"leaf"}
+_SPLIT_KEYS = {"feature", "left", "right", "threshold"}
 
 
-def _check_tree(tree, n_features: int) -> None:
-    """Raise ValueError unless every node of ``tree`` is a leaf of two
-    finite floats or a split on a feature in [0, n_features) at a finite
-    threshold with a left and a right node."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+def _flat_forest(trees, n_features: int):
+    """The nodes of all ``trees`` as flat arrays: ``feature`` (-1 at a
+    leaf), ``threshold``, ``left`` (a split's left child; its right one
+    follows it) and the leaf's positive-label fraction ``value``. Tree t
+    is rooted at node t.
+
+    Raises ValueError unless every node is a leaf ``[1.0 - p, p]`` with
+    p in [0, 1] or a split on a feature in [0, n_features) at a finite
+    threshold with a left and a right node.
+    """
+    nodes = list(trees)
+    feature, threshold, left, value = [], [], [], []
+    for node in nodes:  # visits the children appended below as well
         if not isinstance(node, dict):
             raise ValueError(f"a tree node must be a mapping, found {node!r}")
-        keys = sorted(node)
-        if keys == ["leaf"]:
+        if node.keys() == _LEAF_KEYS:
             leaf = node["leaf"]
-            if not (isinstance(leaf, list) and len(leaf) == 2
-                    and all(map(_finite_float, leaf))):
+            if not (type(leaf) is list and len(leaf) == 2
+                    and type(leaf[0]) is float and type(leaf[1]) is float):
                 raise ValueError(f"a leaf must hold 2 finite floats, found {leaf!r}")
-        elif keys == ["feature", "left", "right", "threshold"]:
-            feature = node["feature"]
-            if type(feature) is not int or not 0 <= feature < n_features:
+            # false for a NaN, and leaf[0] is then finite as well
+            if not (0.0 <= leaf[1] <= 1.0 and leaf[0] == 1.0 - leaf[1]):
+                raise ValueError(f"a leaf must be [1 - p, p] with p in [0, 1], "
+                                 f"found {leaf!r}")
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            value.append(leaf[1])
+        elif node.keys() == _SPLIT_KEYS:
+            f = node["feature"]
+            if type(f) is not int or not 0 <= f < n_features:
                 raise ValueError(f"a split feature must be an integer in "
-                                 f"[0, {n_features}), found {feature!r}")
-            if not _finite_float(node["threshold"]):
+                                 f"[0, {n_features}), found {f!r}")
+            t = node["threshold"]
+            if type(t) is not float or not math.isfinite(t):
                 raise ValueError(f"a split threshold must be a finite float, "
-                                 f"found {node['threshold']!r}")
-            stack += [node["left"], node["right"]]
+                                 f"found {t!r}")
+            feature.append(f)
+            threshold.append(t)
+            left.append(len(nodes))
+            value.append(0.0)
+            nodes += [node["left"], node["right"]]
         else:
-            raise ValueError(f"a tree node must be a leaf or a split, found {keys!r}")
-
-
-def _tree_proba(node, X):
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack = [(node, np.arange(X.shape[0]))]
-    while stack:
-        nd, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if "leaf" in nd:
-            out[idx] = nd["leaf"][1]
-            continue
-        mask = X[idx, nd["feature"]] < nd["threshold"]
-        stack.append((nd["left"], idx[mask]))
-        stack.append((nd["right"], idx[~mask]))
-    return out
+            raise ValueError(f"a tree node must be a leaf or a split, "
+                             f"found {sorted(node)!r}")
+    return (np.array(feature, dtype=np.int64), np.array(threshold),
+            np.array(left, dtype=np.int64), np.array(value))
 
 
 @dataclass(eq=False)
 class RandomForestClassifier(BinaryClassifier):
-    """Bagged CART trees; sqrt(d) features per split, bootstrap rows.
+    """Bagged CART trees (Breiman 2001); sqrt(d) features per split,
+    bootstrap rows.
 
     ``_fit`` grows all trees together, one depth at a time, as SPRINT
     does (Shafer, Agrawal & Mehta 1996): each depth runs one segmented
-    split search over the bootstrap rows of every open node, then one
-    stable partition of those rows into the children. Tree t draws from
-    ``default_rng(seed + t)``: its bootstrap rows, then one uniform
-    (open nodes, features) array per depth, its nodes in breadth-first
-    order, so its draws do not depend on the trees grown beside it.
-    ``max_features``: "sqrt" samples floor(sqrt(d)) features per node, None all.
+    split search over the rows of every open node, then one stable
+    partition of those rows into the children. A tree keeps each
+    distinct bootstrap row once with its draw count, which weighs the
+    row in every count the split search, the node sizes and the leaf
+    fractions take, so a tree is the one its repeated rows would grow.
+    Tree t draws from ``default_rng(seed + t)``: its bootstrap rows,
+    then one uniform (open nodes, features) array per depth, its nodes
+    in breadth-first order, so its draws do not depend on the trees
+    grown beside it. ``_positive`` descends all trees together, one
+    level per step, and adds their leaf fractions in tree order.
+    ``max_features``: "sqrt" samples floor(sqrt(d)) features per node,
+    None all.
     """
 
     kind = "random_forest"
@@ -229,10 +255,25 @@ class RandomForestClassifier(BinaryClassifier):
                                        self.min_samples_split)
 
     def _positive(self, X):
-        pos = np.zeros(X.shape[0], dtype=np.float64)
-        for tree in self.trees_:
-            pos += _tree_proba(tree, X)
-        return pos / len(self.trees_)
+        feature, threshold, left, value = _flat_forest(self.trees_,
+                                                       self.n_features_)
+        rows, n_trees = X.shape[0], len(self.trees_)
+        group = max(1, _GROUP_ROWS // max(rows, 1))
+        pos = np.zeros(rows)
+        for first in range(0, n_trees, group):
+            # each (tree, row) pair of the group descends one level per
+            # step; pair i is the group's tree i // rows at row i % rows
+            trees = np.arange(first, min(first + group, n_trees))
+            node = np.repeat(trees, rows)
+            active = np.flatnonzero(feature[node] >= 0)
+            while active.size:
+                at = node[active]
+                right = X[active % rows, feature[at]] >= threshold[at]
+                node[active] = at = left[at] + right
+                active = active[feature[at] >= 0]
+            for tree_value in value[node].reshape(trees.size, rows):
+                pos += tree_value  # in tree order, one tree's votes at a time
+        return pos / n_trees
 
     def _export_state(self) -> dict:
         return {"trees": self.trees_}
@@ -241,6 +282,5 @@ class RandomForestClassifier(BinaryClassifier):
         trees = state["trees"]
         if not isinstance(trees, list) or len(trees) != self.n_trees:
             raise ValueError(f"expected a list of {self.n_trees} trees")
-        for tree in trees:
-            _check_tree(tree, self.n_features_)
+        _flat_forest(trees, self.n_features_)
         self.trees_ = trees

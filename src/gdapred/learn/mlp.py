@@ -68,12 +68,6 @@ def _forward(params: Params, X: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def _loss(params: Params, X: np.ndarray, y: np.ndarray) -> float:
-    p = _forward(params, X)[-1][:, 0]
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 def _backward(params: Params, grads: Params, X: np.ndarray, y: np.ndarray) -> None:
     """Write the mean-cross-entropy gradient of every weight matrix and
     bias into ``grads``, arrays of the shapes of ``params``."""

@@ -104,20 +104,6 @@ def as_labels(y, n_rows: int | None = None) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return arr
-
-
-def check_same_dimension(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
 def check_fitted(estimator, attribute: str) -> None:
     if not hasattr(estimator, attribute):
         raise ValueError(

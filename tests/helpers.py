@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 
+from gdapred.artifacts import read_json
+from gdapred.evaluation import NEGATIVE, EvalReport, _confusion, _count_metrics
 from gdapred.kg import build_kg
-from gdapred.learn.mlp import _backward, _init_params, _loss, _views
+from gdapred.learn.mlp import _backward, _forward, _init_params, _views
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
 
 
@@ -85,6 +87,22 @@ def random_hp_kg(rng: np.random.Generator, n_terms: int, n_genes: int,
                                                n_diseases, max_terms)
     kg = build_kg("HP", ontology, gene_hp=gene_map, disease_hp=disease_map)
     return kg, ontology, gene_map, disease_map
+
+
+def negatives(dataset):
+    """The negative pairs of an `AssociationDataset`."""
+    return [p for p in dataset.pairs if p.label == NEGATIVE]
+
+
+def read_report(path) -> EvalReport:
+    """The `EvalReport` that `EvalReport.write` put at ``path``."""
+    return EvalReport(**read_json(path))
+
+
+def per_label_metrics(y_true, y_pred) -> dict[str, dict[str, float]]:
+    """Precision/recall/F1 and support for the positive and negative
+    label at threshold 0.5, from the library's counts core."""
+    return _count_metrics(*_confusion(y_true, y_pred, 0.5))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +270,25 @@ def oracle_gini_best_split(X, y, feature_indices):
     return best
 
 
+def oracle_tree_proba(node, X):
+    """The positive-label fraction that the nested-dict ``node`` gives
+    each row of ``X``, one node at a time; a row goes left when its value
+    is below the node's threshold."""
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(node, np.arange(X.shape[0]))]
+    while stack:
+        nd, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if "leaf" in nd:
+            out[idx] = nd["leaf"][1]
+            continue
+        mask = X[idx, nd["feature"]] < nd["threshold"]
+        stack.append((nd["left"], idx[mask]))
+        stack.append((nd["right"], idx[~mask]))
+    return out
+
+
 def oracle_forest(X, y, n_trees, max_depth=None, max_features="sqrt",
                   min_samples_split=2, seed=0):
     """The forest grown one node at a time: each tree breadth-first on its
@@ -331,6 +368,13 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def mlp_loss(params, X, y) -> float:
+    """The mean cross-entropy whose gradient the MLP's backprop takes."""
+    p = _forward(params, X)[-1][:, 0]
+    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
 def mlp_gradient_error(layer_sizes, seed: int) -> float:
     """Max relative error between the MLP's backprop gradients and central
     differences, on a random network and a batch of 5 random rows."""
@@ -344,7 +388,7 @@ def mlp_gradient_error(layer_sizes, seed: int) -> float:
     worst = 0.0
     for (W, b), layer_grads in zip(params, grads):
         for arr, grad in zip((W, b), layer_grads):
-            numeric = finite_difference(lambda: _loss(params, X, y), arr, step=1e-6)
+            numeric = finite_difference(lambda: mlp_loss(params, X, y), arr, step=1e-6)
             worst = max(worst, max_relative_error(grad, numeric))
     return worst
 

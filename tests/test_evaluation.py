@@ -10,10 +10,8 @@ from gdapred.artifacts import read_json
 from gdapred.errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
 from gdapred.evaluation import (
     AssociationDataset,
-    EvalReport,
     LabeledPair,
     evaluate_run,
-    per_label_metrics,
     read_dataset,
     roc_auc,
     sample_negatives,
@@ -27,11 +25,14 @@ from gdapred.evaluation import (
 from gdapred.ontology import EntityId
 
 from helpers import (
+    negatives,
     oracle_auc,
     oracle_per_label_metrics,
     oracle_roc_points,
     oracle_threshold_waf_table,
     oracle_waf,
+    per_label_metrics,
+    read_report,
 )
 
 
@@ -51,7 +52,7 @@ class TestSampleNegatives:
     def test_forced_by_exhaustion(self):
         positives = [(gene(1), disease(1)), (gene(2), disease(2))]
         ds = sample_negatives(positives, seed=0)
-        neg_keys = {(p.gene, p.disease) for p in ds.negatives()}
+        neg_keys = {(p.gene, p.disease) for p in negatives(ds)}
         assert neg_keys == {(gene(1), disease(2)), (gene(2), disease(1))}
 
     def test_complete_bipartite_infeasible(self):
@@ -80,7 +81,7 @@ class TestSampleNegatives:
                 continue
             ds = sample_negatives(positives, seed=trial)
             pos_keys = set(positives)
-            neg_keys = {(p.gene, p.disease) for p in ds.negatives()}
+            neg_keys = {(p.gene, p.disease) for p in negatives(ds)}
             assert len(neg_keys) == len(positives)
             assert not (neg_keys & pos_keys)
             for g, d in neg_keys:
@@ -443,7 +444,7 @@ class TestEvaluateRun:
                               config={"measure": "BMA_seco"}, seed=11)
         first, second = tmp_path / "report.json", tmp_path / "again.json"
         report.write(first)
-        EvalReport.read(first).write(second)
+        read_report(first).write(second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_report_json_leaves_the_curve_to_the_tsv(self, tmp_path):

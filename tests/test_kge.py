@@ -22,16 +22,13 @@ from gdapred.kge import (
     KgeTrainConfig,
     build_lexical_corpus,
     distmult_logistic_loss,
-    distmult_score,
     embed,
     generate_walks,
     read_embeddings,
-    sgns_loss,
     train_distmult,
     train_skipgram,
     train_transe,
     transe_margin_loss,
-    transe_score,
     write_embeddings,
 )
 from gdapred.kge.base import scatter_add
@@ -45,8 +42,17 @@ from gdapred.kge.skipgram import (
 from gdapred.ontology import Ontology, OntologyTerm
 
 from helpers import finite_difference, max_relative_error, save_arrays, utf8
-from sgns_reference import segment_unique_reference, train_skipgram_reference
-from triple_reference import train_distmult_reference, train_transe_reference
+from sgns_reference import (
+    segment_unique_reference,
+    sgns_loss,
+    train_skipgram_reference,
+)
+from triple_reference import (
+    distmult_score,
+    train_distmult_reference,
+    train_transe_reference,
+    transe_score,
+)
 
 
 def ring_kg(n=12):

@@ -31,7 +31,12 @@ from gdapred.learn import (
 from gdapred.learn import forest
 from gdapred.learn.forest import _dense_ranks, _level_splits
 
-from helpers import mlp_gradient_error, oracle_forest, oracle_gini_best_split
+from helpers import (
+    mlp_gradient_error,
+    oracle_forest,
+    oracle_gini_best_split,
+    oracle_tree_proba,
+)
 from mlp_reference import predict_proba_reference, train_mlp_reference
 
 
@@ -134,7 +139,8 @@ def _gini_best_split(X, y, feature_indices):
     """The forest's level-wise split search on one node holding every
     row of ``X``, in the oracle's (feature, threshold, gini) form."""
     f, t, w = _level_splits(X, _dense_ranks(X), y, np.arange(y.size),
-                            np.array([0]), np.asarray(feature_indices)[None, :])
+                            np.ones(y.size, dtype=np.int64), np.array([0]),
+                            np.asarray(feature_indices)[None, :])
     if f[0] < 0:
         return (None, None, np.inf)
     return (int(f[0]), float(t[0]), float(w[0]))
@@ -177,6 +183,109 @@ class TestGiniBestSplit:
         y = np.array([0, 1, 0])
         assert _gini_best_split(np.ones((3, 2)), y, np.array([0, 1]))[0] is None
         assert _gini_best_split(np.ones((1, 2)), y[:1], np.array([0, 1]))[0] is None
+
+
+class TestWeightedRows:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 30), n_features=st.integers(1, 6),
+           levels=st.sampled_from([1, 2, 3, 0]), nodes=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=4, n_features=2, levels=1, nodes=2, seed=0)
+    def test_counts_equal_repeated_rows(self, n, n_features, levels, nodes, seed):
+        # levels 1 makes every feature constant, 2 and 3 force tied values,
+        # 0 draws continuous values
+        rng = np.random.default_rng(seed)
+        if levels:
+            X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, n_features))
+        y = rng.integers(0, 2, size=n)
+        ranks = _dense_ranks(X)
+        # each node holds some distinct rows, each drawn 1 to 4 times
+        held = [np.flatnonzero(rng.random(n) < 0.7) for _ in range(nodes)]
+        held = [rows if rows.size else np.array([0]) for rows in held]
+        counts = [rng.integers(1, 5, size=rows.size) for rows in held]
+        k = int(rng.integers(1, n_features + 1))
+        features = np.sort(np.argsort(rng.random((nodes, n_features)),
+                                      axis=1)[:, :k], axis=1)
+
+        def search(rows, counts):
+            sizes = np.array([r.size for r in rows])
+            return _level_splits(X, ranks, y, np.concatenate(rows),
+                                 np.concatenate(counts),
+                                 np.cumsum(sizes) - sizes, features)
+
+        repeated = [np.repeat(rows, c) for rows, c in zip(held, counts)]
+        weighted = search(held, counts)
+        expanded = search(repeated, [np.ones(r.size, dtype=np.int64)
+                                     for r in repeated])
+        for got, want in zip(weighted, expanded):
+            assert np.array_equal(got, want)
+        for s, rows in enumerate(repeated):
+            f, t, w = (v[s] for v in weighted)
+            found = (None, None, np.inf) if f < 0 else (int(f), float(t), float(w))
+            assert found == oracle_gini_best_split(X[rows], y[rows], features[s])
+
+
+class TestForestPrediction:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 40), n_features=st.integers(1, 5),
+           levels=st.sampled_from([0, 2, 3]), n_trees=st.integers(1, 6),
+           max_depth=st.sampled_from([None, 1, 3]),
+           min_samples_split=st.integers(2, 50),
+           group_rows=st.sampled_from([forest._GROUP_ROWS, 1, 70]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=5, n_features=2, levels=0, n_trees=3, max_depth=None,
+             min_samples_split=50, group_rows=forest._GROUP_ROWS,
+             seed=0)  # every tree a single leaf
+    def test_equals_per_tree_oracle_descents(self, n, n_features, levels,
+                                             n_trees, max_depth,
+                                             min_samples_split, group_rows,
+                                             seed, tmp_path_factory):
+        rng = np.random.default_rng(seed)
+        if levels:
+            X = rng.integers(0, levels, size=(n, n_features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(n, n_features))
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        model = RandomForestClassifier(
+            n_trees=n_trees, max_depth=max_depth,
+            min_samples_split=min_samples_split, seed=seed % 1000).fit(X, y)
+        # fresh rows, and training rows moved onto each split's threshold
+        queries = [rng.normal(size=(10, n_features)), X]
+        stack = list(model.trees_)
+        while stack:
+            node = stack.pop()
+            if "leaf" not in node:
+                on = X.copy()
+                on[:, node["feature"]] = node["threshold"]
+                queries.append(on)
+                stack += [node["left"], node["right"]]
+        queries = np.vstack(queries)
+        want = np.zeros(queries.shape[0])
+        for tree in model.trees_:
+            want += oracle_tree_proba(tree, queries)
+        want /= n_trees
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        model.save(path)
+        # a small group size descends one prediction's trees in groups
+        with mock.patch.object(forest, "_GROUP_ROWS", group_rows):
+            for fitted in (model, load_model(path)):
+                proba = fitted.predict_proba(queries)
+                assert np.array_equal(proba[:, 1], want)
+                assert np.array_equal(proba[:, 0], 1.0 - want)
+
+    def test_row_on_a_threshold_goes_right(self):
+        model = RandomForestClassifier(n_trees=2)
+        model.trees_ = [{"leaf": [0.75, 0.25]},
+                        {"feature": 0, "threshold": 0.5,
+                         "left": {"leaf": [1.0, 0.0]},
+                         "right": {"leaf": [0.0, 1.0]}}]
+        model.n_features_ = 1
+        proba = model.predict_proba(np.array([[0.5], [0.4999], [0.5001]]))
+        assert proba[:, 1].tolist() == [0.625, 0.125, 0.625]
+        assert model.predict_proba(np.zeros((0, 1))).shape == (0, 2)
 
 
 class TestGaussianNaiveBayes:
@@ -484,6 +593,12 @@ class TestModelFiles:
         ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
             0, {"leaf": [1.0]}), r"a leaf must hold 2 finite floats, found \[1.0\]"),
         ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
+            0, {"leaf": [0.5, 7.0]}),
+         r"a leaf must be \[1 - p, p\] with p in \[0, 1\], found \[0.5, 7.0\]"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
+            0, {"leaf": [0.5, 0.25]}),
+         r"a leaf must be \[1 - p, p\] with p in \[0, 1\], found \[0.5, 0.25\]"),
+        ("random_forest", lambda p: p["parameters"]["trees"].__setitem__(
             0, {"leaf": [1.0, 0.0], "left": {}}),
          r"a tree node must be a leaf or a split, found \['leaf', 'left'\]"),
         ("random_forest", lambda p: p["parameters"].update(n_features=0),
@@ -506,7 +621,8 @@ class TestModelFiles:
          "variances and priors must be positive"),
     ], ids=["kind", "unknown-hyperparameter", "bad-hyperparameter",
             "no-parameters", "no-trees", "tree-count", "split-feature",
-            "split-threshold", "short-leaf", "node-keys", "no-features",
+            "split-threshold", "short-leaf", "leaf-range", "leaf-sum",
+            "node-keys", "no-features",
             "mlp-layer-shape", "mlp-width", "mlp-layer-count", "mlp-ragged",
             "nb-means", "nb-priors", "nb-non-finite", "nb-zero-variance"])
     def test_damaged_or_foreign_file_is_integrity_error(self, tmp_path, kind,

@@ -11,6 +11,9 @@ into its table with ``np.add.at``, and for TransE then renormalises the
 whole entity table. Tests compare the fused trainers against it; it is
 not used by the package.
 
+The single-triple scores `transe_score` and `distmult_score` live here
+too: only tests call them.
+
 Each trainer also returns its draws, one ``(H, T, head, node)`` tuple per
 batch, so a test can check which cases a run covered.
 """
@@ -20,6 +23,30 @@ import numpy as np
 from gdapred.kge import (EmbeddingTable, distmult_logistic_loss,
                          transe_margin_loss)
 from gdapred.kge.base import decayed_rate
+from gdapred.kge.translational import L2, _distance
+
+
+def _vectors(*vectors):
+    """Finite 1-d float vectors of one dimension, else ValueError."""
+    arrays = [np.asarray(v, dtype=np.float64) for v in vectors]
+    for a in arrays:
+        if a.ndim != 1 or not np.all(np.isfinite(a)):
+            raise ValueError(f"expected a finite 1-d vector, got {a!r}")
+    if len({a.shape for a in arrays}) > 1:
+        raise ValueError(f"dimension mismatch: {[a.shape for a in arrays]}")
+    return arrays
+
+
+def transe_score(h, r, t, norm: str = L2) -> float:
+    """Negated translation residual; higher means more plausible."""
+    h, r, t = _vectors(h, r, t)
+    return -float(_distance(h + r - t, norm))
+
+
+def distmult_score(h, r, t) -> float:
+    """Trilinear product sum_i h_i * r_i * t_i."""
+    h, r, t = _vectors(h, r, t)
+    return float(np.sum(h * r * t))
 
 
 def _project_to_unit_ball(E):
