@@ -8,13 +8,23 @@ file: the float64 matrix, then the UTF-8 ids joined by newlines as
 uint8. A JSON document has sorted keys and ends with a newline. It is
 indented by 2, except a model document, which is one line: json writes
 only an unindented document with its C encoder, which is several times
-faster on the megabytes of numbers of a model.
+faster on the megabytes of a model.
+
+A float64 array inside a JSON document (a model's state) is the object
+``{"float64": <base64 of its little-endian bytes>, "shape": [...]}``,
+which `write_json` writes for any float64 array and `decode_array` reads
+back bit for bit, without the ``repr`` and parse of every number as
+text. `decode_array` raises ValueError unless the base64 is valid, the
+shape a list of non-negative integers, the byte count 8 per element of
+that shape and every value finite.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
+import math
 import zipfile
 from typing import Iterable, Iterator, Sequence
 
@@ -101,14 +111,52 @@ def read_matrix(path, cells: int = 1) -> tuple[list, np.ndarray]:
     return (ids if cells == 1 else list(map(tuple, keys))), matrix
 
 
+_ARRAY_KEYS = {"float64", "shape"}
+_LITTLE_F8 = np.dtype("<f8")
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """The JSON object `write_json` writes for a float64 array."""
+    data = np.ascontiguousarray(array, dtype=_LITTLE_F8).tobytes()
+    return {"float64": base64.b64encode(data).decode("ascii"),
+            "shape": list(array.shape)}
+
+
 def _json_default(value):
+    if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        return encode_array(value)
     if isinstance(value, np.generic):  # a numpy scalar hyperparameter
         return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+def decode_array(value, name: str) -> np.ndarray:
+    """The float64 array that `write_json` wrote as ``value``.
+    Raises ValueError naming it for an object of other keys, a shape
+    that is not a list of non-negative integers, invalid base64, a byte
+    count that does not fit the shape or a non-finite value."""
+    if not (isinstance(value, dict) and value.keys() == _ARRAY_KEYS):
+        raise ValueError(f"{name} is not an encoded float64 array")
+    shape, text = value["shape"], value["float64"]
+    if not (type(shape) is list and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{name} has the shape {shape!r}, not a list of "
+                         f"non-negative integers")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as err:  # binascii.Error is a ValueError
+        raise ValueError(f"{name} is not valid base64: {err}") from None
+    if len(data) != 8 * math.prod(shape):
+        raise ValueError(f"{name} holds {len(data)} bytes, shape {tuple(shape)} "
+                         f"needs {8 * math.prod(shape)}")
+    array = np.frombuffer(data, dtype=_LITTLE_F8).astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a non-finite value")
+    return array.reshape(shape)
+
+
 def write_json(path, payload, one_line: bool = False) -> None:
-    """``payload`` with sorted keys, indented by 2 unless ``one_line``."""
+    """``payload`` with sorted keys, indented by 2 unless ``one_line``;
+    a float64 array goes in as its base64 bytes (see `decode_array`)."""
     text = json.dumps(payload, indent=None if one_line else 2, sort_keys=True,
                       default=_json_default)
     with open(path, "w", encoding="utf-8") as fh:

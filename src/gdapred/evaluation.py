@@ -39,6 +39,8 @@ class LabeledPair:
 class AssociationDataset:
     pairs: list[LabeledPair]
     split: dict[tuple[EntityId, EntityId], str] | None = None
+    _partitions: dict[str, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         keys = [p.key for p in self.pairs]
@@ -49,10 +51,16 @@ class AssociationDataset:
         return np.array([p.label for p in self.pairs], dtype=np.int64)
 
     def partition_indices(self, partition: str) -> np.ndarray:
+        """The ascending positions of the pairs in ``partition``, computed
+        once, as a read-only array that every call returns again."""
         if self.split is None:
             raise DegenerateDataError("dataset has no persisted split")
-        return np.array([i for i, p in enumerate(self.pairs)
-                         if self.split[p.key] == partition], dtype=np.int64)
+        if partition not in self._partitions:
+            indices = np.array([i for i, p in enumerate(self.pairs)
+                                if self.split[p.key] == partition], dtype=np.int64)
+            indices.flags.writeable = False
+            self._partitions[partition] = indices
+        return self._partitions[partition]
 
     def entities(self) -> tuple[set[EntityId], set[EntityId]]:
         genes = {p.gene for p in self.pairs}

@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..artifacts import write_json
+from ..artifacts import decode_array, write_json
 from ..errors import DegenerateDataError
 from ..validation import as_labels, as_matrix, check_fields, check_fitted
 
@@ -20,8 +20,10 @@ class BinaryClassifier:
     provides only its algorithm: ``_fit(X, y)`` on checked inputs,
     ``_positive(X)``, the positive-label probability of each checked
     row, and ``_export_state`` / ``_import_state`` of what ``_fit``
-    learned; ``_import_state`` runs with ``n_features_`` set and raises
-    ValueError for a state that does not fit it and the hyperparameters.
+    learned, its float64 arrays as they are, which the model file holds
+    as exact bytes (`state_array` reads one back); ``_import_state``
+    runs with ``n_features_`` set and raises ValueError for a state that
+    does not fit it and the hyperparameters.
     Hyperparameters travel via ``get_params``.
     """
 
@@ -66,14 +68,10 @@ class BinaryClassifier:
 
 
 def state_array(value, shape: tuple, name: str) -> np.ndarray:
-    """``value`` of a model file as a float64 array; one of another shape
-    or with a non-finite value raises ValueError naming it."""
-    try:
-        array = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{name} is not an array of numbers: {err}") from None
+    """``value`` of a model file, an array `write_json` encoded, as a
+    float64 array; a damaged encoding, another shape or a non-finite
+    value raises ValueError naming it."""
+    array = decode_array(value, name)
     if array.shape != shape:
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{name} holds a non-finite value")
     return array

@@ -228,12 +228,15 @@ class RandomForestClassifier(BinaryClassifier):
     then one uniform (open nodes, features) array per depth, its nodes
     in breadth-first order, so its draws do not depend on the trees
     grown beside it. ``_positive`` descends all trees together, one
-    level per step, and adds their leaf fractions in tree order.
+    level per step, on the flat node arrays ``nodes_`` of `_flat_forest`,
+    and adds their leaf fractions in tree order. ``nodes_`` is built
+    once: by the load check, or by the first prediction after a fit.
     ``max_features``: "sqrt" samples floor(sqrt(d)) features per node,
     None all.
     """
 
     kind = "random_forest"
+    nodes_ = None  # `_flat_forest(trees_)`, built once
 
     n_trees: int = at_least(1, 100)
     max_depth: int | None = at_least(1, None)
@@ -247,16 +250,18 @@ class RandomForestClassifier(BinaryClassifier):
             k = max(1, int(np.sqrt(k)))
         ranks = _dense_ranks(X)
         group = max(1, _GROUP_ROWS // n)
-        self.trees_ = []
+        trees = []
         for first in range(0, self.n_trees, group):
             seeds = range(self.seed + first,
                           self.seed + min(first + group, self.n_trees))
-            self.trees_ += _grow_trees(X, ranks, y, seeds, k, self.max_depth,
-                                       self.min_samples_split)
+            trees += _grow_trees(X, ranks, y, seeds, k, self.max_depth,
+                                 self.min_samples_split)
+        self.trees_, self.nodes_ = trees, None
 
     def _positive(self, X):
-        feature, threshold, left, value = _flat_forest(self.trees_,
-                                                       self.n_features_)
+        if self.nodes_ is None:
+            self.nodes_ = _flat_forest(self.trees_, self.n_features_)
+        feature, threshold, left, value = self.nodes_
         rows, n_trees = X.shape[0], len(self.trees_)
         group = max(1, _GROUP_ROWS // max(rows, 1))
         pos = np.zeros(rows)
@@ -282,5 +287,5 @@ class RandomForestClassifier(BinaryClassifier):
         trees = state["trees"]
         if not isinstance(trees, list) or len(trees) != self.n_trees:
             raise ValueError(f"expected a list of {self.n_trees} trees")
-        _flat_forest(trees, self.n_features_)
+        self.nodes_ = _flat_forest(trees, self.n_features_)
         self.trees_ = trees

@@ -12,6 +12,7 @@ passes over whole vectors, ``v *= m; v -= lr * g; theta += v``: the
 per-element operations of ``v = m·v − lr·g; W = W + v`` written per
 layer, so the weights are the same to the bit, and the update builds no
 array. ``tests/mlp_reference.py`` keeps the per-layer form as the oracle.
+A model file holds that one vector, ``theta``, as exact bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +26,11 @@ from ..validation import at_least, bound
 from .base import BinaryClassifier, state_array
 
 Params = list[tuple[np.ndarray, np.ndarray]]  # (weights, biases) per layer
+
+
+def _vector_size(layer_sizes) -> int:
+    return sum(fan_in * fan_out + fan_out
+               for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def _views(vector: np.ndarray, layer_sizes) -> Params:
@@ -42,8 +48,7 @@ def _views(vector: np.ndarray, layer_sizes) -> Params:
 def _init_params(layer_sizes, rng) -> np.ndarray:
     """The parameter vector: Glorot-uniform weights drawn layer by layer,
     zero biases."""
-    vector = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out
-                          in zip(layer_sizes[:-1], layer_sizes[1:])))
+    vector = np.zeros(_vector_size(layer_sizes))
     for W, _ in _views(vector, layer_sizes):
         limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
         W[...] = rng.uniform(-limit, limit, size=W.shape)
@@ -120,25 +125,15 @@ class MLPClassifier(BinaryClassifier):
             if not np.isfinite(theta).all():
                 raise DivergenceError(f"mlp: non-finite weights at epoch {epoch} "
                                       f"(learning_rate={self.learning_rate})")
-        self.params_ = params
+        self.theta_, self.params_ = theta, params
 
     def _positive(self, X):
         return _forward(self.params_, X)[-1][:, 0]
 
     def _export_state(self) -> dict:
-        return {
-            "weights": [W.tolist() for W, _ in self.params_],
-            "biases": [b.tolist() for _, b in self.params_],
-        }
+        return {"theta": self.theta_}
 
     def _import_state(self, state: dict) -> None:
         sizes = self._layer_sizes(self.n_features_)
-        weights, biases = state["weights"], state["biases"]
-        if len(weights) != len(sizes) - 1 or len(biases) != len(sizes) - 1:
-            raise ValueError(f"expected {len(sizes) - 1} weight matrices and bias "
-                             f"vectors, found {len(weights)} and {len(biases)}")
-        self.params_ = [
-            (state_array(W, (fan_in, fan_out), f"weights[{i}]"),
-             state_array(b, (fan_out,), f"biases[{i}]"))
-            for i, (W, b, fan_in, fan_out)
-            in enumerate(zip(weights, biases, sizes[:-1], sizes[1:]))]
+        theta = state_array(state["theta"], (_vector_size(sizes),), "theta")
+        self.theta_, self.params_ = theta, _views(theta, sizes)

@@ -47,11 +47,8 @@ class GaussianNaiveBayes(BinaryClassifier):
         return exp[:, 1] / exp.sum(axis=1)
 
     def _export_state(self) -> dict:
-        return {
-            "means": self.means_.tolist(),
-            "variances": self.variances_.tolist(),
-            "priors": self.priors_.tolist(),
-        }
+        return {"means": self.means_, "variances": self.variances_,
+                "priors": self.priors_}
 
     def _import_state(self, state: dict) -> None:
         shape = (2, self.n_features_)

@@ -2,6 +2,8 @@
 files, and one module that opens artifacts."""
 
 import ast
+import base64
+import struct
 import sys
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gdapred
 from gdapred.artifacts import (
+    decode_array,
     read_json,
     read_matrix,
     read_tsv,
@@ -121,6 +125,52 @@ class TestJson:
     def test_other_objects_still_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="set"):
             write_json(tmp_path / "d.json", {"s": {1}})
+        with pytest.raises(TypeError, match="ndarray"):
+            write_json(tmp_path / "d.json", {"s": np.arange(3)})
+
+    @settings(max_examples=80, deadline=None)
+    @given(array=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                         min_side=0, max_side=5),
+                            elements=floats))
+    @example(array=np.array(EDGE_FLOATS))
+    @example(array=np.array([[-0.0, 5e-324], [2.2250738585072014e-308, -5e-324]]))
+    @example(array=np.zeros((3, 0)))
+    @example(array=np.zeros((2, 0, 0)))
+    @example(array=np.array(-0.0))
+    def test_float64_arrays_roundtrip_exact(self, tmp_path_factory, array):
+        path = tmp_path_factory.mktemp("json") / "d.json"
+        for one_line in (True, False):
+            write_json(path, {"a": array, "t": array.T}, one_line=one_line)
+            back = read_json(path)
+            for name, want in (("a", array), ("t", array.T)):
+                got = decode_array(back[name], name)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_array_is_its_little_endian_bytes_in_base64(self, tmp_path):
+        path = tmp_path / "d.json"
+        write_json(path, {"a": np.array([[1.0, -0.0]])}, one_line=True)
+        data = base64.b64encode(struct.pack("<2d", 1.0, -0.0)).decode()
+        assert path.read_text() == (
+            f'{{"a": {{"float64": "{data}", "shape": [1, 2]}}}}\n')
+
+    @pytest.mark.parametrize("value, match", [
+        ([1.0, 2.0], "x is not an encoded float64 array"),
+        ({"float64": "", "shape": [0], "dtype": "<f8"},
+         "x is not an encoded float64 array"),
+        ({"float64": "", "shape": 0}, "x has the shape 0, not a list"),
+        ({"float64": "", "shape": [True]}, r"x has the shape \[True\], not a list"),
+        ({"float64": "", "shape": [1.0]}, r"x has the shape \[1.0\], not a list"),
+        ({"float64": "", "shape": [-1]}, r"x has the shape \[-1\], not a list"),
+        ({"float64": 7, "shape": [0]}, "x is not valid base64"),
+        ({"float64": "AAAAAAAA8D8", "shape": [1]}, "x is not valid base64"),
+        ({"float64": "AAAAAAAA8D8=\n", "shape": [1]}, "x is not valid base64"),
+        ({"float64": "AAAAAAAA8D\u00e9=", "shape": [1]}, "x is not valid base64"),
+    ], ids=["list", "extra-key", "shape-not-list", "bool-side", "float-side",
+            "negative-side", "not-text", "no-padding", "newline", "not-ascii"])
+    def test_damaged_array_is_value_error(self, value, match):
+        with pytest.raises(ValueError, match=match):
+            decode_array(value, "x")
 
 
 class TestTableArtifacts:
@@ -311,7 +361,11 @@ ALLOWED = {
 FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "tofile"}
 #: numpy functions that read or write files, called as ``np.<name>``
 NUMPY_FILE_CALLS = {"save", "load", "savez", "savez_compressed", "savetxt",
-                    "loadtxt", "genfromtxt", "fromfile", "memmap"}
+                    "loadtxt", "genfromtxt", "fromfile", "memmap",
+                    # reads an array's raw bytes: the dialect's binary arrays
+                    "frombuffer"}
+#: standard-library modules of the dialect's binary encodings
+DIALECT_MODULES = {"base64", "binascii"}
 
 
 class _FileCalls(ast.NodeVisitor):
@@ -352,6 +406,12 @@ def test_only_the_artifacts_module_opens_files():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 offenders.append((path.name, "<module>", "from json import", node.lineno))
+            if isinstance(node, ast.Import):
+                offenders += [(path.name, "<module>", f"import {alias.name}", node.lineno)
+                              for alias in node.names if alias.name in DIALECT_MODULES]
+            if isinstance(node, ast.ImportFrom) and node.module in DIALECT_MODULES:
+                offenders.append((path.name, "<module>", f"from {node.module} import",
+                                  node.lineno))
             if isinstance(node, ast.ImportFrom) and node.module == "numpy" \
                     and {a.name for a in node.names} & NUMPY_FILE_CALLS:
                 offenders.append((path.name, "<module>", "from numpy import", node.lineno))

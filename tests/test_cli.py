@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gdapred.artifacts import read_matrix, write_matrix
+from gdapred.artifacts import decode_array, encode_array, read_matrix, write_matrix
 from gdapred.cli import build_parser, main
 from gdapred.errors import (
     ConfigurationError,
@@ -878,11 +878,12 @@ class TestDamagedFiles:
         out_dir, config_path = tiny_run
         path = out_dir / "train" / "model_HP_walk_lexical_hadamard_mlp.json"
         model = json.loads(path.read_text())
-        model["parameters"]["weights"][1].pop()  # a 3x1 layer after a dx4 one
+        theta = decode_array(model["parameters"]["theta"], "theta")
+        model["parameters"]["theta"] = encode_array(theta[:-1])  # one float short
         with damaged(path, json.dumps(model).encode(), out_dir):
             assert main(["evaluate", "--config", str(config_path)]) == 1
-        assert (f"{path}: not a model file: weights[1] has shape (3, 1), "
-                f"expected (4, 1)") in caplog.text
+        assert (f"{path}: not a model file: theta has shape ({theta.size - 1},), "
+                f"expected ({theta.size},)") in caplog.text
 
     def test_empty_annotations_file_exits_1(self, tiny_run, caplog):
         # header and all: without the header check it read as no annotations

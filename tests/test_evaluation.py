@@ -128,6 +128,22 @@ class TestStratifiedSplit:
         assert train & test == set()
         assert train | test == set(range(len(ds.pairs)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n_pos=st.integers(2, 15), n_neg=st.integers(2, 15),
+           fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_partitions_are_computed_once_and_read_only(self, n_pos, n_neg,
+                                                        fraction, seed):
+        ds = stratified_split(self.balanced(n_pos, n_neg), fraction, seed=seed)
+        for partition in ("train", "test", "validation"):
+            first = ds.partition_indices(partition)
+            want = np.array([i for i, p in enumerate(ds.pairs)
+                             if ds.split[p.key] == partition], dtype=np.int64)
+            assert first.dtype == np.int64 and np.array_equal(first, want)
+            assert np.array_equal(ds.partition_indices(partition), first)
+            with pytest.raises(ValueError, match="read-only"):
+                first[:1] = 0
+            assert np.array_equal(ds.partition_indices(partition), want)
+
     def test_single_member_label_rejected(self):
         pairs = [LabeledPair(gene(1), disease(1), 1),
                  LabeledPair(gene(2), disease(2), 0),

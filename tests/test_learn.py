@@ -1,5 +1,6 @@
 """Classifier training, grid search, and persistence contracts."""
 
+import base64
 import functools
 import json
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdapred.artifacts import read_json, write_json
+from gdapred.artifacts import decode_array, encode_array, read_json, write_json
 from gdapred.errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -275,6 +276,24 @@ class TestForestPrediction:
                 proba = fitted.predict_proba(queries)
                 assert np.array_equal(proba[:, 1], want)
                 assert np.array_equal(proba[:, 0], 1.0 - want)
+
+    def test_saved_copy_predicts_the_same_bits_on_every_call(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 3))
+        y = (X[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(np.int64)
+        queries = rng.normal(size=(25, 3))
+        model = RandomForestClassifier(n_trees=7, max_depth=4, seed=3).fit(X, y)
+        model.save(tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        first = model.predict_proba(queries)
+        for fitted in (model, back, model, back):
+            assert np.array_equal(fitted.predict_proba(queries), first)
+        # a refit predicts from its own trees, not the flat nodes of the last
+        model.fit(X, 1 - y)
+        fresh = RandomForestClassifier(n_trees=7, max_depth=4, seed=3).fit(X, 1 - y)
+        assert np.array_equal(model.predict_proba(queries),
+                              fresh.predict_proba(queries))
+        assert not np.array_equal(model.predict_proba(queries), first)
 
     def test_row_on_a_threshold_goes_right(self):
         model = RandomForestClassifier(n_trees=2)
@@ -556,6 +575,22 @@ class TestMlpReference:
                               predict_proba_reference(reference, X))
 
 
+def recode(name, change):
+    """A damage: the model file's state array ``name``, changed by
+    ``change`` on a writable copy and encoded again."""
+    def damage(payload):
+        state = payload["parameters"]
+        state[name] = encode_array(change(np.array(decode_array(state[name], name))))
+    return damage
+
+
+def put(index, value):
+    def change(array):
+        array[index] = value
+        return array
+    return change
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("kind", sorted(VALID_PARAMS))
     @settings(max_examples=20, deadline=None)
@@ -603,28 +638,52 @@ class TestModelFiles:
          r"a tree node must be a leaf or a split, found \['leaf', 'left'\]"),
         ("random_forest", lambda p: p["parameters"].update(n_features=0),
          "n_features must be a positive integer, found 0"),
-        ("mlp", lambda p: p["parameters"]["weights"][1].pop(),
-         r"weights\[1\] has shape \(3, 1\), expected \(4, 1\)"),
+        # the mlp below has width 1 and one hidden layer of 4: theta holds
+        # 1·4 + 4 + 4·1 + 1 = 13 floats
+        ("mlp", recode("theta", lambda a: a[:-1]),
+         r"theta has shape \(12,\), expected \(13,\)"),
         ("mlp", lambda p: p["parameters"].update(n_features=2),
-         r"weights\[0\] has shape \(1, 4\), expected \(2, 4\)"),
-        ("mlp", lambda p: p["parameters"]["biases"].pop(),
-         "expected 2 weight matrices and bias vectors, found 2 and 1"),
-        ("mlp", lambda p: p["parameters"]["biases"][0].__setitem__(0, [0.5]),
-         r"biases\[0\] is not an array of numbers"),
-        ("gaussian_nb", lambda p: p["parameters"]["means"].pop(),
+         r"theta has shape \(13,\), expected \(17,\)"),
+        ("mlp", lambda p: p["hyperparameters"].update(hidden_layers=[4, 4]),
+         r"theta has shape \(13,\), expected \(33,\)"),
+        ("mlp", lambda p: p["parameters"]["theta"].update(shape=[[13]]),
+         r"theta has the shape \[\[13\]\], not a list of non-negative integers"),
+        ("mlp", lambda p: p["parameters"]["theta"].update(
+            float64="!" + p["parameters"]["theta"]["float64"][1:]),
+         "theta is not valid base64"),
+        ("mlp", lambda p: p["parameters"]["theta"].update(
+            float64=base64.b64encode(base64.b64decode(
+                p["parameters"]["theta"]["float64"])[:-8]).decode()),
+         r"theta holds 96 bytes, shape \(13,\) needs 104"),
+        ("mlp", lambda p: p["parameters"]["theta"].update(shape=[2, 7]),
+         r"theta holds 104 bytes, shape \(2, 7\) needs 112"),
+        ("mlp", recode("theta", put(5, np.nan)), "theta holds a non-finite value"),
+        ("mlp", recode("theta", put(0, -np.inf)), "theta holds a non-finite value"),
+        ("mlp", lambda p: p["parameters"].update(theta={"shape": [13]}),
+         "theta is not an encoded float64 array"),
+        ("mlp", lambda p: p.update(parameters={
+            "n_features": 1, "weights": [[[0.5] * 4], [[0.5]] * 4],
+            "biases": [[0.0] * 4, [0.0]]}), "lacks the key 'theta'"),
+        ("gaussian_nb", recode("means", lambda a: a[:1]),
          r"means has shape \(1, 1\), expected \(2, 1\)"),
-        ("gaussian_nb", lambda p: p["parameters"]["priors"].append(0.5),
+        ("gaussian_nb", recode("priors", lambda a: np.append(a, 0.5)),
          r"priors has shape \(3,\), expected \(2,\)"),
-        ("gaussian_nb", lambda p: p["parameters"]["variances"][1].__setitem__(
-            0, float("nan")), "variances holds a non-finite value"),
-        ("gaussian_nb", lambda p: p["parameters"]["variances"][0].__setitem__(0, 0.0),
+        ("gaussian_nb", recode("variances", put((1, 0), np.nan)),
+         "variances holds a non-finite value"),
+        ("gaussian_nb", recode("variances", put((0, 0), 0.0)),
          "variances and priors must be positive"),
+        ("gaussian_nb", lambda p: p["parameters"].update(means=[[0.0], [1.0]]),
+         "means is not an encoded float64 array"),
     ], ids=["kind", "unknown-hyperparameter", "bad-hyperparameter",
             "no-parameters", "no-trees", "tree-count", "split-feature",
             "split-threshold", "short-leaf", "leaf-range", "leaf-sum",
             "node-keys", "no-features",
             "mlp-layer-shape", "mlp-width", "mlp-layer-count", "mlp-ragged",
-            "nb-means", "nb-priors", "nb-non-finite", "nb-zero-variance"])
+            "mlp-base64", "mlp-byte-count",
+            "mlp-shape-bytes", "mlp-nan", "mlp-inf", "mlp-no-bytes",
+            "mlp-list-form",
+            "nb-means", "nb-priors", "nb-non-finite", "nb-zero-variance",
+            "nb-list-form"])
     def test_damaged_or_foreign_file_is_integrity_error(self, tmp_path, kind,
                                                         damage, match):
         X, y = separable_1d()
