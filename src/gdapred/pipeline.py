@@ -490,17 +490,18 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     annotations = merge_annotation_maps(_read_annotations(run, "gene", "hp"),
                                         _read_annotations(run, "disease", "hp"))
 
+    measures = [c for c in SSM_CONFIGS if c.name in config.ssm_measures]
+    # one IC table per flavour, shared by its measures and timed apart
+    # from them
+    tables = {}
+    for flavor in dict.fromkeys(c.ic_flavor for c in measures):
+        with run.timed(f"ic_{flavor}"):
+            tables[flavor] = ic_table(flavor, kg, annotations)
     rows = {}
-    tables = {}  # one IC table per flavour, shared by its measures
-    for ssm_config in SSM_CONFIGS:
-        if ssm_config.name not in config.ssm_measures:
-            continue
+    for ssm_config in measures:
         with run.timed(ssm_config.name):
-            flavor = ssm_config.ic_flavor
-            if flavor not in tables:
-                tables[flavor] = ic_table(flavor, kg, annotations)
             scored = ssm_baseline(dataset, ssm_config, kg, annotations,
-                                  ic=tables[flavor])
+                                  ic=tables[ssm_config.ic_flavor])
             if scored.excluded_entities:
                 raise IntegrityError(
                     "baseline cannot score the persisted dataset: entities "
@@ -516,7 +517,7 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     summary = {"measures": rows, "best": best}
     write_json(run.output("baseline.json"), summary)
     # one column per measure, the best WAF starred
-    ordered = [c.name for c in SSM_CONFIGS if c.name in rows]
+    ordered = [c.name for c in measures]
     table = [[metric, *(rows[n][metric] for n in ordered)]
              for metric in ("waf", "auc", "threshold")]
     if best is not None:

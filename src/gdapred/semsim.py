@@ -9,64 +9,66 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+
+import numpy as np
 
 from .artifacts import write_tsv
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, UnknownNodeError
 from .kg import KnowledgeGraph
 from .ontology import AnnotationMap, EntityId
 from .validation import check_fields, one_of
 
 if TYPE_CHECKING:
-    from .evaluation import AssociationDataset
+    from .evaluation import AssociationDataset, LabeledPair
 
 IC_SECO = "seco"
 IC_RESNIK_CORPUS = "resnik_corpus"
 AGGREGATIONS = ("BMA", "MAX", "SIMGIC")
+#: term-pair lookups (BMA, MAX) or closure cells (SimGIC) held at once
+#: while a measure run scores its pairs
+_CHUNK = 1 << 14
 
 
 @dataclass
 class InformationContentTable:
     flavor: str
     values: dict[str, float]
-    #: MICA bitmasks over the KG the table was last used with, built
-    #: from ``values`` on first use: do not change ``values`` after that
-    _masks: "_AncestorMasks | None" = field(
+    #: the table over the KG it was last used with, built from
+    #: ``values`` on first use: do not change ``values`` after that
+    _index: "_GraphIndex | None" = field(
         default=None, init=False, repr=False, compare=False)
 
-    def _masks_for(self, kg: KnowledgeGraph) -> "_AncestorMasks":
-        if self._masks is None or self._masks.kg is not kg:
-            self._masks = _AncestorMasks(kg, self.values)
-        return self._masks
+    def _index_for(self, kg: KnowledgeGraph) -> "_GraphIndex":
+        if self._index is None or self._index.kg is not kg:
+            self._index = _GraphIndex(kg, self.values)
+        return self._index
 
 
-class _AncestorMasks:
-    """Ancestor sets as bitmasks over the IC ranking of one KG.
+class _GraphIndex:
+    """One IC table over the term nodes of one KG.
 
-    The terms with IC > 0 are ranked by IC, highest first, ties broken
-    by term id; bit r of a term's mask is set when the rank-r term is
-    among its ancestors. The lowest bit two masks share is then their
-    most informative common ancestor, and no shared bit means MICA 0.
+    MICA: the terms with IC > 0 are ranked by IC, lowest first, ties
+    broken by term id; bit r of ``masks[t]`` is set when the rank-r term
+    is among the ancestors of t. The highest bit two masks share is then
+    their most informative common ancestor, and no shared bit means
+    MICA 0. SimGIC: ``column`` numbers the KG's terms in sorted order,
+    and ``weights`` holds each one's IC, 0.0 where it is undefined.
     """
 
     def __init__(self, kg: KnowledgeGraph, values: dict[str, float]):
         self.kg = kg
         ranked = sorted((t for t, v in values.items() if v > 0.0),
-                        key=lambda t: (-values[t], t))
-        self.rank = {t: r for r, t in enumerate(ranked)}
+                        key=lambda t: (values[t], t))
+        bit = {t: 1 << r for r, t in enumerate(ranked)}
         self.ic = [values[t] for t in ranked]
-        self.masks: dict[str, int] = {}
-
-    def mask(self, term: str) -> int:
-        mask = self.masks.get(term)
-        if mask is None:
-            mask = 0
-            for t in self.kg.ancestor_set(term):
-                r = self.rank.get(t)
-                if r is not None:
-                    mask |= 1 << r
-            self.masks[term] = mask
-        return mask
+        # the bits are distinct, so their sum is their union
+        self.masks = {term: sum(map(bit.get, kg.ancestor_set(term), repeat(0)))
+                      for term in kg.term_nodes}
+        terms = sorted(kg.term_nodes)
+        self.column = {t: i for i, t in enumerate(terms)}
+        self.weights = np.array([values.get(t, 0.0) for t in terms])
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,27 @@ def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationCont
 
 def ic_table(flavor: str, kg: KnowledgeGraph,
              annotations: AnnotationMap) -> InformationContentTable:
-    """The IC table of one flavour, from ``ic_seco`` or ``ic_resnik``."""
-    if flavor == IC_SECO:
-        return ic_seco(kg)
-    return ic_resnik(kg, annotations)
+    """The IC table of one flavour, from ``ic_seco`` or ``ic_resnik``,
+    with its MICA masks and SimGIC weights over ``kg`` built."""
+    table = ic_seco(kg) if flavor == IC_SECO else ic_resnik(kg, annotations)
+    table._index_for(kg)
+    return table
 
 
 def sim_resnik_pair(a: str, b: str, kg: KnowledgeGraph,
                     ic: InformationContentTable) -> float:
     """IC of the most informative common ancestor of two terms; 0.0 when
     no common ancestor has a positive IC."""
-    masks = ic._masks_for(kg)
-    common = masks.mask(a) & masks.mask(b)
-    return masks.ic[(common & -common).bit_length() - 1] if common else 0.0
+    index = ic._index
+    if index is None or index.kg is not kg:
+        index = ic._index_for(kg)
+    masks = index.masks
+    try:
+        common = masks[a] & masks[b]
+    except KeyError as missing:
+        raise UnknownNodeError(
+            f"{missing.args[0]} is not a term node of this graph") from None
+    return index.ic[common.bit_length() - 1] if common else 0.0
 
 
 def _closure_union(terms: Iterable[str], kg: KnowledgeGraph) -> set[str]:
@@ -162,34 +172,39 @@ def _simgic(anc_a: set[str], anc_b: set[str],
     return inter / union if union > 0 else 0.0
 
 
-def sim_groupwise(gene_terms: set[str], disease_terms: set[str],
+def sim_groupwise(gene_terms: Collection[str], disease_terms: Collection[str],
                   config: SimilarityConfig, kg: KnowledgeGraph,
-                  ic: InformationContentTable, pair_sim=sim_resnik_pair) -> float:
+                  ic: InformationContentTable,
+                  similarities: Sequence[float] | None = None) -> float:
     """Aggregate term-pair similarity over two annotation sets.
 
     BMA averages the two directional best-match means, MAX takes the
     global pairwise maximum, and SimGIC is the IC-weighted Jaccard of
-    the ancestor closures. ``pair_sim`` exists so batch callers can
-    memoize the pairwise core across many entity pairs.
+    the ancestor closures. For BMA and MAX, ``similarities`` are the
+    ``sim_resnik_pair`` values of the sorted gene terms x the sorted
+    disease terms in row-major order, scored by the caller; without
+    them each term pair is scored here.
     """
     if not gene_terms or not disease_terms:
         raise DegenerateDataError("groupwise similarity needs non-empty term sets")
     if config.aggregation == "SIMGIC":
         return _simgic(_closure_union(gene_terms, kg),
                        _closure_union(disease_terms, kg), ic)
-    a_list = sorted(gene_terms)
-    b_list = sorted(disease_terms)
-    row_best = [0.0] * len(a_list)
-    col_best = [0.0] * len(b_list)
-    for i, a in enumerate(a_list):
-        for j, b in enumerate(b_list):
-            s = pair_sim(a, b, kg, ic)
-            if s > row_best[i]:
-                row_best[i] = s
-            if s > col_best[j]:
-                col_best[j] = s
+    width = len(disease_terms)
+    if similarities is None:
+        b_list = sorted(disease_terms)
+        similarities = [sim_resnik_pair(a, b, kg, ic)
+                        for a in sorted(gene_terms) for b in b_list]
+    elif len(similarities) != len(gene_terms) * width:
+        raise ValueError(f"{len(similarities)} similarities for "
+                         f"{len(gene_terms)} x {width} terms")
     if config.aggregation == "MAX":
-        return max(row_best)
+        return max(similarities)
+    # similarities are >= 0, so a best match is the plain max of its row
+    # or column; the means sum in sorted term order
+    row_best = [max(similarities[i:i + width])
+                for i in range(0, len(similarities), width)]
+    col_best = [max(similarities[j::width]) for j in range(width)]
     return 0.5 * (sum(row_best) / len(row_best) + sum(col_best) / len(col_best))
 
 
@@ -221,6 +236,11 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
     to 1.0. Entities without annotations are reported, not scored.
     ``ic`` lets measures of one IC flavour share a table (and its MICA
     masks); without it the table is built here.
+
+    A BMA or MAX run calls ``sim_resnik_pair`` once per distinct
+    unordered term pair of the scored pairs, all up front, then
+    ``sim_groupwise`` once per pair with that pair's values. SimGIC sums
+    IC over each pair's shared and joint ancestor closures.
     """
     if ic is None:
         ic = ic_table(config.ic_flavor, kg, annotations)
@@ -228,26 +248,7 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
         raise ValueError(f"{config.name} needs a {config.ic_flavor} IC table, "
                          f"got {ic.flavor}")
 
-    # term pairs recur across entity pairs; sim_resnik_pair is symmetric
-    memo: dict[tuple[str, str], float] = {}
-    # SimGIC: each distinct annotation set's ancestor closure, built once
-    closures: dict[frozenset[str], set[str]] = {}
-
-    def closure(terms):
-        key = frozenset(terms)
-        if key not in closures:
-            closures[key] = _closure_union(key, kg)
-        return closures[key]
-
-    def cached_pair(a, b, kg_, ic_):
-        key = (a, b) if a <= b else (b, a)
-        value = memo.get(key)
-        if value is None:
-            value = sim_resnik_pair(key[0], key[1], kg_, ic_)
-            memo[key] = value
-        return value
-
-    rows: list[ScoredPair] = []
+    scored: list[LabeledPair] = []
     excluded: list[EntityId] = []
     excluded_seen: set[EntityId] = set()
     for pair in dataset.pairs:
@@ -261,18 +262,130 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
                     excluded_seen.add(e)
                     excluded.append(e)
             continue
+        scored.append(pair)
+
+    raw: list[float] = []
+    if scored:
+        sets, genes, diseases = _distinct_sets(scored, annotations)
         if config.aggregation == "SIMGIC":
-            raw = _simgic(closure(gene_terms), closure(disease_terms), ic)
+            raw = _simgic_scores(sets, genes, diseases, kg, ic)
         else:
-            raw = sim_groupwise(gene_terms, disease_terms, config, kg, ic,
-                                pair_sim=cached_pair)
-        rows.append(ScoredPair(pair.gene, pair.disease, raw, 0.0, pair.label))
+            raw = _best_match_scores(sets, genes, diseases, config, kg, ic)
+    rows = [ScoredPair(p.gene, p.disease, r, 0.0, p.label)
+            for p, r in zip(scored, raw)]
     if rows:
-        lo = min(r.raw_score for r in rows)
-        hi = max(r.raw_score for r in rows)
+        lo = min(raw)
+        hi = max(raw)
         for r in rows:
             r.normalized_score = (r.raw_score - lo) / (hi - lo) if hi > lo else 1.0
     return ScoredPairs(rows, excluded)
+
+
+def _distinct_sets(pairs: "list[LabeledPair]", annotations: AnnotationMap
+                   ) -> tuple[list[frozenset[str]], list[int], list[int]]:
+    """The distinct annotation sets of ``pairs``, in order of first use,
+    and each pair's gene set and disease set as indices into them."""
+    number: dict[frozenset[str], int] = {}
+    of_entity: dict[EntityId, int] = {}
+
+    def index(entity: EntityId) -> int:
+        i = of_entity.get(entity)
+        if i is None:
+            key = frozenset(annotations.entries[entity])
+            i = of_entity[entity] = number.setdefault(key, len(number))
+        return i
+
+    genes = [index(p.gene) for p in pairs]
+    diseases = [index(p.disease) for p in pairs]
+    return list(number), genes, diseases
+
+
+def _best_match_scores(sets: list[frozenset[str]], genes: list[int],
+                       diseases: list[int], config: SimilarityConfig,
+                       kg: KnowledgeGraph, ic: InformationContentTable
+                       ) -> list[float]:
+    """BMA or MAX of each (gene set, disease set) pair of indices."""
+    # terms are numbered in sorted order, so (min, max) of two numbers
+    # is the pair in string order and each set's numbers sort as its terms
+    terms = sorted(set().union(*sets))
+    number = {t: i for i, t in enumerate(terms)}
+    members = [sorted(number[t] for t in s) for s in sets]
+    sizes = np.array([len(m) for m in members])
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    indices = np.fromiter(chain.from_iterable(members), np.int64,
+                          count=int(indptr[-1]))
+    g = np.array(genes)
+    # one row per (pair, gene term), then one lookup per disease term of
+    # the row's pair: each pair's lookups in row-major order
+    row_sets = np.repeat(np.array(diseases), sizes[g])
+    a = np.repeat(_concat_slices(indptr, indices, g), sizes[row_sets])
+    b = _concat_slices(indptr, indices, row_sets)
+    codes = np.minimum(a, b) * len(terms) + np.maximum(a, b)
+    # free each per-lookup array once used: they set the run's peak memory
+    del a, b, row_sets
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    del codes
+    names = np.array(terms, dtype=object)
+    values = np.fromiter(
+        map(sim_resnik_pair, names[distinct // len(terms)],
+            names[distinct % len(terms)], repeat(kg), repeat(ic)),
+        dtype=np.float64, count=len(distinct))
+    del distinct, names
+
+    # Python floats for the pairs of one chunk of lookups at a time
+    raw: list[float] = []
+    chunk: list[float] = []
+    start = offset = 0
+    for gi, di in zip(genes, diseases):
+        n = len(sets[gi]) * len(sets[di])
+        if offset + n > len(chunk):
+            chunk = values[inverse[start:start + max(n, _CHUNK)]].tolist()
+            offset = 0
+        raw.append(sim_groupwise(sets[gi], sets[di], config, kg, ic,
+                                 similarities=chunk[offset:offset + n]))
+        offset += n
+        start += n
+    return raw
+
+
+def _concat_slices(indptr: np.ndarray, indices: np.ndarray,
+                   which: np.ndarray) -> np.ndarray:
+    """``indices[indptr[w]:indptr[w + 1]]`` for each w of ``which``, concatenated."""
+    starts = indptr[which]
+    lengths = indptr[which + 1] - starts
+    ends = np.cumsum(lengths)
+    return indices[np.arange(ends[-1])
+                   + np.repeat(starts - ends + lengths, lengths)]
+
+
+def _simgic_scores(sets: list[frozenset[str]], genes: list[int],
+                   diseases: list[int], kg: KnowledgeGraph,
+                   ic: InformationContentTable) -> list[float]:
+    """SimGIC of each (gene set, disease set) pair of indices."""
+    index = ic._index_for(kg)
+    closures = np.zeros((len(sets), len(index.column)), dtype=bool)
+    for i, terms in enumerate(sets):
+        closures[i, [index.column[t] for t in _closure_union(terms, kg)]] = True
+    g = np.array(genes)
+    d = np.array(diseases)
+    raw: list[float] = []
+    step = max(1, _CHUNK // len(index.column))
+    for lo in range(0, len(g), step):
+        gene_rows = closures[g[lo:lo + step]]
+        disease_rows = closures[d[lo:lo + step]]
+        inter = _row_fsums(gene_rows & disease_rows, index.weights)
+        union = _row_fsums(gene_rows | disease_rows, index.weights)
+        raw += [i / u if u > 0 else 0.0 for i, u in zip(inter, union)]
+    return raw
+
+
+def _row_fsums(mask: np.ndarray, weights: np.ndarray) -> list[float]:
+    """``math.fsum`` of ``weights`` over each row's True columns; fsum is
+    correctly rounded, so this has the bits of any other summing order."""
+    rows, cols = np.nonzero(mask)
+    gathered = weights[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    return [math.fsum(gathered[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def write_scored_pairs(scored: ScoredPairs, path) -> None:

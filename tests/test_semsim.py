@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from gdapred.semsim import (
 
 from corpus import PlantedCorpus, write_config
 from helpers import (
+    loop_best_match,
     oracle_groupwise,
     oracle_ic_resnik,
     oracle_ic_seco,
@@ -188,8 +190,13 @@ class TestSimResnikPair:
 
     def test_unknown_term(self):
         kg = chain_kg()
-        with pytest.raises(UnknownNodeError):
-            sim_resnik_pair("HP:404", "HP:a", kg, ic_seco(kg))
+        ic = ic_seco(kg)
+        # an entity node is a node of the graph but not a term
+        for a, b, unknown in (("HP:404", "HP:a", "HP:404"),
+                              ("HP:a", "HP:404", "HP:404"),
+                              ("GENE:g1", "HP:a", "GENE:g1")):
+            with pytest.raises(UnknownNodeError, match=unknown):
+                sim_resnik_pair(a, b, kg, ic)
 
     def test_matches_oracle_on_random_dag(self):
         rng = np.random.default_rng(61)
@@ -433,6 +440,109 @@ class TestSsmBaseline:
         lines = path.read_text().splitlines()
         assert lines[0] == "gene\tdisease\traw_score\tnormalized_score\tlabel"
         assert len(lines) == len(scored.rows) + 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
+           n_genes=st.integers(1, 4), n_diseases=st.integers(1, 4),
+           chunk=st.sampled_from([1, 7, 40, semsim._CHUNK]))
+    @example(seed=0, n_terms=20, n_genes=3, n_diseases=3, chunk=7)
+    def test_every_score_equals_the_per_pair_oracle(self, seed, n_terms, n_genes,
+                                                    n_diseases, chunk):
+        rng = np.random.default_rng(seed)
+        kg, _, gene_map, disease_map = random_hp_kg(
+            rng, n_terms, n_genes, n_diseases, max_terms=5)
+        corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
+        genes = sorted(gene_map.entries, key=lambda e: e.id)
+        diseases = sorted(disease_map.entries, key=lambda e: e.id)
+        # entities that share a term set, on the same side and across sides
+        twins = {EntityId("g_same", "gene"): gene_map.entries[genes[0]],
+                 EntityId("g_swap", "gene"): disease_map.entries[diseases[-1]],
+                 EntityId("d_swap", "disease"): gene_map.entries[genes[-1]]}
+        for entity, terms in twins.items():
+            corpus.entries[entity] = set(terms)
+            (genes if entity.kind == "gene" else diseases).append(entity)
+        # an unannotated gene is left out without shifting the other rows
+        genes.append(EntityId("g_none", "gene"))
+        pairs = [LabeledPair(g, d, int((i + j) % 2))
+                 for i, g in enumerate(genes) for j, d in enumerate(diseases)]
+        pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
+        dataset = AssociationDataset(pairs)
+        scored_keys = [p.key for p in pairs if p.gene.id != "g_none"]
+        tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
+
+        calls = Counter()
+        real_pair = semsim.sim_resnik_pair
+
+        def counting(a, b, *rest):
+            calls[(a, b) if a <= b else (b, a)] += 1
+            return real_pair(a, b, *rest)
+
+        for config in SSM_CONFIGS:
+            ic = tables[config.ic_flavor]
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(semsim, "sim_resnik_pair", counting)
+                # small chunks make pairs straddle chunk ends
+                patch.setattr(semsim, "_CHUNK", chunk)
+                scored = ssm_baseline(dataset, config, kg, corpus, ic=ic)
+            assert [(r.gene, r.disease) for r in scored.rows] == scored_keys
+            assert scored.excluded_entities == [EntityId("g_none", "gene")]
+            for row in scored.rows:
+                g, d = corpus.entries[row.gene], corpus.entries[row.disease]
+                want = sim_groupwise(g, d, config, kg, ic)
+                assert repr(row.raw_score) == repr(want), config.name
+                if config.aggregation != "SIMGIC":
+                    assert repr(want) == repr(loop_best_match(
+                        g, d, config.aggregation,
+                        lambda a, b: sim_resnik_pair(a, b, kg, ic)))
+            if config.aggregation == "SIMGIC":
+                assert not calls
+            else:
+                distinct = {(a, b) if a <= b else (b, a) for key in scored_keys
+                            for a in corpus.entries[key[0]]
+                            for b in corpus.entries[key[1]]}
+                assert calls == Counter(dict.fromkeys(distinct, 1)), config.name
+
+    def test_simgic_has_the_bits_of_the_set_form(self):
+        # a heavy root that sorts first and many light terms: a
+        # left-to-right sum drops the light ones, fsum keeps them all
+        light = [f"HP:l{i:02d}" for i in range(12)]
+        ont = make_ontology(["HP:a", *light, "HP:u"],
+                            [(t, "HP:a") for t in light] + [("HP:u", "HP:a")])
+        gene_terms = {*light[:9], "HP:u"}
+        disease_terms = set(light[4:])
+        corpus = annotations(g1=gene_terms, g2=disease_terms,
+                             d1=disease_terms, d2=gene_terms)
+        kg = build_kg("HP", ont, gene_hp=corpus, disease_hp=corpus)
+        # HP:u has no IC: it weighs 0.0 on the closure rows
+        ic = InformationContentTable("seco", {"HP:a": 1e16, **dict.fromkeys(light, 1.0)})
+        anc_g = semsim._closure_union(gene_terms, kg)
+        anc_d = semsim._closure_union(disease_terms, kg)
+        union = [ic.values[t] for t in sorted(anc_g | anc_d) if t in ic.values]
+        assert sum(union) != math.fsum(union)
+
+        pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
+                 LabeledPair(EntityId("g2", "gene"), EntityId("d2", "disease"), 0)]
+        scored = ssm_baseline(AssociationDataset(pairs),
+                              SimilarityConfig("SIMGIC", "seco"), kg, corpus, ic=ic)
+        assert [repr(r.raw_score) for r in scored.rows] == [
+            repr(semsim._simgic(anc_g, anc_d, ic)),
+            repr(semsim._simgic(anc_d, anc_g, ic))]
+        assert scored.rows[0].raw_score == (1e16 + 5) / (1e16 + 12)
+
+    @pytest.mark.parametrize("config", SSM_CONFIGS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("with_table", [True, False])
+    def test_unknown_annotation_term_is_typed_error(self, config, with_table):
+        kg = chain_kg()
+        corpus = annotations(g1=["HP:c"], g2=["HP:b", "HP:404"], d1=["HP:b"])
+        pairs = [LabeledPair(EntityId(g, "gene"), EntityId("d1", "disease"), 1)
+                 for g in ("g1", "g2")]
+        ic = None
+        if with_table:
+            ic = ic_seco(kg) if config.ic_flavor == "seco" else ic_resnik(
+                kg, annotations(g1=["HP:c"], d1=["HP:b"]))
+        with pytest.raises(UnknownNodeError, match="HP:404"):
+            ssm_baseline(AssociationDataset(pairs), config, kg, corpus, ic=ic)
 
     def test_foreign_flavour_table_rejected(self):
         dataset, kg, corpus = self.dataset_and_kg()
