@@ -8,7 +8,9 @@ definitions (HP_GO_LD).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .artifacts import read_tsv, write_tsv
 from .errors import ConfigurationError, IntegrityError, UnknownNodeError
@@ -23,6 +25,20 @@ ENTITY_PREFIXES = ("GENE", "DISEASE")
 KG_VARIANTS = ("HP", "HP_GO", "HP_GO_LD")
 
 Triple = tuple[str, str, str]
+
+
+class WalkAdjacency(NamedTuple):
+    """Both edge directions of a graph in CSR form, over token indices.
+
+    ``tokens`` lists the sorted nodes, then the sorted relations. Node
+    ``i``'s distinct (relation, neighbour) pairs are
+    ``relation[indptr[i]:indptr[i + 1]]`` and ``neighbour[...]``, sorted
+    by relation, then neighbour.
+    """
+    tokens: list[str]
+    indptr: np.ndarray
+    relation: np.ndarray
+    neighbour: np.ndarray
 
 
 class KnowledgeGraph:
@@ -51,7 +67,7 @@ class KnowledgeGraph:
                 up.setdefault(s, set()).add(o)
         self._up = {n: tuple(sorted(v)) for n, v in up.items()}
         self._anc_cache: dict[str, frozenset[str]] = {}
-        self._walk_adj: dict[str, tuple[tuple[str, str], ...]] | None = None
+        self._walk_adj: WalkAdjacency | None = None
 
     @property
     def node_count(self) -> int:
@@ -81,14 +97,30 @@ class KnowledgeGraph:
         self._anc_cache[node] = result
         return result
 
-    def walk_adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Node -> sorted (relation, neighbour) pairs, both edge directions."""
+    def walk_adjacency(self) -> WalkAdjacency:
+        """The graph's both-direction adjacency for walking, built once."""
         if self._walk_adj is None:
-            adj: dict[str, set[tuple[str, str]]] = {n: set() for n in self.nodes}
-            for s, rel, o in self.triples:
-                adj[s].add((rel, o))
-                adj[o].add((rel, s))
-            self._walk_adj = {n: tuple(sorted(v)) for n, v in adj.items()}
+            nodes = sorted(self.nodes)
+            relations = sorted({rel for _, rel, _ in self.triples})
+            n = len(nodes)
+            node_index = {node: i for i, node in enumerate(nodes)}
+            rel_index = {rel: n + i for i, rel in enumerate(relations)}
+            codes = np.array([(node_index[s], rel_index[rel], node_index[o])
+                              for s, rel, o in self.triples],
+                             dtype=np.int64).reshape(-1, 3)
+            src = np.concatenate([codes[:, 0], codes[:, 2]])
+            dst = np.concatenate([codes[:, 2], codes[:, 0]])
+            width = n + len(relations)
+            key = np.sort((src * width + np.tile(codes[:, 1], 2)) * n + dst)
+            # one key per (node, relation, neighbour): drop the second copy
+            # of a self-loop or of an edge stated both ways. Not np.unique,
+            # whose first call imports numpy.ma, about 1 MiB of RSS.
+            key = key[np.diff(key, prepend=-1) != 0]
+            node, pair = np.divmod(key, width * n)
+            relation, neighbour = np.divmod(pair, n)
+            self._walk_adj = WalkAdjacency(
+                nodes + relations, np.searchsorted(node, np.arange(n + 1)),
+                relation, neighbour)
         return self._walk_adj
 
 

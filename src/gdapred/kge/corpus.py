@@ -7,6 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..errors import ConfigurationError
 from ..kg import HAS_ANNOTATION, SUBCLASS_OF, KnowledgeGraph
 from ..ontology import Ontology
 
@@ -24,28 +25,32 @@ class WalkCorpus:
 
 def generate_walks(kg: KnowledgeGraph, walks_per_node: int, depth: int,
                    seed: int) -> WalkCorpus:
-    """Random walks of ``depth`` edge steps from every node.
+    """``walks_per_node`` random walks of ``depth`` edge steps from every
+    node, in sorted node order.
 
     Sentences alternate node and relation tokens; edges are traversable
-    in both directions. The same seed always yields the same corpus.
+    in both directions, and each step is uniform over the current node's
+    distinct (relation, neighbour) pairs. All walks step together: one
+    array of draws per step indexes the graph's CSR adjacency. The same
+    seed always yields the same corpus.
     """
+    if walks_per_node < 1:
+        raise ConfigurationError(
+            f"walks_per_node must be at least 1, got {walks_per_node}")
     if depth < 1:
-        raise ValueError("walk depth must be at least 1")
-    adjacency = kg.walk_adjacency()
+        raise ConfigurationError(f"depth must be at least 1, got {depth}")
+    adj = kg.walk_adjacency()
     rng = np.random.default_rng(seed)
-    sentences: list[list[str]] = []
-    for node in sorted(kg.nodes):
-        for _ in range(walks_per_node):
-            walk = [node]
-            current = node
-            for _ in range(depth):
-                neighbours = adjacency[current]
-                rel, nxt = neighbours[int(rng.integers(len(neighbours)))]
-                walk.append(rel)
-                walk.append(nxt)
-                current = nxt
-            sentences.append(walk)
-    return WalkCorpus(sentences, frozenset(kg.nodes))
+    current = np.repeat(np.arange(adj.indptr.size - 1), walks_per_node)
+    walks = np.empty((current.size, 2 * depth + 1), dtype=np.int64)
+    walks[:, 0] = current
+    for step in range(1, 2 * depth + 1, 2):
+        start = adj.indptr[current]
+        edge = start + rng.integers(0, adj.indptr[current + 1] - start)
+        walks[:, step] = adj.relation[edge]
+        walks[:, step + 1] = current = adj.neighbour[edge]
+    tokens = np.array(adj.tokens, dtype=object)
+    return WalkCorpus(tokens[walks].tolist(), frozenset(kg.nodes))
 
 
 def _words(text: str) -> list[str]:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import accumulate, chain
 
 import numpy as np
 
 from ..errors import DegenerateDataError, DivergenceError
-from .base import EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate
+from .base import (EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate,
+                   softplus)
 from .corpus import WalkCorpus
 
 
@@ -109,8 +111,9 @@ def _segment_unique(tokens: np.ndarray, segments: np.ndarray,
     return distinct, starts.tolist(), inverse
 
 
-def _block_plan(block, window, cache, rng, noise_cum, guide, k):
-    """Negatives and dense-update indices for a block of sentences.
+def _block_plan(tokens, lengths, window, cache, rng, noise_cum, guide, k):
+    """Negatives and dense-update indices for a block of sentences: the
+    concatenated ``tokens`` of sentences of the given ``lengths``.
 
     Sentence ``j`` owns pairs ``pair_off[j]:pair_off[j + 1]``, row tokens
     ``rows[row_start[j]:row_start[j + 1]]`` (its distinct tokens) and
@@ -120,12 +123,11 @@ def _block_plan(block, window, cache, rng, noise_cum, guide, k):
     center against its context (``c = 0``) or its ``c``-th negative;
     ``weight`` is 0 for a negative that drew the context itself.
     """
-    templates = [_pair_template(len(s), window, cache) for s in block]
-    n = len(block)
-    lengths = np.array([s.size for s in block])
+    templates = [_pair_template(length, window, cache) for length in lengths]
+    n = len(lengths)
+    lengths = np.array(lengths)
     pairs = np.array([t[0].size for t in templates])
     pair_off = np.concatenate([[0], np.cumsum(pairs)])
-    tokens = np.concatenate(block)
     shift = np.repeat(np.cumsum(lengths) - lengths, pairs)
     centers = np.concatenate([t[0] for t in templates]) + shift
     contexts = tokens[np.concatenate([t[1] for t in templates]) + shift]
@@ -172,7 +174,7 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     negatives, and an epoch whose mean loss per pair exceeds 10 times
     that bound raises.
     """
-    counts = Counter(tok for sentence in corpus.sentences for tok in sentence)
+    counts = Counter(chain.from_iterable(corpus.sentences))
     if len(counts) < 2:
         raise DegenerateDataError(
             f"skip-gram needs a vocabulary of at least 2 tokens, got {len(counts)}")
@@ -188,12 +190,17 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     syn0 = rng.uniform(-0.5 / dim, 0.5 / dim, size=(len(vocab), dim))
     syn1 = np.zeros((len(vocab), dim))
 
-    encoded = [np.array([index[tok] for tok in s], dtype=np.int64)
-               for s in corpus.sentences if len(s) > 1]
+    # the corpus as one token stream: sentence j is
+    # stream[offsets[j]:offsets[j + 1]], of length lengths[j]
+    kept = [s for s in corpus.sentences if len(s) > 1]
+    lengths = [len(s) for s in kept]
+    offsets = list(accumulate(lengths, initial=0))
+    stream = np.fromiter(map(index.__getitem__, chain.from_iterable(kept)),
+                         dtype=np.int64, count=offsets[-1])
     template_cache: dict = {}
     pairs_per_epoch = sum(
-        _pair_template(len(s), config.window, template_cache)[0].size
-        for s in encoded)
+        _pair_template(length, config.window, template_cache)[0].size
+        for length in lengths)
     if pairs_per_epoch == 0:
         raise DegenerateDataError("corpus has no co-occurring tokens to train on")
     total_pairs = pairs_per_epoch * config.epochs
@@ -207,10 +214,12 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
     history: list[float] = []
     for epoch in range(config.epochs):
         epoch_loss = 0.0
-        for b0 in range(0, len(encoded), _BLOCK_SENTENCES):
+        for b0 in range(0, len(lengths), _BLOCK_SENTENCES):
+            b1 = min(b0 + _BLOCK_SENTENCES, len(lengths))
             pair_off, rows_tok, row_start, cols_tok, col_start, flat, weight = \
-                _block_plan(encoded[b0:b0 + _BLOCK_SENTENCES], config.window,
-                            template_cache, rng, noise_cum, guide, k)
+                _block_plan(stream[offsets[b0]:offsets[b1]], lengths[b0:b1],
+                            config.window, template_cache, rng, noise_cum,
+                            guide, k)
             lr = decayed_rate(config.learning_rate,
                               (processed + pair_off[:-1]) / total_pairs)
             processed += int(pair_off[-1])
@@ -235,7 +244,7 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
                     # both updates come from the snapshot v, u
                     syn1[cols] = u - g.T @ v
                     syn0[rows] = v - g @ u
-            epoch_loss += float(np.sum(weight * np.logaddexp(0.0, sign * scores)))
+            epoch_loss += float(np.sum(weight * softplus(sign * scores)))
         loss = check_finite(method_tag, epoch, config.learning_rate,
                             epoch_loss / pairs_per_epoch, syn0, syn1)
         if loss > _BLOWUP * (1 + k) * math.log(2.0):

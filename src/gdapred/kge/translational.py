@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DegenerateDataError
 from ..kg import KnowledgeGraph
 from .base import (EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate,
-                   scatter_add)
+                   scatter_add, softplus)
 
 L1 = "L1"
 L2 = "L2"
@@ -310,8 +310,8 @@ def train_distmult(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable
         s_pos = np.vecdot(hr, Et)
         s_neg = np.vecdot(N, partner)
         n_tail = k - np.count_nonzero(head, axis=1)
-        loss = float(np.sum(np.logaddexp(0.0, -s_pos))
-                     + np.sum(np.logaddexp(0.0, s_neg))) + l2 * float(
+        loss = float(np.sum(softplus(-s_pos))
+                     + np.sum(softplus(s_neg))) + l2 * float(
             (1 + k) * np.vdot(Rr, Rr) + np.vdot(N, N)
             + np.dot(1 + n_tail, np.vecdot(Eh, Eh))
             + np.dot(1 + k - n_tail, np.vecdot(Et, Et)))

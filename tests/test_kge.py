@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from gdapred.kge import (
     transe_margin_loss,
     write_embeddings,
 )
-from gdapred.kge.base import scatter_add
+from gdapred.kge.base import scatter_add, softplus
 from gdapred.kge.corpus import WalkCorpus
 from gdapred.kge.skipgram import (
     _BLOCK_SENTENCES,
@@ -63,6 +64,20 @@ def ring_kg(n=12):
     for i in range(0, n, 3):
         triples.add((nodes[i], "r2", nodes[(i + 6) % n]))
     return KnowledgeGraph("HP", triples)
+
+
+@st.composite
+def walk_kgs(draw):
+    """Small multi-relation graphs with degree-1 nodes, self-loops and
+    edges stated in both directions."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1).map(lambda i: f"N:{i}")
+    triples = draw(st.lists(st.tuples(node, st.sampled_from(["r", "s", "t"]), node),
+                            min_size=1, max_size=16))
+    mirror = draw(st.lists(st.booleans(), min_size=len(triples),
+                           max_size=len(triples)))
+    return KnowledgeGraph("HP", set(triples) | {
+        (o, rel, s) for (s, rel, o), m in zip(triples, mirror) if m})
 
 
 def block_kg():
@@ -366,9 +381,49 @@ class TestGenerateWalks:
         assert from_b == [["N:b", "r", "N:a"]] * 5  # reverse traversal
 
     def test_sentence_count_bound(self):
+        """Every node starts exactly ``walks_per_node`` sentences."""
         kg = ring_kg()
         corpus = generate_walks(kg, walks_per_node=7, depth=3, seed=1)
-        assert len(corpus.sentences) <= len(kg.nodes) * 7
+        assert Counter(s[0] for s in corpus.sentences) == dict.fromkeys(kg.nodes, 7)
+        assert len(corpus.sentences) == len(kg.nodes) * 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(kg=walk_kgs(), walks_per_node=st.integers(1, 4),
+           depth=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_every_step_follows_an_edge(self, kg, walks_per_node, depth, seed):
+        corpus = generate_walks(kg, walks_per_node, depth, seed)
+        assert [s[0] for s in corpus.sentences] == [
+            node for node in sorted(kg.nodes) for _ in range(walks_per_node)]
+        for sentence in corpus.sentences:
+            assert len(sentence) == 2 * depth + 1
+            for i in range(depth):
+                node, rel, nxt = sentence[2 * i:2 * i + 3]
+                assert ((node, rel, nxt) in kg.triples
+                        or (nxt, rel, node) in kg.triples), sentence
+
+    def test_first_steps_are_uniform_over_distinct_pairs(self):
+        """A hub's six distinct (relation, neighbour) pairs, reached through
+        a self-loop, an edge stated in both directions and an incoming
+        edge, each take a sixth of 6,000 first steps within 5 sigma."""
+        kg = KnowledgeGraph("HP", {
+            ("H:0", "r", "A:0"), ("A:0", "r", "H:0"), ("H:0", "s", "A:0"),
+            ("H:0", "r", "H:0"), ("H:0", "r", "B:0"), ("C:0", "s", "H:0"),
+            ("H:0", "t", "D:0")})
+        walks = 6000
+        corpus = generate_walks(kg, walks_per_node=walks, depth=1, seed=3)
+        steps = Counter(tuple(s[1:]) for s in corpus.sentences if s[0] == "H:0")
+        assert set(steps) == {("r", "A:0"), ("s", "A:0"), ("r", "H:0"),
+                              ("r", "B:0"), ("s", "C:0"), ("t", "D:0")}
+        sigma = math.sqrt(walks * (1 / 6) * (5 / 6))
+        for pair, count in steps.items():
+            assert abs(count - walks / 6) <= 5 * sigma, (pair, count)
+
+    @pytest.mark.parametrize("walks_per_node, depth, name", [
+        (0, 2, "walks_per_node"), (-1, 2, "walks_per_node"),
+        (2, 0, "depth"), (2, -3, "depth")])
+    def test_rejects_counts_below_one(self, walks_per_node, depth, name):
+        with pytest.raises(ConfigurationError, match=name):
+            generate_walks(ring_kg(), walks_per_node, depth, seed=0)
 
     def test_alternates_node_relation_tokens(self):
         kg = ring_kg()
@@ -622,6 +677,36 @@ class TestScatterAdd:
         assert np.array_equal(touched, np.unique(index))
         assert np.allclose(table, expected, rtol=1e-12, atol=1e-12)
         assert np.array_equal(table[untouched], before)
+
+
+class TestSoftplus:
+    EDGES = [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+             745.0, -745.0, 1e308, -1e308,
+             # where 1 + exp(-|z|) rounds to 1, so only log1p keeps the tail
+             40.0, -40.0, -700.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           max_size=30))
+    def test_matches_logaddexp(self, values):
+        z = np.array(values + self.EDGES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = softplus(z)
+        want = np.logaddexp(0.0, z)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        got, want = got[finite], want[finite]
+        # a subnormal result holds fewer bits: allow one spacing there
+        tolerance = 1e-15 * want + np.finfo(np.float64).smallest_subnormal
+        assert np.all(np.abs(got - want) <= tolerance), z[finite]
+
+    def test_nan_stays_nan(self):
+        z = np.array([np.nan, -np.nan, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = softplus(z)
+        assert np.isnan(got[:2]).all() and got[2] == np.logaddexp(0.0, 1.0)
 
 
 class TestTrainConfig:
