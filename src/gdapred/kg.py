@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifacts import read_tsv, write_tsv
 from .errors import ConfigurationError, IntegrityError, UnknownNodeError
-from .ontology import AnnotationMap, Ontology, curie_prefix
+from .ontology import AnnotationMap, Ontology, curie_prefix, parents_first
 
 SUBCLASS_OF = "subClassOf"
 EQUIVALENT_TO = "equivalentTo"
@@ -46,8 +46,9 @@ class KnowledgeGraph:
 
     A graph is its triples: its nodes are their ends, the entity nodes
     those with a GENE or DISEASE prefix and the term nodes the rest.
-    Construction happens once; ancestor closures are cached lazily and
-    read-only queries are safe to run concurrently.
+    Construction happens once; ancestor closures and the parents-first
+    term order are cached lazily and read-only queries are safe to run
+    concurrently.
     """
 
     def __init__(self, variant: str, triples: Iterable[Triple],
@@ -67,6 +68,7 @@ class KnowledgeGraph:
                 up.setdefault(s, set()).add(o)
         self._up = {n: tuple(sorted(v)) for n, v in up.items()}
         self._anc_cache: dict[str, frozenset[str]] = {}
+        self._term_order: tuple[str, ...] | None = None
         self._walk_adj: WalkAdjacency | None = None
 
     @property
@@ -96,6 +98,25 @@ class KnowledgeGraph:
         result = frozenset(seen)
         self._anc_cache[node] = result
         return result
+
+    def parents(self, node: str) -> tuple[str, ...]:
+        """The sorted direct subClassOf parents of ``node``."""
+        return self._up.get(node, ())
+
+    def term_order(self) -> tuple[str, ...]:
+        """Every term node after all of its subClassOf parents, built
+        once. A subClassOf cycle raises CycleError naming it, and a
+        subClassOf edge at an entity node IntegrityError."""
+        if self._term_order is None:
+            bad = sorted((child, parent) for child, parents in self._up.items()
+                         for parent in parents
+                         if not self.term_nodes.issuperset((child, parent)))
+            if bad:
+                raise IntegrityError("subClassOf edges at an entity node: " + ", ".join(
+                    f"{child} -> {parent}" for child, parent in bad))
+            self._term_order = tuple(parents_first(
+                {t: self._up.get(t, ()) for t in self.term_nodes}, SUBCLASS_OF))
+        return self._term_order
 
     def walk_adjacency(self) -> WalkAdjacency:
         """The graph's both-direction adjacency for walking, built once."""

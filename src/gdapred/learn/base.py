@@ -38,7 +38,9 @@ class BinaryClassifier:
         raises leaves the model unfitted."""
         X = as_matrix(X)
         y = as_labels(y, X.shape[0])
-        if np.unique(y).size < 2:
+        # return_counts skips plain np.unique's check for a masked
+        # array, whose first use imports numpy.ma
+        if np.unique(y, return_counts=True)[0].size < 2:
             raise DegenerateDataError("training data has a single label")
         if X.shape[1] == 0:
             raise DegenerateDataError("training data has no feature columns")

@@ -181,7 +181,12 @@ def parse_obo(text: str) -> Ontology:
         else:
             edges.add(edge)
 
-    _check_acyclic(terms, edges)
+    parents: dict[str, list[str]] = {t: [] for t in terms}
+    for child, rel, parent in edges:
+        if rel == "is_a":
+            parents[child].append(parent)
+    # only the check for an is_a cycle: the order itself is not kept
+    parents_first(parents, "is_a")
 
     has_parent = {c for c, rel, _ in edges if rel == "is_a"}
     roots = {t for t in terms if t not in has_parent}
@@ -189,19 +194,20 @@ def parse_obo(text: str) -> Ontology:
                     stats={"obsolete_terms": len(obsolete_ids), "dropped_edges": dropped})
 
 
-def _check_acyclic(terms: Mapping[str, OntologyTerm],
-                   edges: Iterable[tuple[str, str, str]]) -> None:
-    # each term a node, each is_a edge leading from child to parent, all
-    # added sorted, so the cycle reported does not follow the hash order
+def parents_first(parents: Mapping[str, Iterable[str]], relation: str) -> list[str]:
+    """The nodes of ``parents`` ordered so that each comes after the
+    parents it maps to; a cycle raises CycleError naming it, child to
+    parent. Nodes and parents go in sorted, so neither the order nor the
+    cycle reported follows the hash order."""
     sorter = graphlib.TopologicalSorter()
-    for term in sorted(terms):
-        sorter.add(term)
-    for child, parent in sorted((c, p) for c, rel, p in edges if rel == "is_a"):
-        sorter.add(parent, child)
+    for node in sorted(parents):
+        sorter.add(node, *sorted(parents[node]))
     try:
-        sorter.prepare()
+        return list(sorter.static_order())
     except graphlib.CycleError as err:
-        raise CycleError("is_a cycle: " + " -> ".join(err.args[1])) from None
+        # graphlib lists the cycle parent to child
+        raise CycleError(f"{relation} cycle: "
+                         + " -> ".join(reversed(err.args[1]))) from None
 
 
 def _data_rows(text: str, comment: str) -> Iterator[tuple[int, list[str]]]:

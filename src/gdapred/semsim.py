@@ -3,6 +3,13 @@
 Implements the Seco (descendant-count) and corpus/Resnik IC flavours and
 the six groupwise measure configurations (BMA, MAX, SimGIC crossed with
 both IC flavours) used to score gene-disease pairs on the phenotype KG.
+
+Every closure the tables and measures need is a Python-int bitset per
+term, built in one pass along the KG's parents-first term order, each
+term OR-ing its parents' bitsets (or, children first, pushing its own
+into theirs): ancestors over the sorted terms for the corpus IC counts
+and SimGIC's rows, descendants for the Seco counts, and the MICA masks
+over the IC-ranked terms. SimGIC sums IC exactly in integers.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,8 +33,8 @@ if TYPE_CHECKING:
 IC_SECO = "seco"
 IC_RESNIK_CORPUS = "resnik_corpus"
 AGGREGATIONS = ("BMA", "MAX", "SIMGIC")
-#: term-pair lookups (BMA, MAX) or closure cells (SimGIC) held at once
-#: while a measure run scores its pairs
+#: term-pair lookups (BMA, MAX) or intersection-mask cells, pairs x
+#: KG terms (SimGIC), held at once while a measure run scores its pairs
 _CHUNK = 1 << 14
 
 
@@ -47,28 +54,62 @@ class InformationContentTable:
 
 
 class _GraphIndex:
-    """One IC table over the term nodes of one KG.
+    """The MICA masks of one IC table over the term nodes of one KG.
 
-    MICA: the terms with IC > 0 are ranked by IC, lowest first, ties
-    broken by term id; bit r of ``masks[t]`` is set when the rank-r term
-    is among the ancestors of t. The highest bit two masks share is then
-    their most informative common ancestor, and no shared bit means
-    MICA 0. SimGIC: ``column`` numbers the KG's terms in sorted order,
-    and ``weights`` holds each one's IC, 0.0 where it is undefined.
+    The terms with IC > 0 are ranked by IC, lowest first, ties broken by
+    term id; bit r of ``masks[t]`` is set when the rank-r term is among
+    the ancestors of t. The highest bit two masks share is then their
+    most informative common ancestor, and no shared bit means MICA 0.
     """
 
     def __init__(self, kg: KnowledgeGraph, values: dict[str, float]):
         self.kg = kg
         ranked = sorted((t for t, v in values.items() if v > 0.0),
                         key=lambda t: (values[t], t))
-        bit = {t: 1 << r for r, t in enumerate(ranked)}
         self.ic = [values[t] for t in ranked]
-        # the bits are distinct, so their sum is their union
-        self.masks = {term: sum(map(bit.get, kg.ancestor_set(term), repeat(0)))
-                      for term in kg.term_nodes}
-        terms = sorted(kg.term_nodes)
-        self.column = {t: i for i, t in enumerate(terms)}
-        self.weights = np.array([values.get(t, 0.0) for t in terms])
+        self.masks = _ancestor_bits(kg, {t: 1 << r for r, t in enumerate(ranked)})
+
+
+def _ancestor_bits(kg: KnowledgeGraph, bit: Mapping[str, int]) -> dict[str, int]:
+    """Each term node's closure as an int: the OR of ``bit`` over the
+    term and its ancestors, a term without a bit adding none. One pass
+    along the parents-first order, so each parent's closure is complete
+    before its children read it."""
+    closure: dict[str, int] = {}
+    for term in kg.term_order():
+        bits = bit.get(term, 0)
+        for parent in kg.parents(term):
+            bits |= closure[parent]
+        closure[term] = bits
+    return closure
+
+
+def _sorted_ancestor_bits(kg: KnowledgeGraph) -> tuple[list[str], dict[str, int]]:
+    """The sorted term nodes, and each one's ancestor closure with bit i
+    standing for the i-th of them."""
+    terms = sorted(kg.term_nodes)
+    return terms, _ancestor_bits(kg, {t: 1 << i for i, t in enumerate(terms)})
+
+
+def _closure_rows(sets: Collection[Collection[str]], closure: dict[str, int],
+                  width: int) -> np.ndarray:
+    """The union of ``closure`` over each set's terms, as one boolean row
+    of ``width`` columns per set; UnknownNodeError for a term that is not
+    a term node."""
+    size = (width + 7) // 8
+    packed = bytearray()
+    for terms in sets:
+        bits = 0
+        for t in terms:
+            try:
+                bits |= closure[t]
+            except KeyError:
+                raise UnknownNodeError(
+                    f"{t} is not a term node of this graph") from None
+        packed += bits.to_bytes(size, "little")
+    rows = np.unpackbits(np.array(packed, dtype=np.uint8).reshape(len(sets), size),
+                         axis=1, count=width, bitorder="little")
+    return rows.view(bool)
 
 
 @dataclass(frozen=True)
@@ -98,17 +139,18 @@ def ic_seco(kg: KnowledgeGraph) -> InformationContentTable:
     Roots score 0, leaves score 1; descendants are counted through the
     subClassOf closure and exclude the term itself.
     """
-    terms = sorted(kg.term_nodes)
-    n = len(terms)
+    n = len(kg.term_nodes)
     if n < 2:
         raise DegenerateDataError(f"need at least 2 term nodes, got {n}")
-    desc_count = {t: 0 for t in terms}
-    for t in terms:
-        for anc in kg.ancestor_set(t):
-            if anc != t:
-                desc_count[anc] += 1
+    order = kg.term_order()
+    # children first, each term pushes its descendants and itself up
+    below = {t: 1 << i for i, t in enumerate(order)}
+    for t in reversed(order):
+        for parent in kg.parents(t):
+            below[parent] |= below[t]
     log_n = math.log(n)
-    values = {t: 1.0 - math.log(desc_count[t] + 1) / log_n for t in terms}
+    values = {t: 1.0 - math.log(below[t].bit_count()) / log_n
+              for t in sorted(order)}
     return InformationContentTable(IC_SECO, values)
 
 
@@ -122,19 +164,18 @@ def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationCont
     n_entities = len(annotations.entries)
     if n_entities == 0:
         raise DegenerateDataError("no annotated entities in the corpus")
-    counts: dict[str, int] = {}
-    for terms in annotations.entries.values():
-        for t in _closure_union(terms, kg):
-            counts[t] = counts.get(t, 0) + 1
+    terms, closure = _sorted_ancestor_bits(kg)
+    counts = _closure_rows(annotations.entries.values(), closure,
+                           len(terms)).sum(axis=0).tolist()
     log_n = math.log(n_entities)
-    values = {t: log_n - math.log(c) for t, c in counts.items()}
+    values = {t: log_n - math.log(c) for t, c in zip(terms, counts) if c}
     return InformationContentTable(IC_RESNIK_CORPUS, values)
 
 
 def ic_table(flavor: str, kg: KnowledgeGraph,
              annotations: AnnotationMap) -> InformationContentTable:
     """The IC table of one flavour, from ``ic_seco`` or ``ic_resnik``,
-    with its MICA masks and SimGIC weights over ``kg`` built."""
+    with its MICA masks over ``kg`` built."""
     table = ic_seco(kg) if flavor == IC_SECO else ic_resnik(kg, annotations)
     table._index_for(kg)
     return table
@@ -240,7 +281,8 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
     A BMA or MAX run calls ``sim_resnik_pair`` once per distinct
     unordered term pair of the scored pairs, all up front, then
     ``sim_groupwise`` once per pair with that pair's values. SimGIC sums
-    IC over each pair's shared and joint ancestor closures.
+    IC exactly over each pair's shared and joint ancestor closures, so
+    each score has the bits of ``sim_groupwise``'s ``math.fsum`` form.
     """
     if ic is None:
         ic = ic_table(config.ic_flavor, kg, annotations)
@@ -361,31 +403,70 @@ def _concat_slices(indptr: np.ndarray, indices: np.ndarray,
 def _simgic_scores(sets: list[frozenset[str]], genes: list[int],
                    diseases: list[int], kg: KnowledgeGraph,
                    ic: InformationContentTable) -> list[float]:
-    """SimGIC of each (gene set, disease set) pair of indices."""
-    index = ic._index_for(kg)
-    closures = np.zeros((len(sets), len(index.column)), dtype=bool)
-    for i, terms in enumerate(sets):
-        closures[i, [index.column[t] for t in _closure_union(terms, kg)]] = True
-    g = np.array(genes)
-    d = np.array(diseases)
+    """SimGIC of each (gene set, disease set) pair of indices.
+
+    Each set's ancestor closure is a boolean row over the sorted terms;
+    the IC over a pair's shared columns comes from ``_ExactSums`` on one
+    chunk of pairs at a time, and over its joint columns as the two
+    sets' own sums less the shared one, all exact integers.
+    """
+    terms, closure = _sorted_ancestor_bits(kg)
+    rows = _closure_rows(sets, closure, len(terms))
+    sums = _ExactSums([ic.values.get(t, 0.0) for t in terms])
+    step = max(1, _CHUNK // len(terms))
+    own = [total for lo in range(0, len(sets), step)
+           for total in sums.of_rows(rows[lo:lo + step])]
     raw: list[float] = []
-    step = max(1, _CHUNK // len(index.column))
-    for lo in range(0, len(g), step):
-        gene_rows = closures[g[lo:lo + step]]
-        disease_rows = closures[d[lo:lo + step]]
-        inter = _row_fsums(gene_rows & disease_rows, index.weights)
-        union = _row_fsums(gene_rows | disease_rows, index.weights)
-        raw += [i / u if u > 0 else 0.0 for i, u in zip(inter, union)]
+    for lo in range(0, len(genes), step):
+        g = genes[lo:lo + step]
+        d = diseases[lo:lo + step]
+        for gi, di, shared in zip(g, d, sums.of_rows(rows[g] & rows[d])):
+            inter = sums.value(shared)
+            union = sums.value(own[gi] + own[di] - shared)
+            raw.append(inter / union if union > 0 else 0.0)
     return raw
 
 
-def _row_fsums(mask: np.ndarray, weights: np.ndarray) -> list[float]:
-    """``math.fsum`` of ``weights`` over each row's True columns; fsum is
-    correctly rounded, so this has the bits of any other summing order."""
-    rows, cols = np.nonzero(mask)
-    gathered = weights[cols].tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
-    return [math.fsum(gathered[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+class _ExactSums:
+    """Exact sums of float weights over 0/1 masks.
+
+    Each weight is p/q with q a power of two, so each is an integer
+    multiple ``n_t`` of 1/``scale``, ``scale`` the largest q. Split into
+    signed limbs of ``bits`` bits, with terms x 2^bits <= 2^53, the
+    limbs of any subset sum in float64 without rounding, in any order,
+    so a BLAS dot of a mask row with each row of the (limbs x terms)
+    matrix is exact; the limb sums of a row join back into its integer
+    sum, and dividing that by ``scale`` rounds once, correctly, as
+    ``math.fsum``.
+    """
+
+    def __init__(self, weights: Sequence[float]):
+        ratios = [w.as_integer_ratio() for w in weights]
+        top = max((q for _, q in ratios), default=1).bit_length()
+        self.scale = 1 << (top - 1)
+        ints = [p << (top - q.bit_length()) for p, q in ratios]
+        self.bits = 53 - (len(ints) - 1).bit_length()
+        width = max((abs(n).bit_length() for n in ints), default=0)
+        low = (1 << self.bits) - 1
+        shifts = range(0, max(width, 1), self.bits)
+        magnitudes = np.array([[(abs(n) >> s) & low for n in ints] for s in shifts],
+                              dtype=np.float64)
+        self.limbs = magnitudes * np.sign(np.array(weights))
+
+    def of_rows(self, mask: np.ndarray) -> list[int]:
+        """The integer sum of the weights over each row's True columns."""
+        # a dot per row and limb, not a matmul: as the first level-3
+        # BLAS call of a run, a matmul here slowed the translational
+        # benchmark's later embed stage by about 8% (2-vCPU x86-64 VM)
+        limb_sums = np.vecdot(mask[:, None, :], self.limbs).astype(np.int64).T.tolist()
+        totals = limb_sums[0]
+        for k, sums in enumerate(limb_sums[1:], start=1):
+            totals = [t + (s << (k * self.bits)) for t, s in zip(totals, sums)]
+        return totals
+
+    def value(self, total: int) -> float:
+        """The float nearest ``total`` / ``scale``: int / int rounds once."""
+        return total / self.scale
 
 
 def write_scored_pairs(scored: ScoredPairs, path) -> None:

@@ -152,6 +152,54 @@ def oracle_ic_resnik(kg, annotations: AnnotationMap) -> dict[str, float]:
     return {t: -math.log(c / n) for t, c in counts.items()}
 
 
+def set_form_ic_seco(kg) -> dict[str, float]:
+    """Seco IC counted over each term's ``ancestor_set``, with the
+    library's arithmetic, so its values must be the library's to the
+    bit."""
+    terms = sorted(kg.term_nodes)
+    desc_count = {t: 0 for t in terms}
+    for t in terms:
+        for anc in kg.ancestor_set(t):
+            if anc != t:
+                desc_count[anc] += 1
+    log_n = math.log(len(terms))
+    return {t: 1.0 - math.log(desc_count[t] + 1) / log_n for t in terms}
+
+
+def set_form_ic_resnik(kg, annotations: AnnotationMap) -> dict[str, float]:
+    """Corpus IC from the union of ``ancestor_set`` over each entity's
+    terms; ``ancestor_set`` raises UnknownNodeError for a term that is
+    not a term node."""
+    counts: dict[str, int] = {}
+    for terms in annotations.entries.values():
+        closure: set[str] = set()
+        for t in terms:
+            closure |= kg.ancestor_set(t)
+        for t in closure:
+            counts[t] = counts.get(t, 0) + 1
+    log_n = math.log(len(annotations.entries))
+    return {t: log_n - math.log(c) for t, c in counts.items()}
+
+
+def set_form_masks(kg, values: dict[str, float]) -> tuple[list[float], dict[str, int]]:
+    """The MICA ranks and masks of an IC table, each mask the sum of its
+    term's ancestors' rank bits over ``ancestor_set``."""
+    ranked = sorted((t for t, v in values.items() if v > 0.0),
+                    key=lambda t: (values[t], t))
+    bit = {t: 1 << r for r, t in enumerate(ranked)}
+    masks = {term: sum(bit.get(a, 0) for a in kg.ancestor_set(term))
+             for term in kg.term_nodes}
+    return [values[t] for t in ranked], masks
+
+
+def row_fsums(mask: np.ndarray, weights: np.ndarray) -> list[float]:
+    """``math.fsum`` of ``weights`` over each row's True columns."""
+    rows, cols = np.nonzero(mask)
+    gathered = weights[cols].tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(mask))).tolist()
+    return [math.fsum(gathered[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+
+
 def oracle_pair_sim(a: str, b: str, kg, ic: dict[str, float]) -> float:
     edges = subclass_edges(kg)
     common = oracle_reachable_up(edges, a) & oracle_reachable_up(edges, b)

@@ -3,8 +3,11 @@
 import contextlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -785,7 +788,6 @@ class TestCliSurface:
 
     def test_installed_entry_point(self):
         import shutil as sh
-        import subprocess
         exe = sh.which("gdapred")
         if exe is None:
             pytest.skip("console script not on PATH")
@@ -797,6 +799,32 @@ class TestCliSurface:
         for stage in ("ingest", "build-kg", "baseline", "embed", "pair",
                       "train", "evaluate", "report"):
             assert stage in helptext
+
+    def test_no_stage_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 1 MiB and 15 ms to import; a fresh
+        # interpreter, so that the test runner's own imports do not count
+        corpus = small_corpus(tmp_path / "data", n_genes=12, n_diseases=8)
+        config = small_config(
+            corpus, tmp_path / "out", kg_variants=["HP"],
+            methods=["walk", "walk_lexical", "transe", "distmult"],
+            operators=["hadamard"], learners=[*CLASSIFIER_KINDS, "cosine"],
+            grids={"random_forest": {"n_trees": [2, 3]}}, grid_folds=2,
+            classifier_params={"random_forest": {"n_trees": 3},
+                               "mlp": {"hidden_layers": [4], "epochs": 3}})
+        config_path = write_config(config, tmp_path / "config.json")
+        script = ("import sys\n"
+                  "from gdapred.cli import main\n"
+                  "from gdapred.pipeline import STAGES\n"
+                  "for stage in STAGES:\n"
+                  "    code = main([stage, '--config', sys.argv[1]])\n"
+                  "    print(stage, code, 'numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, str(config_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == [f"{stage} 0 False" for stage in STAGES]
+
 
 
 #: three damages of a file's bytes

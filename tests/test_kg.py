@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from gdapred.errors import ConfigurationError, IntegrityError, UnknownNodeError
+from gdapred.errors import (
+    ConfigurationError,
+    CycleError,
+    IntegrityError,
+    UnknownNodeError,
+)
 from gdapred.kg import (
     EQUIVALENT_TO,
     HAS_ANNOTATION,
@@ -203,6 +208,24 @@ class TestAncestors:
         kg, _, _, _ = random_hp_kg(rng, 15, 2, 2)
         for term in kg.term_nodes:
             assert term in kg.ancestor_set(term)
+
+
+class TestTermOrder:
+    def test_cycle_is_cycle_error_child_to_parent(self):
+        kg = KnowledgeGraph("HP", [("HP:3", SUBCLASS_OF, "HP:1"),
+                                   ("HP:2", SUBCLASS_OF, "HP:3"),
+                                   ("HP:1", SUBCLASS_OF, "HP:2"),
+                                   ("HP:4", SUBCLASS_OF, "HP:1")])
+        with pytest.raises(CycleError) as err:
+            kg.term_order()
+        assert str(err.value) == ("subClassOf cycle: HP:1 -> HP:2 -> HP:3 "
+                                  "-> HP:1")
+
+    def test_subclass_edge_at_an_entity_node_is_integrity_error(self):
+        kg = KnowledgeGraph("HP", [("HP:2", SUBCLASS_OF, "HP:1"),
+                                   ("HP:1", SUBCLASS_OF, "GENE:g1")])
+        with pytest.raises(IntegrityError, match="HP:1 -> GENE:g1"):
+            kg.term_order()
 
 
 class TestTripleExport:

@@ -14,10 +14,24 @@ from hypothesis import strategies as st
 
 import gdapred.semsim as semsim
 from gdapred.cli import main
-from gdapred.errors import DegenerateDataError, UnknownNodeError
+from gdapred.errors import CycleError, DegenerateDataError, UnknownNodeError
 from gdapred.evaluation import AssociationDataset, LabeledPair
-from gdapred.kg import build_kg
-from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
+from gdapred.kg import (
+    HAS_ANNOTATION,
+    SUBCLASS_OF,
+    VIRTUAL_ROOT,
+    KnowledgeGraph,
+    build_kg,
+    read_triples,
+)
+from gdapred.ontology import (
+    AnnotationMap,
+    EntityId,
+    Ontology,
+    OntologyTerm,
+    merge_annotation_maps,
+)
+from gdapred.pipeline import PipelineConfig, cmd_baseline, read_annotation_tsv
 from gdapred.semsim import (
     SSM_CONFIGS,
     InformationContentTable,
@@ -38,6 +52,10 @@ from helpers import (
     oracle_ic_seco,
     oracle_pair_sim,
     random_hp_kg,
+    row_fsums,
+    set_form_ic_resnik,
+    set_form_ic_seco,
+    set_form_masks,
 )
 
 
@@ -173,6 +191,127 @@ class TestIcResnik:
                     continue
                 if child in ic.values and parent in ic.values:
                     assert ic.values[parent] <= ic.values[child] + 1e-12
+
+
+def random_dag(rng, n_terms: int, n_roots: int, join: bool, unknown: bool):
+    """A KG over a random DAG of ``n_terms`` terms, the first ``n_roots``
+    of them roots, each later term with one to three earlier parents,
+    the roots joined under the virtual root if ``join``, and one term
+    on no subClassOf edge; with it a corpus of six entities, one of them
+    annotated with a term outside the graph if ``unknown``."""
+    ids = [f"HP:{i:07d}" for i in range(n_terms)]
+    triples = set()
+    for i in range(n_roots, n_terms):
+        for p in rng.choice(i, size=int(rng.integers(1, min(3, i) + 1)), replace=False):
+            triples.add((ids[i], SUBCLASS_OF, ids[int(p)]))
+    if join:
+        triples.update((ids[r], SUBCLASS_OF, VIRTUAL_ROOT) for r in range(n_roots))
+    triples.add(("GENE:lone", HAS_ANNOTATION, "HP:lone"))
+    kg = KnowledgeGraph("HP_GO" if join else "HP", triples)
+    terms = sorted(kg.term_nodes)
+    corpus = AnnotationMap()
+    for i in range(6):
+        chosen = rng.choice(len(terms), size=int(rng.integers(1, 4)), replace=False)
+        corpus.entries[EntityId(f"e{i}", "gene")] = {terms[int(c)] for c in chosen}
+    if unknown:
+        corpus.entries[EntityId("e0", "gene")].add("HP:404")
+    return kg, corpus
+
+
+def float_bits(values: dict[str, float]) -> dict[str, str]:
+    """Each value's exact bits, which also tell 0.0 from -0.0."""
+    return {t: v.hex() for t, v in values.items()}
+
+
+class TestClosures:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 40),
+           n_roots=st.integers(1, 4), join=st.booleans(), unknown=st.booleans())
+    @example(seed=0, n_terms=12, n_roots=3, join=True, unknown=True)
+    def test_bitsets_tables_and_masks_equal_the_set_forms(
+            self, seed, n_terms, n_roots, join, unknown):
+        rng = np.random.default_rng(seed)
+        kg, corpus = random_dag(rng, n_terms, min(n_roots, n_terms - 1), join, unknown)
+        order = kg.term_order()
+        assert sorted(order) == sorted(kg.term_nodes)
+        position = {t: i for i, t in enumerate(order)}
+        assert all(position[p] < position[t] for t in order for p in kg.parents(t))
+
+        terms, closure = semsim._sorted_ancestor_bits(kg)
+        assert terms == sorted(kg.term_nodes)
+        for t in terms:
+            assert {u for i, u in enumerate(terms) if closure[t] >> i & 1} \
+                == kg.ancestor_set(t)
+
+        seco = ic_seco(kg).values
+        assert float_bits(seco) == float_bits(set_form_ic_seco(kg))
+        # zero and tied values, terms without a value and one off the graph
+        chosen = rng.choice(len(terms), size=int(rng.integers(1, len(terms) + 1)),
+                            replace=False)
+        hand = {terms[int(c)]: float(rng.choice([0.0, 0.5, 0.5, 1.25]))
+                for c in chosen}
+        tables = [seco, {**hand, "HP:elsewhere": 0.75}]
+        if unknown:
+            with pytest.raises(UnknownNodeError) as want:
+                set_form_ic_resnik(kg, corpus)
+            with pytest.raises(UnknownNodeError) as got:
+                ic_resnik(kg, corpus)
+            assert str(got.value) == str(want.value) == \
+                "HP:404 is not a term node of this graph"
+        else:
+            resnik = ic_resnik(kg, corpus).values
+            assert float_bits(resnik) == float_bits(set_form_ic_resnik(kg, corpus))
+            tables.append(resnik)
+        for values in tables:
+            index = semsim._GraphIndex(kg, values)
+            assert (index.ic, index.masks) == set_form_masks(kg, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=st.lists(
+               st.one_of(st.floats(-1e300, 1e300),
+                         st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.0])),
+               min_size=1, max_size=30),
+           seed=st.integers(0, 2**32 - 1))
+    @example(weights=[1e16, *[1.0] * 12], seed=0)
+    @example(weights=[1e300, 1e-300, 5e-324, 2.5e-320, 0.0, 1e300], seed=1)
+    def test_exact_sums_have_the_bits_of_fsum(self, weights, seed):
+        mask = np.random.default_rng(seed).random((6, len(weights))) < 0.6
+        mask[0] = True
+        mask[1] = False
+        sums = semsim._ExactSums(weights)
+        got = [sums.value(total) for total in sums.of_rows(mask)]
+        assert [v.hex() for v in got] == [
+            v.hex() for v in row_fsums(mask, np.array(weights))]
+
+    def test_subclass_cycle_is_cycle_error(self, tmp_path, caplog):
+        corpus = PlantedCorpus(tmp_path / "data", n_clusters=2, n_genes=8,
+                               n_diseases=6, leaves_per_branch=3,
+                               go_leaves_per_cluster=3, seed=2)
+        config = write_config(corpus.config(tmp_path / "out", variants=("HP",)),
+                              tmp_path / "config.json")
+        for stage in ("ingest", "build-kg"):
+            assert main([stage, "--config", str(config)]) == 0
+        # an edited triples file that closes a subClassOf edge into a cycle
+        kg_path = tmp_path / "out" / "kg" / "kg_HP.tsv"
+        lines = kg_path.read_text().splitlines()
+        child, _, parent = next(line.split("\t") for line in lines
+                                if line.split("\t")[1] == SUBCLASS_OF)
+        kg_path.write_text("\n".join([*lines, f"{parent}\t{SUBCLASS_OF}\t{child}"]) + "\n")
+        first, second = sorted((child, parent))
+        cycle = f"subClassOf cycle: {first} -> {second} -> {first}"
+
+        kg = read_triples(kg_path, "HP")
+        annotations = merge_annotation_maps(*(
+            read_annotation_tsv(tmp_path / "out" / "ingest" / f"annotations_{kind}_hp.tsv",
+                                kind) for kind in ("gene", "disease")))
+        with pytest.raises(CycleError, match=cycle):
+            ic_seco(kg)
+        with pytest.raises(CycleError, match=cycle):
+            ic_resnik(kg, annotations)
+        with pytest.raises(CycleError, match=cycle):
+            cmd_baseline(PipelineConfig.from_file(config))
+        assert main(["baseline", "--config", str(config)]) == 1
+        assert cycle in caplog.text
 
 
 class TestSimResnikPair:
