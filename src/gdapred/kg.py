@@ -8,7 +8,7 @@ definitions (HP_GO_LD).
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -46,9 +46,9 @@ class KnowledgeGraph:
 
     A graph is its triples: its nodes are their ends, the entity nodes
     those with a GENE or DISEASE prefix and the term nodes the rest.
-    Construction happens once; ancestor closures and the parents-first
-    term order are cached lazily and read-only queries are safe to run
-    concurrently.
+    Construction happens once; ancestor closures, the ancestor bitsets
+    and the parents-first term order are cached lazily and read-only
+    queries are safe to run concurrently.
     """
 
     def __init__(self, variant: str, triples: Iterable[Triple],
@@ -69,6 +69,7 @@ class KnowledgeGraph:
         self._up = {n: tuple(sorted(v)) for n, v in up.items()}
         self._anc_cache: dict[str, frozenset[str]] = {}
         self._term_order: tuple[str, ...] | None = None
+        self._ancestor_bits: tuple[list[str], dict[str, int]] | None = None
         self._walk_adj: WalkAdjacency | None = None
 
     @property
@@ -117,6 +118,29 @@ class KnowledgeGraph:
             self._term_order = tuple(parents_first(
                 {t: self._up.get(t, ()) for t in self.term_nodes}, SUBCLASS_OF))
         return self._term_order
+
+    def closure_bits(self, bit: Mapping[str, int]) -> dict[str, int]:
+        """Each term node's closure as an int: the OR of ``bit`` over the
+        term and its ancestors, a term without a bit adding none. One pass
+        along ``term_order``, so each parent's closure is complete before
+        its children read it."""
+        closure: dict[str, int] = {}
+        for term in self.term_order():
+            bits = bit.get(term, 0)
+            for parent in self._up.get(term, ()):
+                bits |= closure[parent]
+            closure[term] = bits
+        return closure
+
+    def ancestor_bits(self) -> tuple[list[str], dict[str, int]]:
+        """The sorted term nodes, and each one's ancestor closure with
+        bit i standing for the i-th of them, built once: do not change
+        the result."""
+        if self._ancestor_bits is None:
+            terms = sorted(self.term_nodes)
+            self._ancestor_bits = terms, self.closure_bits(
+                {t: 1 << i for i, t in enumerate(terms)})
+        return self._ancestor_bits
 
     def walk_adjacency(self) -> WalkAdjacency:
         """The graph's both-direction adjacency for walking, built once."""

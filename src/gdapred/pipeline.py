@@ -73,7 +73,7 @@ from .pairing import (
     read_pair_features,
     write_pair_features,
 )
-from .semsim import SSM_CONFIGS, ic_table, ssm_baseline, write_scored_pairs
+from .semsim import SSM_CONFIGS, PairPlan, ic_table, ssm_baseline, write_scored_pairs
 from .validation import at_least, bound, check_fields, one_of
 
 logger = logging.getLogger(__name__)
@@ -497,11 +497,13 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     for flavor in dict.fromkeys(c.ic_flavor for c in measures):
         with run.timed(f"ic_{flavor}"):
             tables[flavor] = ic_table(flavor, kg, annotations)
+    # the pairs, sets and lookups every measure shares
+    plan = PairPlan(dataset, kg, annotations)
     rows = {}
     for ssm_config in measures:
         with run.timed(ssm_config.name):
             scored = ssm_baseline(dataset, ssm_config, kg, annotations,
-                                  ic=tables[ssm_config.ic_flavor])
+                                  ic=tables[ssm_config.ic_flavor], plan=plan)
             if scored.excluded_entities:
                 raise IntegrityError(
                     "baseline cannot score the persisted dataset: entities "

@@ -7,17 +7,24 @@ both IC flavours) used to score gene-disease pairs on the phenotype KG.
 Every closure the tables and measures need is a Python-int bitset per
 term, built in one pass along the KG's parents-first term order, each
 term OR-ing its parents' bitsets (or, children first, pushing its own
-into theirs): ancestors over the sorted terms for the corpus IC counts
-and SimGIC's rows, descendants for the Seco counts, and the MICA masks
-over the IC-ranked terms. SimGIC sums IC exactly in integers.
+into theirs): ancestors over the sorted terms (kept on the KG) for the
+corpus IC counts and SimGIC's rows, descendants for the Seco counts,
+and the MICA masks over the IC-ranked terms. SimGIC sums IC exactly in
+integers.
+
+What no measure changes is a ``PairPlan``, built once per dataset and
+shared by the measure runs over it: the scored pairs, their distinct
+annotation sets, the distinct term pairs of their lookups and the sets'
+closure rows. A measure run then does only what its IC decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -33,8 +40,8 @@ if TYPE_CHECKING:
 IC_SECO = "seco"
 IC_RESNIK_CORPUS = "resnik_corpus"
 AGGREGATIONS = ("BMA", "MAX", "SIMGIC")
-#: term-pair lookups (BMA, MAX) or intersection-mask cells, pairs x
-#: KG terms (SimGIC), held at once while a measure run scores its pairs
+#: intersection-mask cells, pairs x KG terms, held at once while a
+#: SimGIC run sums its pairs (BMA and MAX hold one value per lookup)
 _CHUNK = 1 << 14
 
 
@@ -67,28 +74,7 @@ class _GraphIndex:
         ranked = sorted((t for t, v in values.items() if v > 0.0),
                         key=lambda t: (values[t], t))
         self.ic = [values[t] for t in ranked]
-        self.masks = _ancestor_bits(kg, {t: 1 << r for r, t in enumerate(ranked)})
-
-
-def _ancestor_bits(kg: KnowledgeGraph, bit: Mapping[str, int]) -> dict[str, int]:
-    """Each term node's closure as an int: the OR of ``bit`` over the
-    term and its ancestors, a term without a bit adding none. One pass
-    along the parents-first order, so each parent's closure is complete
-    before its children read it."""
-    closure: dict[str, int] = {}
-    for term in kg.term_order():
-        bits = bit.get(term, 0)
-        for parent in kg.parents(term):
-            bits |= closure[parent]
-        closure[term] = bits
-    return closure
-
-
-def _sorted_ancestor_bits(kg: KnowledgeGraph) -> tuple[list[str], dict[str, int]]:
-    """The sorted term nodes, and each one's ancestor closure with bit i
-    standing for the i-th of them."""
-    terms = sorted(kg.term_nodes)
-    return terms, _ancestor_bits(kg, {t: 1 << i for i, t in enumerate(terms)})
+        self.masks = kg.closure_bits({t: 1 << r for r, t in enumerate(ranked)})
 
 
 def _closure_rows(sets: Collection[Collection[str]], closure: dict[str, int],
@@ -164,7 +150,7 @@ def ic_resnik(kg: KnowledgeGraph, annotations: AnnotationMap) -> InformationCont
     n_entities = len(annotations.entries)
     if n_entities == 0:
         raise DegenerateDataError("no annotated entities in the corpus")
-    terms, closure = _sorted_ancestor_bits(kg)
+    terms, closure = kg.ancestor_bits()
     counts = _closure_rows(annotations.entries.values(), closure,
                            len(terms)).sum(axis=0).tolist()
     log_n = math.log(n_entities)
@@ -216,36 +202,40 @@ def _simgic(anc_a: set[str], anc_b: set[str],
 def sim_groupwise(gene_terms: Collection[str], disease_terms: Collection[str],
                   config: SimilarityConfig, kg: KnowledgeGraph,
                   ic: InformationContentTable,
-                  similarities: Sequence[float] | None = None) -> float:
+                  similarities: Sequence[float] | np.ndarray | None = None) -> float:
     """Aggregate term-pair similarity over two annotation sets.
 
     BMA averages the two directional best-match means, MAX takes the
     global pairwise maximum, and SimGIC is the IC-weighted Jaccard of
     the ancestor closures. For BMA and MAX, ``similarities`` are the
     ``sim_resnik_pair`` values of the sorted gene terms x the sorted
-    disease terms in row-major order, scored by the caller; without
-    them each term pair is scored here.
+    disease terms, scored by the caller: a (|G|, |D|) float64 block, or
+    its rows one after another; ValueError for any other shape. Without
+    them each term pair is scored here. The result is a Python float.
     """
     if not gene_terms or not disease_terms:
         raise DegenerateDataError("groupwise similarity needs non-empty term sets")
     if config.aggregation == "SIMGIC":
         return _simgic(_closure_union(gene_terms, kg),
                        _closure_union(disease_terms, kg), ic)
-    width = len(disease_terms)
+    shape = (len(gene_terms), len(disease_terms))
     if similarities is None:
         b_list = sorted(disease_terms)
         similarities = [sim_resnik_pair(a, b, kg, ic)
                         for a in sorted(gene_terms) for b in b_list]
-    elif len(similarities) != len(gene_terms) * width:
-        raise ValueError(f"{len(similarities)} similarities for "
-                         f"{len(gene_terms)} x {width} terms")
-    if config.aggregation == "MAX":
-        return max(similarities)
+    block = np.asarray(similarities, dtype=np.float64)
+    if block.ndim == 1 and block.size == shape[0] * shape[1]:
+        block = block.reshape(shape)
+    if block.shape != shape:
+        raise ValueError(f"similarities of shape {block.shape} for "
+                         f"{shape[0]} x {shape[1]} terms")
     # similarities are >= 0, so a best match is the plain max of its row
-    # or column; the means sum in sorted term order
-    row_best = [max(similarities[i:i + width])
-                for i in range(0, len(similarities), width)]
-    col_best = [max(similarities[j::width]) for j in range(width)]
+    # or column; max is exact, and + 0.0 makes a -0.0 maximum the 0.0 of
+    # a running max from 0.0. The means sum in sorted term order.
+    if config.aggregation == "MAX":
+        return float(block.max()) + 0.0
+    row_best = block.max(axis=1).tolist()
+    col_best = block.max(axis=0).tolist()
     return 0.5 * (sum(row_best) / len(row_best) + sum(col_best) / len(col_best))
 
 
@@ -267,127 +257,170 @@ class ScoredPairs:
         return [r.normalized_score for r in self.rows]
 
 
+class PairPlan:
+    """What scoring one dataset's pairs needs that no measure changes.
+
+    Built once per dataset, annotation map and KG, which must not change
+    after, and shared by every measure run over them (``ssm_baseline``'s
+    ``plan``): the scored pairs in dataset order and the entities without
+    annotations; the distinct annotation sets, in order of first use,
+    with each pair's gene set and disease set as indices into them; and,
+    each built on first use, so by the first run that needs it, BMA and
+    MAX's term-pair ``lookups`` and SimGIC's ``closure_rows``.
+    """
+
+    def __init__(self, dataset: "AssociationDataset", kg: KnowledgeGraph,
+                 annotations: AnnotationMap):
+        self.dataset = dataset
+        self.kg = kg
+        self.annotations = annotations
+        self.scored: list[LabeledPair] = []
+        self.genes: list[int] = []
+        self.diseases: list[int] = []
+        number: dict[frozenset[str], int] = {}
+        of_entity: dict[EntityId, int | None] = {}
+        excluded: dict[EntityId, None] = {}
+
+        def index(entity: EntityId) -> int | None:
+            if entity not in of_entity:
+                terms = annotations.entries.get(entity)
+                of_entity[entity] = number.setdefault(
+                    frozenset(terms), len(number)) if terms else None
+            if of_entity[entity] is None:
+                excluded[entity] = None
+            return of_entity[entity]
+
+        for pair in dataset.pairs:
+            gi, di = index(pair.gene), index(pair.disease)
+            if gi is not None and di is not None:
+                self.scored.append(pair)
+                self.genes.append(gi)
+                self.diseases.append(di)
+        self.sets: list[frozenset[str]] = list(number)
+        self.excluded: list[EntityId] = list(excluded)
+
+    def check(self, dataset: "AssociationDataset", kg: KnowledgeGraph,
+              annotations: AnnotationMap) -> None:
+        """ValueError unless the plan was built from these very inputs."""
+        for name, mine, given in (("dataset", self.dataset, dataset),
+                                  ("KG", self.kg, kg),
+                                  ("annotation map", self.annotations, annotations)):
+            if mine is not given:
+                raise ValueError(f"the pair plan was built from another {name}")
+
+    @cached_property
+    def lookups(self) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+        """BMA and MAX's term-pair lookups: the distinct unordered term
+        pairs, as the list of their first terms and the list of their
+        second; each lookup's index into them, a pair's lookups in
+        row-major order over its sorted gene x disease terms, one pair
+        after another; and the bounds of each pair's lookups."""
+        sets = self.sets
+        # terms are numbered in sorted order, so (min, max) of two numbers
+        # is the pair in string order and each set's numbers sort as its terms
+        terms = sorted(set().union(*sets))
+        number = {t: i for i, t in enumerate(terms)}
+        members = [sorted(number[t] for t in s) for s in sets]
+        sizes = np.array([len(m) for m in members])
+        indptr = np.concatenate(([0], np.cumsum(sizes)))
+        indices = np.fromiter(chain.from_iterable(members), np.int64,
+                              count=int(indptr[-1]))
+        g = np.array(self.genes)
+        d = np.array(self.diseases)
+        bounds = np.concatenate(([0], np.cumsum(sizes[g] * sizes[d]))).tolist()
+        # one row per (pair, gene term), then one lookup per disease term
+        # of the row's pair. Per-lookup arrays set the stage's peak
+        # memory: each is updated in place and freed once used.
+        row_sets = np.repeat(d, sizes[g])
+        a = np.repeat(_concat_slices(indptr, indices, g), sizes[row_sets])
+        b = _concat_slices(indptr, indices, row_sets)
+        codes = np.minimum(a, b)
+        codes *= len(terms)
+        codes += np.maximum(a, b, out=a)
+        del a, b
+        # np.unique(codes, return_inverse=True), holding half as many
+        # per-lookup arrays at once
+        order = np.argsort(codes)
+        codes = codes[order]
+        first = np.empty(len(codes), dtype=bool)
+        first[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=first[1:])
+        distinct = codes[first]
+        del codes
+        rank = np.cumsum(first)
+        rank -= 1
+        inverse = np.empty_like(order)
+        inverse[order] = rank
+        del order, rank
+        names = np.array(terms, dtype=object)
+        return (names[distinct // len(terms)].tolist(),
+                names[distinct % len(terms)].tolist(), inverse, bounds)
+
+    @cached_property
+    def closure_rows(self) -> np.ndarray:
+        """SimGIC's rows: each distinct set's ancestor closure as a
+        boolean row over the KG's sorted term nodes."""
+        terms, closure = self.kg.ancestor_bits()
+        return _closure_rows(self.sets, closure, len(terms))
+
+
 def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
                  kg: KnowledgeGraph, annotations: AnnotationMap,
-                 ic: InformationContentTable | None = None) -> ScoredPairs:
+                 ic: InformationContentTable | None = None,
+                 plan: PairPlan | None = None) -> ScoredPairs:
     """Score every dataset pair with a groupwise measure.
 
     Raw scores are min-max normalized to [0, 1] across the scored set
     (corpus IC is unbounded); if all raw scores coincide every pair maps
     to 1.0. Entities without annotations are reported, not scored.
     ``ic`` lets measures of one IC flavour share a table (and its MICA
-    masks); without it the table is built here.
+    masks), and ``plan`` lets all measures share a ``PairPlan`` of these
+    inputs; without them each is built here.
 
     A BMA or MAX run calls ``sim_resnik_pair`` once per distinct
-    unordered term pair of the scored pairs, all up front, then
-    ``sim_groupwise`` once per pair with that pair's values. SimGIC sums
-    IC exactly over each pair's shared and joint ancestor closures, so
-    each score has the bits of ``sim_groupwise``'s ``math.fsum`` form.
+    unordered term pair of the plan, all up front, gathers the values
+    of every lookup in one step, then calls ``sim_groupwise`` once per
+    pair with that pair's block. SimGIC sums IC exactly over each pair's
+    shared and joint closure rows, so each score has the bits of
+    ``sim_groupwise``'s ``math.fsum`` form.
     """
     if ic is None:
         ic = ic_table(config.ic_flavor, kg, annotations)
     elif ic.flavor != config.ic_flavor:
         raise ValueError(f"{config.name} needs a {config.ic_flavor} IC table, "
                          f"got {ic.flavor}")
-
-    scored: list[LabeledPair] = []
-    excluded: list[EntityId] = []
-    excluded_seen: set[EntityId] = set()
-    for pair in dataset.pairs:
-        gene_terms = annotations.entries.get(pair.gene)
-        disease_terms = annotations.entries.get(pair.disease)
-        missing = [e for e, t in ((pair.gene, gene_terms), (pair.disease, disease_terms))
-                   if not t]
-        if missing:
-            for e in missing:
-                if e not in excluded_seen:
-                    excluded_seen.add(e)
-                    excluded.append(e)
-            continue
-        scored.append(pair)
+    if plan is None:
+        plan = PairPlan(dataset, kg, annotations)
+    else:
+        plan.check(dataset, kg, annotations)
 
     raw: list[float] = []
-    if scored:
-        sets, genes, diseases = _distinct_sets(scored, annotations)
+    if plan.scored:
         if config.aggregation == "SIMGIC":
-            raw = _simgic_scores(sets, genes, diseases, kg, ic)
+            raw = _simgic_scores(plan, ic)
         else:
-            raw = _best_match_scores(sets, genes, diseases, config, kg, ic)
+            raw = _best_match_scores(plan, config, ic)
     rows = [ScoredPair(p.gene, p.disease, r, 0.0, p.label)
-            for p, r in zip(scored, raw)]
+            for p, r in zip(plan.scored, raw)]
     if rows:
         lo = min(raw)
         hi = max(raw)
         for r in rows:
             r.normalized_score = (r.raw_score - lo) / (hi - lo) if hi > lo else 1.0
-    return ScoredPairs(rows, excluded)
+    return ScoredPairs(rows, list(plan.excluded))
 
 
-def _distinct_sets(pairs: "list[LabeledPair]", annotations: AnnotationMap
-                   ) -> tuple[list[frozenset[str]], list[int], list[int]]:
-    """The distinct annotation sets of ``pairs``, in order of first use,
-    and each pair's gene set and disease set as indices into them."""
-    number: dict[frozenset[str], int] = {}
-    of_entity: dict[EntityId, int] = {}
-
-    def index(entity: EntityId) -> int:
-        i = of_entity.get(entity)
-        if i is None:
-            key = frozenset(annotations.entries[entity])
-            i = of_entity[entity] = number.setdefault(key, len(number))
-        return i
-
-    genes = [index(p.gene) for p in pairs]
-    diseases = [index(p.disease) for p in pairs]
-    return list(number), genes, diseases
-
-
-def _best_match_scores(sets: list[frozenset[str]], genes: list[int],
-                       diseases: list[int], config: SimilarityConfig,
-                       kg: KnowledgeGraph, ic: InformationContentTable
-                       ) -> list[float]:
-    """BMA or MAX of each (gene set, disease set) pair of indices."""
-    # terms are numbered in sorted order, so (min, max) of two numbers
-    # is the pair in string order and each set's numbers sort as its terms
-    terms = sorted(set().union(*sets))
-    number = {t: i for i, t in enumerate(terms)}
-    members = [sorted(number[t] for t in s) for s in sets]
-    sizes = np.array([len(m) for m in members])
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    indices = np.fromiter(chain.from_iterable(members), np.int64,
-                          count=int(indptr[-1]))
-    g = np.array(genes)
-    # one row per (pair, gene term), then one lookup per disease term of
-    # the row's pair: each pair's lookups in row-major order
-    row_sets = np.repeat(np.array(diseases), sizes[g])
-    a = np.repeat(_concat_slices(indptr, indices, g), sizes[row_sets])
-    b = _concat_slices(indptr, indices, row_sets)
-    codes = np.minimum(a, b) * len(terms) + np.maximum(a, b)
-    # free each per-lookup array once used: they set the run's peak memory
-    del a, b, row_sets
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    del codes
-    names = np.array(terms, dtype=object)
-    values = np.fromiter(
-        map(sim_resnik_pair, names[distinct // len(terms)],
-            names[distinct % len(terms)], repeat(kg), repeat(ic)),
-        dtype=np.float64, count=len(distinct))
-    del distinct, names
-
-    # Python floats for the pairs of one chunk of lookups at a time
-    raw: list[float] = []
-    chunk: list[float] = []
-    start = offset = 0
-    for gi, di in zip(genes, diseases):
-        n = len(sets[gi]) * len(sets[di])
-        if offset + n > len(chunk):
-            chunk = values[inverse[start:start + max(n, _CHUNK)]].tolist()
-            offset = 0
-        raw.append(sim_groupwise(sets[gi], sets[di], config, kg, ic,
-                                 similarities=chunk[offset:offset + n]))
-        offset += n
-        start += n
-    return raw
+def _best_match_scores(plan: PairPlan, config: SimilarityConfig,
+                       ic: InformationContentTable) -> list[float]:
+    """BMA or MAX of each scored pair of ``plan``."""
+    kg, sets = plan.kg, plan.sets
+    left, right, inverse, bounds = plan.lookups
+    values = np.fromiter(map(sim_resnik_pair, left, right, repeat(kg), repeat(ic)),
+                         dtype=np.float64, count=len(left))[inverse]
+    return [sim_groupwise(sets[gi], sets[di], config, kg, ic,
+                          similarities=values[lo:hi].reshape(len(sets[gi]),
+                                                             len(sets[di])))
+            for gi, di, lo, hi in zip(plan.genes, plan.diseases, bounds, bounds[1:])]
 
 
 def _concat_slices(indptr: np.ndarray, indices: np.ndarray,
@@ -396,30 +429,29 @@ def _concat_slices(indptr: np.ndarray, indices: np.ndarray,
     starts = indptr[which]
     lengths = indptr[which + 1] - starts
     ends = np.cumsum(lengths)
-    return indices[np.arange(ends[-1])
-                   + np.repeat(starts - ends + lengths, lengths)]
+    at = np.repeat(starts - ends + lengths, lengths)
+    at += np.arange(ends[-1])
+    return indices[at]
 
 
-def _simgic_scores(sets: list[frozenset[str]], genes: list[int],
-                   diseases: list[int], kg: KnowledgeGraph,
-                   ic: InformationContentTable) -> list[float]:
-    """SimGIC of each (gene set, disease set) pair of indices.
+def _simgic_scores(plan: PairPlan, ic: InformationContentTable) -> list[float]:
+    """SimGIC of each scored pair of ``plan``.
 
-    Each set's ancestor closure is a boolean row over the sorted terms;
-    the IC over a pair's shared columns comes from ``_ExactSums`` on one
-    chunk of pairs at a time, and over its joint columns as the two
-    sets' own sums less the shared one, all exact integers.
+    The IC over a pair's shared columns of the plan's closure rows comes
+    from ``_ExactSums`` on one chunk of pairs at a time, and over its
+    joint columns as the two sets' own sums less the shared one, all
+    exact integers.
     """
-    terms, closure = _sorted_ancestor_bits(kg)
-    rows = _closure_rows(sets, closure, len(terms))
+    terms, _ = plan.kg.ancestor_bits()
+    rows = plan.closure_rows
     sums = _ExactSums([ic.values.get(t, 0.0) for t in terms])
     step = max(1, _CHUNK // len(terms))
-    own = [total for lo in range(0, len(sets), step)
+    own = [total for lo in range(0, len(rows), step)
            for total in sums.of_rows(rows[lo:lo + step])]
     raw: list[float] = []
-    for lo in range(0, len(genes), step):
-        g = genes[lo:lo + step]
-        d = diseases[lo:lo + step]
+    for lo in range(0, len(plan.genes), step):
+        g = plan.genes[lo:lo + step]
+        d = plan.diseases[lo:lo + step]
         for gi, di, shared in zip(g, d, sums.of_rows(rows[g] & rows[d])):
             inter = sums.value(shared)
             union = sums.value(own[gi] + own[di] - shared)

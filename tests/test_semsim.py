@@ -1,9 +1,11 @@
 """Information-content and similarity-measure contracts."""
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -35,9 +37,11 @@ from gdapred.pipeline import PipelineConfig, cmd_baseline, read_annotation_tsv
 from gdapred.semsim import (
     SSM_CONFIGS,
     InformationContentTable,
+    PairPlan,
     SimilarityConfig,
     ic_resnik,
     ic_seco,
+    ic_table,
     sim_groupwise,
     sim_resnik_pair,
     ssm_baseline,
@@ -237,7 +241,7 @@ class TestClosures:
         position = {t: i for i, t in enumerate(order)}
         assert all(position[p] < position[t] for t in order for p in kg.parents(t))
 
-        terms, closure = semsim._sorted_ancestor_bits(kg)
+        terms, closure = kg.ancestor_bits()
         assert terms == sorted(kg.term_nodes)
         for t in terms:
             assert {u for i, u in enumerate(terms) if closure[t] >> i & 1} \
@@ -527,6 +531,69 @@ class TestSimGroupwise:
                                                 config.aggregation, kg, oracle_ic)
                         assert got == pytest.approx(want, abs=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+           cells=st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, 3.75, 7.0]),
+                          min_size=36, max_size=36))
+    @example(rows=1, cols=5, cells=[0.5, 0.25, -0.0, 3.75, 0.0] + [0.0] * 31)
+    @example(rows=5, cols=1, cells=[0.5, 0.25, -0.0, 3.75, 0.0] + [0.0] * 31)
+    @example(rows=3, cols=2, cells=[0.0] * 36)
+    @example(rows=2, cols=3, cells=[-0.0] * 36)
+    @example(rows=2, cols=2, cells=[-0.0, 0.0, 0.0, -0.0] + [0.0] * 32)
+    def test_block_has_the_bits_of_the_flat_list_and_the_loop(self, rows, cols, cells):
+        kg = chain_kg()
+        ic = ic_seco(kg)
+        # names whose sorted order differs from their draw order
+        gene_terms = {f"HP:g{9 - i}" for i in range(rows)}
+        disease_terms = {f"HP:d{9 - j}" for j in range(cols)}
+        block = np.array(cells[:rows * cols], dtype=np.float64).reshape(rows, cols)
+        where = {t: i for i, t in enumerate(sorted(gene_terms))}
+        where.update({t: j for j, t in enumerate(sorted(disease_terms))})
+        for aggregation in ("BMA", "MAX"):
+            config = SimilarityConfig(aggregation, "seco")
+            got = [sim_groupwise(gene_terms, disease_terms, config, kg, ic,
+                                 similarities=form)
+                   for form in (block, block.ravel().tolist(), block.ravel())]
+            want = loop_best_match(gene_terms, disease_terms, aggregation,
+                                   lambda a, b: float(block[where[a], where[b]]))
+            assert [type(v) for v in got] == [float] * 3
+            assert [v.hex() for v in got] == [want.hex()] * 3, aggregation
+
+    def test_block_of_the_wrong_shape_rejected(self):
+        kg = chain_kg()
+        ic = ic_seco(kg)
+        genes, diseases = {"HP:a", "HP:b"}, {"HP:a", "HP:b", "HP:c"}
+        for config in (SimilarityConfig("BMA", "seco"), SimilarityConfig("MAX", "seco")):
+            for wrong in (np.zeros((3, 2)), np.zeros((1, 6)), np.zeros((2, 3, 1)),
+                          np.zeros(5), [0.0] * 7):
+                with pytest.raises(ValueError, match="2 x 3 terms"):
+                    sim_groupwise(genes, diseases, config, kg, ic, similarities=wrong)
+
+
+def twin_corpus(seed: int, n_terms: int, n_genes: int, n_diseases: int,
+                max_terms: int = 5):
+    """A random HP KG and a dataset of every gene with every disease in a
+    shuffled order: some entities share a term set, on one side and
+    across sides, and one gene has no annotations. Returns the dataset,
+    the KG and the annotation map."""
+    rng = np.random.default_rng(seed)
+    kg, _, gene_map, disease_map = random_hp_kg(
+        rng, n_terms, n_genes, n_diseases, max_terms=max_terms)
+    corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
+    genes = sorted(gene_map.entries, key=lambda e: e.id)
+    diseases = sorted(disease_map.entries, key=lambda e: e.id)
+    twins = {EntityId("g_same", "gene"): gene_map.entries[genes[0]],
+             EntityId("g_swap", "gene"): disease_map.entries[diseases[-1]],
+             EntityId("d_swap", "disease"): gene_map.entries[genes[-1]]}
+    for entity, terms in twins.items():
+        corpus.entries[entity] = set(terms)
+        (genes if entity.kind == "gene" else diseases).append(entity)
+    genes.append(EntityId("g_none", "gene"))
+    pairs = [LabeledPair(g, d, int((i + j) % 2))
+             for i, g in enumerate(genes) for j, d in enumerate(diseases)]
+    pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
+    return AssociationDataset(pairs), kg, corpus
+
 
 class TestSsmBaseline:
     def dataset_and_kg(self):
@@ -689,6 +756,87 @@ class TestSsmBaseline:
             ssm_baseline(dataset, SimilarityConfig("BMA", "resnik_corpus"),
                          kg, corpus, ic=ic_seco(kg))
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
+           n_genes=st.integers(1, 4), n_diseases=st.integers(1, 4),
+           order=st.permutations(SSM_CONFIGS))
+    @example(seed=0, n_terms=20, n_genes=3, n_diseases=3, order=SSM_CONFIGS[::-1])
+    def test_shared_plan_equals_no_plan(self, seed, n_terms, n_genes, n_diseases,
+                                        order):
+        dataset, kg, corpus = twin_corpus(seed, n_terms, n_genes, n_diseases)
+        tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
+        plan = PairPlan(dataset, kg, corpus)
+        scored_keys = [p.key for p in dataset.pairs if p.gene.id != "g_none"]
+        distinct = {(a, b) if a <= b else (b, a) for key in scored_keys
+                    for a in corpus.entries[key[0]] for b in corpus.entries[key[1]]}
+
+        calls = Counter()
+        real_pair = semsim.sim_resnik_pair
+
+        def counting(a, b, *rest):
+            calls[(a, b) if a <= b else (b, a)] += 1
+            return real_pair(a, b, *rest)
+
+        for config in order:
+            ic = tables[config.ic_flavor]
+            alone = ssm_baseline(dataset, config, kg, corpus, ic=ic)
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(semsim, "sim_resnik_pair", counting)
+                shared = ssm_baseline(dataset, config, kg, corpus, ic=ic, plan=plan)
+            assert [(r.gene, r.disease) for r in shared.rows] == scored_keys
+            assert [(repr(r.raw_score), repr(r.normalized_score), r.label)
+                    for r in shared.rows] == [
+                (repr(r.raw_score), repr(r.normalized_score), r.label)
+                for r in alone.rows], config.name
+            assert shared.excluded_entities == alone.excluded_entities == [
+                EntityId("g_none", "gene")]
+            if config.aggregation == "SIMGIC":
+                assert not calls
+            else:
+                assert calls == Counter(dict.fromkeys(distinct, 1)), config.name
+
+    @pytest.mark.parametrize("foreign", ["dataset", "KG", "annotation map"])
+    def test_foreign_plan_rejected(self, foreign):
+        dataset, kg, corpus = self.dataset_and_kg()
+        # equal inputs that are other objects are still other inputs
+        other = {"dataset": AssociationDataset(list(dataset.pairs)),
+                 "KG": KnowledgeGraph(kg.variant, kg.triples),
+                 "annotation map": AnnotationMap(entries=dict(corpus.entries))}
+        plan = PairPlan(*(other[name] if name == foreign else given
+                          for name, given in (("dataset", dataset), ("KG", kg),
+                                              ("annotation map", corpus))))
+        config = SimilarityConfig("BMA", "seco")
+        with pytest.raises(ValueError, match=f"another {foreign}$"):
+            ssm_baseline(dataset, config, kg, corpus, plan=plan)
+
+    def test_shared_plan_runs_peak_no_higher_than_one_run_alone(self):
+        dataset, kg, corpus = twin_corpus(5, 60, 40, 40, max_terms=12)
+        measures = [c for c in SSM_CONFIGS if c.aggregation != "SIMGIC"]
+        tables = {f: ic_table(f, kg, corpus) for f in ("seco", "resnik_corpus")}
+        plan = PairPlan(dataset, kg, corpus)
+
+        def alone():
+            ssm_baseline(dataset, measures[0], kg, corpus, ic=tables["seco"])
+
+        def shared():
+            for config in measures:
+                ssm_baseline(dataset, config, kg, corpus,
+                             ic=tables[config.ic_flavor], plan=plan)
+
+        def peak(work) -> int:
+            work()  # first-use costs out of the way
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                work()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        assert peak(shared) <= peak(alone)
+
     def test_stage_builds_each_ic_flavour_once(self, tmp_path, monkeypatch):
         built = {"seco": 0, "resnik_corpus": 0}
 
@@ -712,6 +860,36 @@ class TestSsmBaseline:
         assert built == {"seco": 1, "resnik_corpus": 1}
         report = (tmp_path / "out" / "baseline" / "baseline.json").read_text()
         assert all(c.name in report for c in SSM_CONFIGS)
+
+    def test_stage_builds_one_plan_and_one_ancestor_closure(self, tmp_path,
+                                                           monkeypatch):
+        plans = 0
+        closures = []
+        real_init = semsim.PairPlan.__init__
+        real_bits = KnowledgeGraph.ancestor_bits
+
+        def counting_init(self, *args):
+            nonlocal plans
+            plans += 1
+            real_init(self, *args)
+
+        def recording_bits(self):
+            closures.append(real_bits(self))
+            return closures[-1]
+
+        monkeypatch.setattr(semsim.PairPlan, "__init__", counting_init)
+        monkeypatch.setattr(KnowledgeGraph, "ancestor_bits", recording_bits)
+        corpus = PlantedCorpus(tmp_path / "data", n_clusters=2, n_genes=8,
+                               n_diseases=6, leaves_per_branch=3,
+                               go_leaves_per_cluster=3, seed=2)
+        config = write_config(corpus.config(tmp_path / "out", variants=("HP",)),
+                              tmp_path / "config.json")
+        for stage in ("ingest", "build-kg", "baseline"):
+            assert main([stage, "--config", str(config)]) == 0
+        assert plans == 1
+        # corpus IC and SimGIC both read the closure, which is built once
+        assert len(closures) >= 2
+        assert all(c is closures[0] for c in closures)
 
     def test_six_configs_expressible(self):
         assert len(SSM_CONFIGS) == 6
