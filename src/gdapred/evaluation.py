@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +62,12 @@ class AssociationDataset:
             indices.flags.writeable = False
             self._partitions[partition] = indices
         return self._partitions[partition]
+
+    @cached_property
+    def node_ids(self) -> list[str]:
+        """Each pair's gene node id, then its disease node id, computed
+        once: do not change the result."""
+        return [e.node_id for p in self.pairs for e in (p.gene, p.disease)]
 
     def entities(self) -> tuple[set[EntityId], set[EntityId]]:
         genes = {p.gene for p in self.pairs}

@@ -46,9 +46,9 @@ class KnowledgeGraph:
 
     A graph is its triples: its nodes are their ends, the entity nodes
     those with a GENE or DISEASE prefix and the term nodes the rest.
-    Construction happens once; ancestor closures, the ancestor bitsets
-    and the parents-first term order are cached lazily and read-only
-    queries are safe to run concurrently.
+    Construction happens once; the integer coding, ancestor closures,
+    the ancestor bitsets and the parents-first term order are cached
+    lazily and read-only queries are safe to run concurrently.
     """
 
     def __init__(self, variant: str, triples: Iterable[Triple],
@@ -70,6 +70,7 @@ class KnowledgeGraph:
         self._anc_cache: dict[str, frozenset[str]] = {}
         self._term_order: tuple[str, ...] | None = None
         self._ancestor_bits: tuple[list[str], dict[str, int]] | None = None
+        self._coding: tuple[list[str], list[str], np.ndarray] | None = None
         self._walk_adj: WalkAdjacency | None = None
 
     @property
@@ -142,21 +143,34 @@ class KnowledgeGraph:
                 {t: 1 << i for i, t in enumerate(terms)})
         return self._ancestor_bits
 
+    def coding(self) -> tuple[list[str], list[str], np.ndarray]:
+        """The sorted nodes, the sorted relations, and the triples as one
+        int64 (triples x 3) array whose row i is the i-th of
+        ``sorted(self.triples)`` as (node, relation, node) indices; built
+        once: do not change the result. Sorted packed keys order the rows
+        as the string triples sort, whatever order the set iterates in."""
+        if self._coding is None:
+            nodes = sorted(self.nodes)
+            relations = sorted({rel for _, rel, _ in self.triples})
+            node, rel = (dict(zip(ids, range(len(ids)))) for ids in (nodes, relations))
+            n, m = len(nodes), len(relations)
+            key = np.fromiter(((node[s] * m + rel[r]) * n + node[o]
+                               for s, r, o in self.triples),
+                              dtype=np.int64, count=len(self.triples))
+            key.sort()
+            head_relation, tail = np.divmod(key, n)
+            self._coding = nodes, relations, np.stack(
+                (*np.divmod(head_relation, m), tail), axis=1)
+        return self._coding
+
     def walk_adjacency(self) -> WalkAdjacency:
         """The graph's both-direction adjacency for walking, built once."""
         if self._walk_adj is None:
-            nodes = sorted(self.nodes)
-            relations = sorted({rel for _, rel, _ in self.triples})
-            n = len(nodes)
-            node_index = {node: i for i, node in enumerate(nodes)}
-            rel_index = {rel: n + i for i, rel in enumerate(relations)}
-            codes = np.array([(node_index[s], rel_index[rel], node_index[o])
-                              for s, rel, o in self.triples],
-                             dtype=np.int64).reshape(-1, 3)
-            src = np.concatenate([codes[:, 0], codes[:, 2]])
-            dst = np.concatenate([codes[:, 2], codes[:, 0]])
-            width = n + len(relations)
-            key = np.sort((src * width + np.tile(codes[:, 1], 2)) * n + dst)
+            nodes, relations, codes = self.coding()
+            n, width = len(nodes), len(nodes) + len(relations)
+            # every triple both ways, with relation tokens after the nodes
+            both = np.concatenate((codes, codes[:, ::-1])) + (0, n, 0)
+            key = np.sort((both[:, 0] * width + both[:, 1]) * n + both[:, 2])
             # one key per (node, relation, neighbour): drop the second copy
             # of a self-loop or of an edge stated both ways. Not np.unique,
             # whose first call imports numpy.ma, about 1 MiB of RSS.

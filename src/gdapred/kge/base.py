@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import lt
 
 import numpy as np
 
@@ -31,21 +33,46 @@ class KgeTrainConfig:
         check_fields(self)
 
 
+def _table_fault(ids: list[str], matrix: np.ndarray) -> str | None:
+    """Why ``ids`` and ``matrix`` are no table (one row per id, the ids
+    sorted and distinct, every row finite), or None."""
+    if matrix.ndim != 2 or len(matrix) != len(ids):
+        return f"{len(ids)} ids for a matrix of shape {matrix.shape}"
+    if not all(map(lt, ids, ids[1:])):
+        repeated = [node for node, count in Counter(ids).items() if count > 1]
+        return (f"node {repeated[0]!r} has more than one row" if repeated
+                else "the ids are not sorted")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        return f"vector for {ids[int(np.argmin(finite))]} has non-finite components"
+    return None
+
+
 @dataclass
 class EmbeddingTable:
-    dimension: int
-    vectors: dict[str, np.ndarray]
+    """Node vectors as the sorted, distinct node ids and one C-contiguous
+    float64 matrix, row i the vector of ``nodes[i]``; a translational
+    trainer also keeps its sorted relations and their matrix. A table
+    that breaks this raises ValueError."""
+    nodes: list[str]
+    matrix: np.ndarray
     method: str
     seed: int
-    relation_vectors: dict[str, np.ndarray] = field(default_factory=dict)
+    relations: list[str] = field(default_factory=list)
+    relation_matrix: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     loss_history: list[float] = field(default_factory=list, compare=False)
 
     def __post_init__(self):
-        for node, vec in self.vectors.items():
-            if vec.shape != (self.dimension,):
-                raise ValueError(f"vector for {node} has shape {vec.shape}")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"vector for {node} has non-finite components")
+        self.matrix, self.relation_matrix = (np.ascontiguousarray(m, dtype=np.float64)
+                                             for m in (self.matrix, self.relation_matrix))
+        fault = (_table_fault(self.nodes, self.matrix)
+                 or _table_fault(self.relations, self.relation_matrix))
+        if fault:
+            raise ValueError(fault)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[1]
 
 
 def decayed_rate(base: float, progress):
@@ -99,15 +126,14 @@ def scatter_add(table: np.ndarray, index: np.ndarray, rows: np.ndarray,
 
 def write_embeddings(table: EmbeddingTable, path) -> None:
     """One row per node, in sorted node order."""
-    nodes = sorted(table.vectors)
-    write_matrix(path, nodes, np.reshape(
-        [table.vectors[node] for node in nodes], (len(nodes), table.dimension)))
+    write_matrix(path, table.nodes, table.matrix)
 
 
 def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
+    """The table `write_embeddings` saved; IntegrityError names the file
+    if its rows do not form a table."""
     nodes, matrix = read_matrix(path)
-    vectors = dict(zip(nodes, matrix))
-    if len(vectors) != len(nodes):
-        repeated = next(n for i, n in enumerate(nodes) if n in nodes[:i])
-        raise IntegrityError(f"{path}: node {repeated!r} has more than one row")
-    return EmbeddingTable(matrix.shape[1], vectors, method, seed)
+    try:
+        return EmbeddingTable(nodes, matrix, method, seed)
+    except ValueError as err:
+        raise IntegrityError(f"{path}: {err}") from None

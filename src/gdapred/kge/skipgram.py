@@ -254,7 +254,6 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
                 f"(learning_rate={config.learning_rate})")
         history.append(loss)
 
-    vectors = {tok: syn0[index[tok]].copy()
-               for tok in corpus.node_tokens if tok in index}
-    return EmbeddingTable(dim, vectors, method_tag, config.seed,
-                          loss_history=history)
+    nodes = sorted(filter(index.__contains__, corpus.node_tokens))
+    return EmbeddingTable(nodes, syn0[[index[tok] for tok in nodes]], method_tag,
+                          config.seed, loss_history=history)

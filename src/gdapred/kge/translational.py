@@ -81,16 +81,6 @@ def distmult_logistic_loss(h, r, t, label, l2_penalty: float = 1e-4):
     return loss, grads
 
 
-def _indexed_triples(kg: KnowledgeGraph):
-    nodes = sorted(kg.nodes)
-    relations = sorted({rel for _, rel, _ in kg.triples})
-    node_idx = {n: i for i, n in enumerate(nodes)}
-    rel_idx = {r: i for i, r in enumerate(relations)}
-    H, R, T = (np.array(column, dtype=np.int64) for column in zip(*(
-        (node_idx[s], rel_idx[r], node_idx[o]) for s, r, o in sorted(kg.triples))))
-    return nodes, relations, H, R, T
-
-
 def _init_matrix(rng, rows: int, dim: int) -> np.ndarray:
     bound = 6.0 / np.sqrt(dim)
     return rng.uniform(-bound, bound, size=(rows, dim))
@@ -164,7 +154,8 @@ class _TripleSgd:
     def __init__(self, kg: KnowledgeGraph, config: KgeTrainConfig):
         if not kg.triples:
             raise DegenerateDataError("cannot train on an empty graph")
-        self.nodes, self.relations, *self.triples = _indexed_triples(kg)
+        self.nodes, self.relations, codes = kg.coding()
+        self.triples = tuple(codes.T.copy())
         self.config, self.k = config, config.negatives_per_positive
         self.rng = np.random.default_rng(config.seed)
         self.E = _init_matrix(self.rng, len(self.nodes), config.dimension)
@@ -217,9 +208,8 @@ class _TripleSgd:
             history.append(check_finite(
                 method, epoch, config.learning_rate, record(epoch_loss),
                 self.E, self.Rel))
-        return EmbeddingTable(
-            config.dimension, dict(zip(self.nodes, self.E.copy())), method,
-            config.seed, dict(zip(self.relations, self.Rel.copy())), history)
+        return EmbeddingTable(self.nodes, self.E, method, config.seed,
+                              self.relations, self.Rel, history)
 
 
 def train_transe(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,12 +81,13 @@ def pair_vectors(dataset: "AssociationDataset",
                  table: "EmbeddingTable") -> tuple[np.ndarray, np.ndarray]:
     """The gene rows and the disease rows of every dataset pair, in
     dataset order; IntegrityError names the entities ``table`` lacks."""
-    vectors = table.vectors
-    missing = sorted({e.node_id for p in dataset.pairs for e in p.key} - vectors.keys())
-    if missing:
-        raise IntegrityError("entities without embedding vectors: " + ", ".join(missing))
-    return (np.array([vectors[p.gene.node_id] for p in dataset.pairs]),
-            np.array([vectors[p.disease.node_id] for p in dataset.pairs]))
+    row = dict(zip(table.nodes, range(len(table.nodes))))
+    ids = dataset.node_ids
+    index = np.fromiter(map(row.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+    if (index < 0).any():
+        raise IntegrityError("entities without embedding vectors: " + ", ".join(
+            sorted({i for i, r in zip(ids, index) if r < 0})))
+    return table.matrix[index[0::2]], table.matrix[index[1::2]]
 
 
 def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",

@@ -548,10 +548,10 @@ def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
             write_embeddings(table, run.output(name))
             details[cell] = {
                 "seed": seed, "dimension": table.dimension,
-                "nodes": len(table.vectors), "loss_history": table.loss_history,
+                "nodes": len(table.nodes), "loss_history": table.loss_history,
             }
             logger.info("embed %s/%s: %d vectors (dim %d)", variant, method,
-                        len(table.vectors), table.dimension)
+                        len(table.nodes), table.dimension)
     return details
 
 

@@ -472,3 +472,31 @@ def save_arrays(path, *arrays) -> None:
 def utf8(text: str) -> np.ndarray:
     """The ids array of a matrix file: ``text``'s UTF-8 bytes as uint8."""
     return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
+def by_id(ids, matrix) -> dict[str, np.ndarray]:
+    """Each id's row of ``matrix``: an embedding table's nodes or
+    relations, looked up by name."""
+    return dict(zip(ids, matrix))
+
+
+def string_walk_adjacency(kg):
+    """`KnowledgeGraph.walk_adjacency` built straight from the string
+    triples: token indices from dicts, both directions of every triple
+    and one packed-key sort."""
+    nodes = sorted(kg.nodes)
+    relations = sorted({rel for _, rel, _ in kg.triples})
+    n = len(nodes)
+    node_index = {node: i for i, node in enumerate(nodes)}
+    rel_index = {rel: n + i for i, rel in enumerate(relations)}
+    codes = np.array([(node_index[s], rel_index[rel], node_index[o])
+                      for s, rel, o in kg.triples], dtype=np.int64).reshape(-1, 3)
+    src = np.concatenate([codes[:, 0], codes[:, 2]])
+    dst = np.concatenate([codes[:, 2], codes[:, 0]])
+    width = n + len(relations)
+    key = np.sort((src * width + np.tile(codes[:, 1], 2)) * n + dst)
+    key = key[np.diff(key, prepend=-1) != 0]
+    node, pair = np.divmod(key, width * n)
+    relation, neighbour = np.divmod(pair, n)
+    return (nodes + relations, np.searchsorted(node, np.arange(n + 1)),
+            relation, neighbour)

@@ -97,10 +97,9 @@ def train_skipgram_reference(corpus, config, method_tag="walk"):
                       (-lr * g_neg[:, :, None] * v[:, None, :]).reshape(-1, dim))
         history.append(epoch_loss / pairs_per_epoch)
 
-    vectors = {tok: syn0[index[tok]].copy()
-               for tok in corpus.node_tokens if tok in index}
-    return EmbeddingTable(dim, vectors, method_tag, config.seed,
-                          loss_history=history)
+    nodes = sorted(tok for tok in corpus.node_tokens if tok in index)
+    return EmbeddingTable(nodes, syn0[[index[tok] for tok in nodes]].reshape(-1, dim),
+                          method_tag, config.seed, loss_history=history)
 
 
 def segment_unique_reference(tokens, segments, n_segments, n_tokens):

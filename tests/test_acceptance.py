@@ -9,6 +9,8 @@ and driven by the GDAPRED_FULL_CONFIG environment variable.
 import math
 import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -386,6 +388,46 @@ def test_criterion_8_determinism(tmp_path):
     print(f"\nACCEPTANCE 8 PASS: two deterministic pipeline runs produced "
           f"byte-identical artifacts ({len(first)} files, manifests and "
           f"embeddings included)")
+
+
+def test_criterion_8_across_string_hash_seeds(tmp_path):
+    """Every stage of every embedding method, run by a fresh interpreter
+    with PYTHONHASHSEED 0 and then by one with 1, into the same output
+    path: no artifact may follow Python's string-hash order."""
+    corpus = PlantedCorpus(tmp_path / "data", n_clusters=3, n_genes=12,
+                           n_diseases=8, leaves_per_branch=4,
+                           go_leaves_per_cluster=4, annotations_per_entity=3,
+                           seed=4)
+    out_dir = tmp_path / "out"
+    config_path = write_config(corpus.config(
+        out_dir, variants=("HP", "HP_GO_LD"),
+        methods=("walk", "walk_lexical", "transe", "distmult"),
+        operators=("hadamard",), learners=("random_forest", "cosine"),
+        dimension=8, epochs=2, walks_per_node=3,
+        classifier_params={"random_forest": {"n_trees": 5}}),
+        tmp_path / "config.json")
+    script = ("import sys\n"
+              "from gdapred.cli import main\n"
+              "from gdapred.pipeline import STAGES\n"
+              "sys.exit(any(main([s, '--config', sys.argv[1]]) for s in STAGES))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    snapshots = []
+    for hash_seed in ("0", "1"):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        done = subprocess.run([sys.executable, "-c", script, str(config_path)],
+                              env={**env, "PYTHONHASHSEED": hash_seed},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr[-2000:]
+        snapshots.append({str(path.relative_to(out_dir)): path.read_bytes()
+                          for path in sorted(out_dir.rglob("*"))
+                          if path.is_file() and path.name != "timings.json"})
+    first, second = snapshots
+    assert first.keys() == second.keys()
+    assert [name for name in first if first[name] != second[name]] == []
+    print(f"\nACCEPTANCE 8 PASS: runs at PYTHONHASHSEED 0 and 1 produced "
+          f"byte-identical artifacts ({len(first)} files)")
 
 
 FULL_CONFIG = os.environ.get("GDAPRED_FULL_CONFIG")

@@ -30,7 +30,7 @@ from gdapred.ontology import EntityId
 from gdapred.pairing import PairFeatures, read_pair_features, write_pair_features
 from gdapred.pipeline import read_annotation_tsv
 
-from helpers import save_arrays, utf8
+from helpers import by_id, save_arrays, utf8
 
 # any non-empty id a tab-separated source can carry: spaces and non-ASCII
 # included; "\r" ends a line in text mode just as "\n" does
@@ -180,15 +180,19 @@ class TestTableArtifacts:
     @example(table=(["N:a\x00", "\x00", "é"], [[1.0], [2.0], [3.0]], 1))  # NULs kept
     def test_embeddings_roundtrip_exact(self, tmp_path_factory, table):
         nodes, rows, dim = table
-        original = EmbeddingTable(dim, {n: np.array(r) for n, r in zip(nodes, rows)},
+        order = sorted(range(len(nodes)), key=nodes.__getitem__)
+        original = EmbeddingTable([nodes[i] for i in order],
+                                  np.reshape([rows[i] for i in order], (len(nodes), dim)),
                                   "walk", 3)
         path = tmp_path_factory.mktemp("emb") / "e.npy"
         write_embeddings(original, path)
         back = read_embeddings(path)
         assert back.dimension == dim
-        assert list(back.vectors) == sorted(nodes)
+        assert back.nodes == sorted(nodes)
+        back_vectors = by_id(back.nodes, back.matrix)
+        original_vectors = by_id(original.nodes, original.matrix)
         for node in nodes:
-            assert same_bits(back.vectors[node], original.vectors[node])
+            assert same_bits(back_vectors[node], original_vectors[node])
 
     @settings(max_examples=40, deadline=None)
     @given(table=id_float_tables(), diseases=st.lists(ids, min_size=6, max_size=6))
@@ -220,7 +224,7 @@ class TestTableArtifacts:
         assert ids == [] and matrix.shape == (0, 3)
 
     def test_embeddings_truncated_is_integrity_error(self, tmp_path):
-        table = EmbeddingTable(2, {"N:a": np.zeros(2), "N:b": np.ones(2)}, "walk", 0)
+        table = EmbeddingTable(["N:a", "N:b"], [[0.0, 0.0], [1.0, 1.0]], "walk", 0)
         path = tmp_path / "e.npy"
         write_embeddings(table, path)
         data = path.read_bytes()

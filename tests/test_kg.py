@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gdapred.errors import (
     ConfigurationError,
@@ -22,7 +24,7 @@ from gdapred.kg import (
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
 from gdapred.semsim import ic_seco
 
-from helpers import oracle_reachable_up, random_hp_kg
+from helpers import oracle_reachable_up, random_hp_kg, string_walk_adjacency
 
 
 def make_ontology(ids, is_a, prefix_terms=None):
@@ -226,6 +228,39 @@ class TestTermOrder:
                                    ("HP:1", SUBCLASS_OF, "GENE:g1")])
         with pytest.raises(IntegrityError, match="HP:1 -> GENE:g1"):
             kg.term_order()
+
+
+@st.composite
+def random_graphs(draw) -> KnowledgeGraph:
+    """Triples over 2-6 nodes and 1-3 relations, each relation used, with
+    a self-loop and an edge stated in both directions."""
+    nodes = sorted(draw(st.sets(st.text("aZ:9", min_size=1, max_size=3),
+                                min_size=2, max_size=6)))
+    relations = draw(st.lists(st.sampled_from(["r", "R", SUBCLASS_OF, "rr"]),
+                              min_size=1, max_size=3, unique=True))
+    pick = st.sampled_from
+    triples = draw(st.sets(st.tuples(pick(nodes), pick(relations), pick(nodes)),
+                           max_size=16))
+    a, b = draw(st.lists(pick(nodes), min_size=2, max_size=2, unique=True))
+    triples |= {(a, relations[0], a), (a, relations[-1], b), (b, relations[-1], a)}
+    triples |= {(b, rel, a) for rel in relations}
+    return KnowledgeGraph("HP", triples)
+
+
+class TestTripleCoding:
+    @settings(max_examples=60, deadline=None)
+    @given(kg=random_graphs())
+    def test_coding_and_walk_adjacency_match_the_string_forms(self, kg):
+        nodes, relations, codes = kg.coding()
+        assert nodes == sorted(kg.nodes)
+        assert relations == sorted({rel for _, rel, _ in kg.triples})
+        assert codes.dtype == np.int64 and codes.shape == (len(kg.triples), 3)
+        assert [(nodes[s], relations[r], nodes[o])
+                for s, r, o in codes.tolist()] == sorted(kg.triples)
+        got, want = kg.walk_adjacency(), string_walk_adjacency(kg)
+        assert got.tokens == want[0]
+        for got_array, want_array in zip(got[1:], want[1:]):
+            assert np.array_equal(got_array, want_array)
 
 
 class TestTripleExport:

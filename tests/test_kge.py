@@ -42,7 +42,7 @@ from gdapred.kge.skipgram import (
 )
 from gdapred.ontology import Ontology, OntologyTerm
 
-from helpers import finite_difference, max_relative_error, save_arrays, utf8
+from helpers import by_id, finite_difference, max_relative_error, save_arrays, utf8
 from sgns_reference import (
     segment_unique_reference,
     sgns_loss,
@@ -244,14 +244,14 @@ class TestTrainTranse:
 
     def test_entity_vectors_in_unit_ball(self):
         table = train_transe(ring_kg(), KgeTrainConfig(**self.CFG, seed=1))
-        for vec in table.vectors.values():
+        for vec in table.matrix:
             assert np.linalg.norm(vec) <= 1.0 + 1e-9
 
     def test_covers_nodes_and_relations(self):
         kg = ring_kg()
         table = train_transe(kg, KgeTrainConfig(**self.CFG, seed=2))
-        assert set(table.vectors) == set(kg.nodes)
-        assert set(table.relation_vectors) == {"r1", "r2"}
+        assert set(table.nodes) == set(kg.nodes)
+        assert set(table.relations) == {"r1", "r2"}
 
     def test_seed_determinism_byte_identical(self, tmp_path):
         kg = ring_kg()
@@ -265,9 +265,8 @@ class TestTrainTranse:
 
     def test_translation_consistency(self):
         kg = KnowledgeGraph("HP", {("T:a", "r", "T:b"), ("T:c", "r", "T:d")})
-        from gdapred.kge.translational import (
-            _indexed_triples, _init_matrix, _project_to_unit_ball)
-        sorted_nodes, _, _, _, _ = _indexed_triples(kg)
+        from gdapred.kge.translational import _init_matrix, _project_to_unit_ball
+        sorted_nodes, _, _ = kg.coding()
         idx = {n: i for i, n in enumerate(sorted_nodes)}
         rng = np.random.default_rng(0)
         E0 = _init_matrix(rng, len(sorted_nodes), 8)
@@ -277,9 +276,9 @@ class TestTrainTranse:
         table = train_transe(kg, KgeTrainConfig(
             dimension=8, epochs=100, learning_rate=0.05, margin=1.0,
             negatives_per_positive=4, batch_size=4, seed=0))
+        vectors = by_id(table.nodes, table.matrix)
         after = np.linalg.norm(
-            (table.vectors["T:b"] - table.vectors["T:a"])
-            - (table.vectors["T:d"] - table.vectors["T:c"]))
+            (vectors["T:b"] - vectors["T:a"]) - (vectors["T:d"] - vectors["T:c"]))
         assert after < before
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -295,6 +294,8 @@ class TestTrainDistmult:
         table = train_distmult(kg, KgeTrainConfig(
             dimension=16, epochs=300, learning_rate=0.5,
             negatives_per_positive=5, batch_size=16, l2_penalty=1e-5, seed=0))
+        vectors = by_id(table.nodes, table.matrix)
+        relations = by_id(table.relations, table.relation_matrix)
         rng = np.random.default_rng(999)
         wins = total = 0
         for s, rel, o in sorted(triples):
@@ -305,10 +306,8 @@ class TestTrainDistmult:
                     s2, o2 = s, nodes[int(rng.integers(10))]
                 if (s2, rel, o2) in triples:
                     continue
-                true_score = distmult_score(
-                    table.vectors[s], table.relation_vectors[rel], table.vectors[o])
-                corrupt = distmult_score(
-                    table.vectors[s2], table.relation_vectors[rel], table.vectors[o2])
+                true_score = distmult_score(vectors[s], relations[rel], vectors[o])
+                corrupt = distmult_score(vectors[s2], relations[rel], vectors[o2])
                 total += 1
                 wins += true_score > corrupt
         assert wins / total >= 0.8
@@ -318,8 +317,8 @@ class TestTrainDistmult:
         table = train_distmult(kg, KgeTrainConfig(
             dimension=8, epochs=2, learning_rate=0.1,
             negatives_per_positive=2, batch_size=16, seed=3))
-        assert set(table.vectors) == set(kg.nodes)
-        assert set(table.relation_vectors) == {"r1", "r2"}
+        assert set(table.nodes) == set(kg.nodes)
+        assert set(table.relations) == {"r1", "r2"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_typed(self):
@@ -361,8 +360,10 @@ class TestTripleOracle:
         assert len(kg.triples) % batch_size != 0 and k >= 2
         assert any(np.any(np.where(head, node == H[:, None], node == T[:, None]))
                    for H, T, head, node in draws)
-        for got_vectors, want_vectors in ((got.vectors, want.vectors),
-                                          (got.relation_vectors, want.relation_vectors)):
+        for got_vectors, want_vectors in (
+                (by_id(got.nodes, got.matrix), by_id(want.nodes, want.matrix)),
+                (by_id(got.relations, got.relation_matrix),
+                 by_id(want.relations, want.relation_matrix))):
             assert set(got_vectors) == set(want_vectors)
             for name, vec in want_vectors.items():
                 np.testing.assert_allclose(got_vectors[name], vec, rtol=1e-12, atol=0)
@@ -508,10 +509,10 @@ class TestTrainSkipgram:
         config = KgeTrainConfig(**self.CFG, seed=0)
         corpus = generate_walks(kg, 5, 3, seed=0)
         table = train_skipgram(corpus, config)
-        assert set(table.vectors) == set(kg.nodes)
-        for vec in table.vectors.values():
+        assert set(table.nodes) == set(kg.nodes)
+        for vec in table.matrix:
             assert vec.shape == (16,)
-        assert "linked" not in table.vectors  # relation tokens stay internal
+        assert "linked" not in table.nodes  # relation tokens stay internal
 
     def test_clique_cosine_separation(self):
         kg, nodes = self.two_cliques()
@@ -519,8 +520,8 @@ class TestTrainSkipgram:
         corpus = generate_walks(kg, config.walks_per_node, config.walk_depth,
                                 config.seed)
         table = train_skipgram(corpus, config)
-        unit = {n: table.vectors[n] / np.linalg.norm(table.vectors[n])
-                for n in nodes}
+        vectors = by_id(table.nodes, table.matrix)
+        unit = {n: vectors[n] / np.linalg.norm(vectors[n]) for n in nodes}
         intra, inter = [], []
         for a, b in itertools.combinations(nodes, 2):
             value = float(unit[a] @ unit[b])
@@ -561,9 +562,10 @@ class TestTrainSkipgram:
 
         got = train_skipgram(corpus, config)
         ref = train_skipgram_reference(corpus, config)
-        assert set(got.vectors) == set(ref.vectors) == set(nodes)
-        for node, vec in ref.vectors.items():
-            assert np.max(np.abs(got.vectors[node] - vec)) <= 1e-9, node
+        got_vectors = by_id(got.nodes, got.matrix)
+        assert set(got.nodes) == set(ref.nodes) == set(nodes)
+        for node, vec in by_id(ref.nodes, ref.matrix).items():
+            assert np.max(np.abs(got_vectors[node] - vec)) <= 1e-9, node
         assert len(got.loss_history) == config.epochs
         assert np.max(np.abs(np.subtract(got.loss_history,
                                          ref.loss_history))) <= 1e-9
@@ -764,20 +766,35 @@ class TestEmbedDispatch:
                                 negatives_per_positive=2, batch_size=8, seed=0)
         for method in ("transe", "distmult", "walk", "walk_lexical"):
             table = embed(kg, method, config)
-            assert {"GENE:1", "DISEASE:C1"} <= set(table.vectors)
+            assert {"GENE:1", "DISEASE:C1"} <= set(table.nodes)
             assert table.method == method
 
+    #: ids and a matrix that are no table, and what construction says
+    BAD_TABLES = [
+        (["N:a"], np.zeros((2, 2)), r"1 ids for a matrix of shape \(2, 2\)"),
+        (["N:a"], np.zeros(2), r"1 ids for a matrix of shape \(2,\)"),
+        (["N:b", "N:a"], np.zeros((2, 2)), "the ids are not sorted"),
+        (["N:a", "N:b", "N:b"], np.zeros((3, 2)), "node 'N:b' has more than one row"),
+        (["N:a", "N:b"], [[0.0, 1.0], [1.0, np.inf]], "vector for N:b has non-finite"),
+    ]
+
     def test_table_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            EmbeddingTable(3, {"N:a": np.zeros(2)}, "walk", 0)
-        with pytest.raises(ValueError, match="non-finite"):
-            EmbeddingTable(2, {"N:a": np.array([1.0, np.inf])}, "walk", 0)
+        for nodes, matrix, match in self.BAD_TABLES:
+            with pytest.raises(ValueError, match=match):
+                EmbeddingTable(nodes, matrix, "walk", 0)
+            with pytest.raises(ValueError, match=match):
+                EmbeddingTable(["N:a"], [[0.0, 1.0]], "transe", 0, nodes, matrix)
 
     def test_read_embeddings_count_mismatch(self, tmp_path):
+        # and the files whose ids are not sorted or not distinct
         path = tmp_path / "bad.npy"
-        write_matrix(path, ["N:a"], [[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(IntegrityError, match=r"bad\.npy: 1 ids for 2 rows"):
-            read_embeddings(path)
+        for nodes, match in (
+                (["N:a"], "1 ids for 2 rows"),
+                (["N:b", "N:a"], "the ids are not sorted"),
+                (["N:a", "N:a"], "node 'N:a' has more than one row")):
+            write_matrix(path, nodes, [[0.0, 1.0], [1.0, 0.0]])
+            with pytest.raises(IntegrityError, match=rf"bad\.npy: {match}"):
+                read_embeddings(path)
 
     @pytest.mark.parametrize("matrix", [
         np.array([["x", "2"], ["y", "2"]]),
@@ -793,14 +810,15 @@ class TestEmbedDispatch:
             read_embeddings(path)
 
     def test_node_id_with_a_space_roundtrips(self, tmp_path):
-        table = EmbeddingTable(2, {"GENE:HLA A": np.array([0.1, -0.0]),
-                                   "DISEASE:C1": np.array([5e-324, 1.0])}, "walk", 0)
+        table = EmbeddingTable(["DISEASE:C1", "GENE:HLA A"],
+                               [[5e-324, 1.0], [0.1, -0.0]], "walk", 0)
         path = tmp_path / "emb.npy"
         write_embeddings(table, path)
         back = read_embeddings(path)
-        assert sorted(back.vectors) == ["DISEASE:C1", "GENE:HLA A"]
-        for node, vec in table.vectors.items():
-            assert back.vectors[node].tobytes() == vec.tobytes()
+        assert sorted(back.nodes) == ["DISEASE:C1", "GENE:HLA A"]
+        back_vectors = by_id(back.nodes, back.matrix)
+        for node, vec in by_id(table.nodes, table.matrix).items():
+            assert back_vectors[node].tobytes() == vec.tobytes()
 
     def test_export_roundtrip_full_precision(self, tmp_path):
         table = train_transe(ring_kg(), KgeTrainConfig(
@@ -809,9 +827,10 @@ class TestEmbedDispatch:
         path = tmp_path / "emb.npy"
         write_embeddings(table, path)
         back = read_embeddings(path, method=table.method, seed=table.seed)
-        assert set(back.vectors) == set(table.vectors)
-        for node, vec in table.vectors.items():
-            assert np.array_equal(back.vectors[node], vec)
+        assert set(back.nodes) == set(table.nodes)
+        back_vectors = by_id(back.nodes, back.matrix)
+        for node, vec in by_id(table.nodes, table.matrix).items():
+            assert np.array_equal(back_vectors[node], vec)
         nodes, matrix = read_matrix(path)
-        assert nodes == sorted(table.vectors)
-        assert matrix.shape == (len(table.vectors), 6)
+        assert nodes == sorted(table.nodes)
+        assert matrix.shape == (len(table.nodes), 6)

@@ -211,17 +211,21 @@ class TestRows:
             combine(np.ones((1, 1, 2)), np.ones((1, 1, 2)), "hadamard")
 
 
-def toy_dataset_and_table():
+def toy_dataset_and_table(without=()):
+    """Two pairs and a table of their entities' vectors, less the nodes
+    in ``without``."""
     g1, g2 = EntityId("1", "gene"), EntityId("2", "gene")
     d1 = EntityId("C1", "disease")
     dataset = AssociationDataset([
         LabeledPair(g1, d1, 1), LabeledPair(g2, d1, 0)])
     vectors = {
-        "GENE:1": np.array([1.0, 2.0]),
-        "GENE:2": np.array([0.5, -1.0]),
-        "DISEASE:C1": np.array([2.0, 3.0]),
+        "DISEASE:C1": [2.0, 3.0],
+        "GENE:1": [1.0, 2.0],
+        "GENE:2": [0.5, -1.0],
     }
-    return dataset, EmbeddingTable(2, vectors, "walk", 0)
+    nodes = [node for node in vectors if node not in without]
+    return dataset, EmbeddingTable(nodes, np.reshape([vectors[n] for n in nodes],
+                                                     (len(nodes), 2)), "walk", 0)
 
 
 class TestPairFeatures:
@@ -233,14 +237,12 @@ class TestPairFeatures:
         assert features.rows[1].tolist() == [1.0, -3.0]
 
     def test_missing_vector_is_integrity_error(self):
-        dataset, table = toy_dataset_and_table()
-        del table.vectors["GENE:2"]
+        dataset, table = toy_dataset_and_table(without={"GENE:2"})
         with pytest.raises(IntegrityError, match="GENE:2"):
             build_pair_features(dataset, table, "hadamard")
 
     def test_gather_names_every_missing_entity(self):
-        dataset, table = toy_dataset_and_table()
-        del table.vectors["GENE:2"], table.vectors["DISEASE:C1"]
+        dataset, table = toy_dataset_and_table(without={"GENE:2", "DISEASE:C1"})
         with pytest.raises(IntegrityError) as err:
             pair_vectors(dataset, table)
         assert str(err.value) == "entities without embedding vectors: DISEASE:C1, GENE:2"

@@ -650,10 +650,10 @@ class TestSsmBaseline:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
            n_genes=st.integers(1, 4), n_diseases=st.integers(1, 4),
-           chunk=st.sampled_from([1, 7, 40, semsim._CHUNK]))
-    @example(seed=0, n_terms=20, n_genes=3, n_diseases=3, chunk=7)
+           simgic_chunk=st.sampled_from([1, 7, 40, semsim._CHUNK]))
+    @example(seed=0, n_terms=20, n_genes=3, n_diseases=3, simgic_chunk=7)
     def test_every_score_equals_the_per_pair_oracle(self, seed, n_terms, n_genes,
-                                                    n_diseases, chunk):
+                                                    n_diseases, simgic_chunk):
         rng = np.random.default_rng(seed)
         kg, _, gene_map, disease_map = random_hp_kg(
             rng, n_terms, n_genes, n_diseases, max_terms=5)
@@ -688,8 +688,10 @@ class TestSsmBaseline:
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(semsim, "sim_resnik_pair", counting)
-                # small chunks make pairs straddle chunk ends
-                patch.setattr(semsim, "_CHUNK", chunk)
+                # _CHUNK sets only SimGIC's chunk of pairs (BMA and MAX
+                # gather every lookup at once): small chunks make SimGIC's
+                # pairs straddle chunk ends
+                patch.setattr(semsim, "_CHUNK", simgic_chunk)
                 scored = ssm_baseline(dataset, config, kg, corpus, ic=ic)
             assert [(r.gene, r.disease) for r in scored.rows] == scored_keys
             assert scored.excluded_entities == [EntityId("g_none", "gene")]

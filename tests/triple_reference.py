@@ -92,9 +92,8 @@ class _Run:
                             for X in self.triples)
                 epoch_loss += step(pos, self.corrupt(*pos), lr)
             history.append(record(epoch_loss))
-        table = EmbeddingTable(
-            config.dimension, dict(zip(self.nodes, self.E.copy())), method,
-            config.seed, dict(zip(self.relations, self.Rel.copy())), history)
+        table = EmbeddingTable(self.nodes, self.E.copy(), method, config.seed,
+                               self.relations, self.Rel.copy(), history)
         return table, self.draws
 
 
