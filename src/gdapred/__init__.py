@@ -27,20 +27,20 @@ from .ontology import (  # noqa: E402
 )
 from .pairing import combine, cosine  # noqa: E402
 from .semsim import (  # noqa: E402
+    PairPlan,
     SimilarityConfig,
     ic_resnik,
     ic_seco,
-    sim_groupwise,
     ssm_baseline,
 )
 
 __all__ = [
     "AnnotationMap", "AssociationDataset", "CuratedAssociation",
     "EmbeddingTable", "EntityId", "EvalReport", "KgeTrainConfig",
-    "KnowledgeGraph", "Ontology", "OntologyTerm", "SimilarityConfig",
-    "__version__", "build_kg", "combine", "cosine", "embed",
-    "evaluate_run", "filter_associations", "ic_resnik", "ic_seco",
+    "KnowledgeGraph", "Ontology", "OntologyTerm", "PairPlan",
+    "SimilarityConfig", "__version__", "build_kg", "combine", "cosine",
+    "embed", "evaluate_run", "filter_associations", "ic_resnik", "ic_seco",
     "parse_associations", "parse_gaf", "parse_obo", "roc_auc",
-    "sample_negatives", "sim_groupwise", "ssm_baseline", "stratified_split",
+    "sample_negatives", "ssm_baseline", "stratified_split",
     "threshold_sweep", "waf",
 ]

@@ -46,8 +46,8 @@ class KnowledgeGraph:
 
     A graph is its triples: its nodes are their ends, the entity nodes
     those with a GENE or DISEASE prefix and the term nodes the rest.
-    Construction happens once; the integer coding, ancestor closures,
-    the ancestor bitsets and the parents-first term order are cached
+    Construction happens once; the integer coding, the ancestor bitsets,
+    the walk adjacency and the parents-first term order are cached
     lazily and read-only queries are safe to run concurrently.
     """
 
@@ -67,7 +67,6 @@ class KnowledgeGraph:
             if rel == SUBCLASS_OF:
                 up.setdefault(s, set()).add(o)
         self._up = {n: tuple(sorted(v)) for n, v in up.items()}
-        self._anc_cache: dict[str, frozenset[str]] = {}
         self._term_order: tuple[str, ...] | None = None
         self._ancestor_bits: tuple[list[str], dict[str, int]] | None = None
         self._coding: tuple[list[str], list[str], np.ndarray] | None = None
@@ -84,9 +83,6 @@ class KnowledgeGraph:
     def ancestor_set(self, node: str) -> frozenset[str]:
         """The term ``node`` plus everything reachable upward via
         subClassOf edges; UnknownNodeError for a node that is not a term."""
-        cached = self._anc_cache.get(node)
-        if cached is not None:
-            return cached
         if node not in self.term_nodes:
             raise UnknownNodeError(f"{node} is not a term node of this graph")
         seen = {node}
@@ -97,9 +93,7 @@ class KnowledgeGraph:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        result = frozenset(seen)
-        self._anc_cache[node] = result
-        return result
+        return frozenset(seen)
 
     def parents(self, node: str) -> tuple[str, ...]:
         """The sorted direct subClassOf parents of ``node``."""

@@ -21,12 +21,7 @@ from .base import (
 )
 from .corpus import WalkCorpus, build_lexical_corpus, generate_walks
 from .skipgram import train_skipgram
-from .translational import (
-    distmult_logistic_loss,
-    train_distmult,
-    train_transe,
-    transe_margin_loss,
-)
+from .translational import train_distmult, train_transe
 
 
 def embed(kg: KnowledgeGraph, method: str,
@@ -49,7 +44,6 @@ def embed(kg: KnowledgeGraph, method: str,
 
 __all__ = [
     "KGE_METHODS", "EmbeddingTable", "KgeTrainConfig", "WalkCorpus",
-    "build_lexical_corpus", "distmult_logistic_loss", "embed",
-    "generate_walks", "read_embeddings", "train_distmult", "train_skipgram",
-    "train_transe", "transe_margin_loss", "write_embeddings",
+    "build_lexical_corpus", "embed", "generate_walks", "read_embeddings",
+    "train_distmult", "train_skipgram", "train_transe", "write_embeddings",
 ]

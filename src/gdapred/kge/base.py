@@ -129,11 +129,12 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
     write_matrix(path, table.nodes, table.matrix)
 
 
-def read_embeddings(path, method: str = "", seed: int = 0) -> EmbeddingTable:
-    """The table `write_embeddings` saved; IntegrityError names the file
-    if its rows do not form a table."""
+def read_embeddings(path) -> EmbeddingTable:
+    """The table `write_embeddings` saved, its method "" and seed 0 (the
+    file keeps neither); IntegrityError names the file if its rows do not
+    form a table."""
     nodes, matrix = read_matrix(path)
     try:
-        return EmbeddingTable(nodes, matrix, method, seed)
+        return EmbeddingTable(nodes, matrix, "", 0)
     except ValueError as err:
         raise IntegrityError(f"{path}: {err}") from None

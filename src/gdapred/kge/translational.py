@@ -1,14 +1,14 @@
 """Translational-distance and semantic-matching embedding trainers.
 
 Both share one mini-batch SGD loop over the KG's triples with uniformly
-corrupted negatives. The loss functions (`transe_margin_loss`,
-`distmult_logistic_loss`) are the specification that the tests check
-against finite differences, and each trainer applies exactly their
-batch gradients, folded: a batch gathers each true triple's rows once
-and its drawn nodes once, sums the gradients of each true triple's rows
-over its corruptions, and makes one scatter per table.
-``tests/test_kge.py::TestTripleOracle`` checks both trainers against
-the unfolded form in ``tests/triple_reference.py``.
+corrupted negatives. Their loss functions, `transe_margin_loss` and
+`distmult_logistic_loss` in ``tests/triple_reference.py``, are the
+specification that the tests check against finite differences, and each
+trainer applies exactly their batch gradients, folded: a batch gathers
+each true triple's rows once and its drawn nodes once, sums the
+gradients of each true triple's rows over its corruptions, and makes one
+scatter per table. ``tests/test_kge.py::TestTripleOracle`` checks both
+trainers against the unfolded form in that file.
 """
 
 from __future__ import annotations
@@ -19,67 +19,6 @@ from ..errors import DegenerateDataError
 from ..kg import KnowledgeGraph
 from .base import (EmbeddingTable, KgeTrainConfig, check_finite, decayed_rate,
                    scatter_add, softplus)
-
-L1 = "L1"
-L2 = "L2"
-
-
-def _distance(diff: np.ndarray, norm: str) -> np.ndarray:
-    """The L1 or L2 length of ``diff`` over its last axis."""
-    if norm == L1:
-        return np.sum(np.abs(diff), axis=-1)
-    if norm == L2:
-        return np.linalg.norm(diff, axis=-1)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def transe_margin_loss(h, r, t, h2, r2, t2, margin: float = 1.0,
-                       norm: str = L2):
-    """Margin ranking loss ``max(0, margin + d(h + r - t) - d(h2 + r2 - t2))``
-    and its six gradients (zero at the kinks of ``d``).
-
-    Takes one sample, or true triples as (b, 1, d) rows against their
-    corruptions as (b, k, d): the loss is then summed over the b x k
-    samples and each gradient has one row per sample, (b, k, d), for a
-    trainer to accumulate per identifier.
-    """
-    h, r, t, h2, r2, t2 = (np.asarray(v, dtype=np.float64)
-                           for v in (h, r, t, h2, r2, t2))
-    pos, neg = h + r - t, h2 + r2 - t2
-    d_pos, d_neg = _distance(pos, norm), _distance(neg, norm)
-    violation = margin + d_pos - d_neg
-    loss = float(np.sum(np.maximum(violation, 0.0)))
-    if norm == L1:
-        pos, neg = np.sign(pos), np.sign(neg)
-    else:
-        pos /= np.where(d_pos > 0, d_pos, 1.0)[..., None]
-        neg /= np.where(d_neg > 0, d_neg, 1.0)[..., None]
-    active = (violation > 0.0).astype(np.float64)[..., None]
-    g_pos = pos * active
-    neg *= active
-    g_neg = -neg
-    return loss, (g_pos, g_pos, -g_pos, g_neg, g_neg, neg)
-
-
-def distmult_logistic_loss(h, r, t, label, l2_penalty: float = 1e-4):
-    """softplus(-label * score) plus the L2 penalty, and its gradients.
-
-    One triple of vectors with a ±1 label, or (n, d) rows with n labels:
-    the loss is summed over the rows and each gradient has one row per
-    input row.
-    """
-    h, r, t = (np.asarray(v, dtype=np.float64) for v in (h, r, t))
-    label = np.asarray(label, dtype=np.float64)
-    z = -label * np.sum(h * r * t, axis=-1)
-    loss = float(np.sum(np.logaddexp(0.0, z))) + l2_penalty * float(
-        np.sum(h * h) + np.sum(r * r) + np.sum(t * t))
-    factor = (-label / (1.0 + np.exp(-z)))[..., None]
-    grads = (r * t, h * t, h * r)
-    for grad, own in zip(grads, (h, r, t)):
-        grad *= factor
-        grad += 2.0 * l2_penalty * own
-    return loss, grads
-
 
 def _init_matrix(rng, rows: int, dim: int) -> np.ndarray:
     bound = 6.0 / np.sqrt(dim)
@@ -218,8 +157,9 @@ def train_transe(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable:
     corruption set drawn before the first epoch, so it is a function of
     the parameters rather than of each epoch's draws.
 
-    Each batch descends the summed gradient of `transe_margin_loss` over
-    its b x k (triple, corruption) samples, scaled by ``lr / (b k)``. The
+    Each batch descends the summed gradient of `transe_margin_loss` (the
+    oracle in ``tests/triple_reference.py``) over its b x k (triple,
+    corruption) samples, scaled by ``lr / (b k)``. The
     per-sample gradients are folded before scattering: each true triple's
     head, tail and relation row gets the sum over its k samples (the
     positive side, and the corruptions that keep that row), so the entity
@@ -279,7 +219,8 @@ def train_distmult(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable
     ``loss_history`` holds each epoch's mean loss per sample.
 
     Each batch descends the summed gradient of `distmult_logistic_loss`
-    over its b true triples (label +1) and b x k corruptions (label -1),
+    (the oracle in ``tests/triple_reference.py``) over its b true triples
+    (label +1) and b x k corruptions (label -1),
     scaled by ``lr / (b (1 + k))``. As in `train_transe`, the gradients
     of each true triple's head, tail and relation rows are summed over
     its 1 + k samples before one scatter per table, and

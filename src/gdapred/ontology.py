@@ -31,6 +31,8 @@ _QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
 GENE = "gene"
 DISEASE = "disease"
+#: the columns ``parse_associations`` reads
+GENE_COLUMN, DISEASE_COLUMN, SOURCE_COLUMN = "gene_id", "disease_id", "source"
 
 
 def is_curie(value: str) -> bool:
@@ -346,9 +348,7 @@ class CuratedAssociation:
     sources: set[str]
 
 
-def parse_associations(text: str, gene_column: str = "gene_id",
-                       disease_column: str = "disease_id",
-                       source_column: str = "source") -> list[CuratedAssociation]:
+def parse_associations(text: str) -> list[CuratedAssociation]:
     """Read curated gene-disease association rows, merging sources per
     pair. ParseError names a missing column or the line of an empty id."""
     rows = _data_rows(text, "#")
@@ -356,7 +356,7 @@ def parse_associations(text: str, gene_column: str = "gene_id",
     if header is None:
         raise ParseError("association file has no header row")
     idx = {}
-    for name in (gene_column, disease_column, source_column):
+    for name in (GENE_COLUMN, DISEASE_COLUMN, SOURCE_COLUMN):
         if name not in header:
             raise ParseError(f"association file missing required column {name!r}")
         idx[name] = header.index(name)
@@ -365,12 +365,12 @@ def parse_associations(text: str, gene_column: str = "gene_id",
         if len(cols) <= max(idx.values()):
             logger.warning("association row %r too short, skipped", "\t".join(cols))
             continue
-        for name in (gene_column, disease_column):
+        for name in (GENE_COLUMN, DISEASE_COLUMN):
             if not cols[idx[name]]:
                 raise ParseError(f"line {lineno}: empty {name!r} cell")
-        gene = EntityId(cols[idx[gene_column]], GENE)
-        disease = EntityId(cols[idx[disease_column]], DISEASE)
-        merged.setdefault((gene, disease), set()).add(cols[idx[source_column]])
+        gene = EntityId(cols[idx[GENE_COLUMN]], GENE)
+        disease = EntityId(cols[idx[DISEASE_COLUMN]], DISEASE)
+        merged.setdefault((gene, disease), set()).add(cols[idx[SOURCE_COLUMN]])
     return [CuratedAssociation(g, d, srcs) for (g, d), srcs in merged.items()]
 
 

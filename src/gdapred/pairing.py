@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -91,12 +91,18 @@ def pair_vectors(dataset: "AssociationDataset",
 
 
 def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
-                        operator: str) -> PairFeatures:
-    """Apply a pair operator to every dataset pair's embedding vectors."""
-    rows = combine(*pair_vectors(dataset, table), operator)
-    if not np.all(np.isfinite(rows)):
-        raise IntegrityError("pair features contain non-finite entries")
-    return PairFeatures(rows, [p.key for p in dataset.pairs])
+                        operators: Iterable[str]) -> dict[str, PairFeatures]:
+    """Apply each pair operator to every dataset pair's embedding vectors,
+    gathered once."""
+    vectors = pair_vectors(dataset, table)
+    keys = [p.key for p in dataset.pairs]
+    out = {}
+    for operator in operators:
+        rows = combine(*vectors, operator)
+        if not np.all(np.isfinite(rows)):
+            raise IntegrityError("pair features contain non-finite entries")
+        out[operator] = PairFeatures(rows, keys)
+    return out
 
 
 def write_pair_features(features: PairFeatures, path) -> None:

@@ -490,6 +490,12 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     annotations = merge_annotation_maps(_read_annotations(run, "gene", "hp"),
                                         _read_annotations(run, "disease", "hp"))
 
+    # the pairs, sets and lookups every measure shares
+    plan = PairPlan(dataset, kg, annotations)
+    if plan.excluded:
+        raise IntegrityError(
+            "baseline cannot score the persisted dataset: entities without "
+            "annotations: " + ", ".join(e.node_id for e in plan.excluded))
     measures = [c for c in SSM_CONFIGS if c.name in config.ssm_measures]
     # one IC table per flavour, shared by its measures and timed apart
     # from them
@@ -497,18 +503,10 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     for flavor in dict.fromkeys(c.ic_flavor for c in measures):
         with run.timed(f"ic_{flavor}"):
             tables[flavor] = ic_table(flavor, kg, annotations)
-    # the pairs, sets and lookups every measure shares
-    plan = PairPlan(dataset, kg, annotations)
     rows = {}
     for ssm_config in measures:
         with run.timed(ssm_config.name):
-            scored = ssm_baseline(dataset, ssm_config, kg, annotations,
-                                  ic=tables[ssm_config.ic_flavor], plan=plan)
-            if scored.excluded_entities:
-                raise IntegrityError(
-                    "baseline cannot score the persisted dataset: entities "
-                    "without annotations: " + ", ".join(
-                        e.node_id for e in scored.excluded_entities))
+            scored = ssm_baseline(plan, ssm_config, tables[ssm_config.ic_flavor])
             write_scored_pairs(scored, run.output(f"scored_{ssm_config.name}.tsv"))
             report = evaluate_run(
                 dataset, "score_threshold", scores=scored.normalized_scores(),
@@ -562,11 +560,14 @@ def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     details = {}
     for variant, method, name, features_names in _grid(config):
         table = read_embeddings(run.need("embed", name))
-        for operator, features_name in features_names.items():
-            with run.timed(f"{variant}/{method}/{operator}"):
-                features = build_pair_features(dataset, table, operator)
+        cells = {op: f"{variant}/{method}/{op}" for op in features_names}
+        # the operators of one table share its gather, and its time
+        with run.timed(*cells.values()):
+            built = build_pair_features(dataset, table, features_names)
+            for operator, features_name in features_names.items():
+                features = built[operator]
                 write_pair_features(features, run.output(features_name))
-                details[f"{variant}/{method}/{operator}"] = {
+                details[cells[operator]] = {
                     "rows": int(features.rows.shape[0]),
                     "columns": int(features.rows.shape[1]),
                 }

@@ -15,7 +15,9 @@ integers.
 What no measure changes is a ``PairPlan``, built once per dataset and
 shared by the measure runs over it: the scored pairs, their distinct
 annotation sets, the distinct term pairs of their lookups and the sets'
-closure rows. A measure run then does only what its IC decides.
+closure rows. ``ssm_baseline`` scores a plan's pairs with one measure
+and one IC table; it is the one implementation of each measure, and
+``tests/helpers.py`` keeps the single-pair set forms as oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 import numpy as np
 
@@ -183,49 +185,22 @@ def sim_resnik_pair(a: str, b: str, kg: KnowledgeGraph,
     return index.ic[common.bit_length() - 1] if common else 0.0
 
 
-def _closure_union(terms: Iterable[str], kg: KnowledgeGraph) -> set[str]:
-    out: set[str] = set()
-    for t in terms:
-        out |= kg.ancestor_set(t)
-    return out
-
-
-def _simgic(anc_a: set[str], anc_b: set[str],
-            ic: InformationContentTable) -> float:
-    """IC-weighted Jaccard of two ancestor closures."""
-    # fsum is exact, so the result does not depend on set iteration order
-    inter = math.fsum(ic.values[t] for t in anc_a & anc_b if t in ic.values)
-    union = math.fsum(ic.values[t] for t in anc_a | anc_b if t in ic.values)
-    return inter / union if union > 0 else 0.0
-
-
 def sim_groupwise(gene_terms: Collection[str], disease_terms: Collection[str],
-                  config: SimilarityConfig, kg: KnowledgeGraph,
-                  ic: InformationContentTable,
-                  similarities: Sequence[float] | np.ndarray | None = None) -> float:
-    """Aggregate term-pair similarity over two annotation sets.
-
-    BMA averages the two directional best-match means, MAX takes the
-    global pairwise maximum, and SimGIC is the IC-weighted Jaccard of
-    the ancestor closures. For BMA and MAX, ``similarities`` are the
+                  config: SimilarityConfig, similarities: np.ndarray) -> float:
+    """BMA or MAX of two annotation sets from ``similarities``, the
     ``sim_resnik_pair`` values of the sorted gene terms x the sorted
-    disease terms, scored by the caller: a (|G|, |D|) float64 block, or
-    its rows one after another; ValueError for any other shape. Without
-    them each term pair is scored here. The result is a Python float.
+    disease terms as a (|G|, |D|) float64 block.
+
+    BMA averages the two directional best-match means and MAX takes the
+    global pairwise maximum. A SimGIC config or a block of another shape
+    is a ValueError. The result is a Python float.
     """
     if not gene_terms or not disease_terms:
         raise DegenerateDataError("groupwise similarity needs non-empty term sets")
     if config.aggregation == "SIMGIC":
-        return _simgic(_closure_union(gene_terms, kg),
-                       _closure_union(disease_terms, kg), ic)
+        raise ValueError(f"{config.name} is not a best-match measure")
     shape = (len(gene_terms), len(disease_terms))
-    if similarities is None:
-        b_list = sorted(disease_terms)
-        similarities = [sim_resnik_pair(a, b, kg, ic)
-                        for a in sorted(gene_terms) for b in b_list]
     block = np.asarray(similarities, dtype=np.float64)
-    if block.ndim == 1 and block.size == shape[0] * shape[1]:
-        block = block.reshape(shape)
     if block.shape != shape:
         raise ValueError(f"similarities of shape {block.shape} for "
                          f"{shape[0]} x {shape[1]} terms")
@@ -251,7 +226,6 @@ class ScoredPair:
 @dataclass
 class ScoredPairs:
     rows: list[ScoredPair]
-    excluded_entities: list[EntityId] = field(default_factory=list)
 
     def normalized_scores(self) -> list[float]:
         return [r.normalized_score for r in self.rows]
@@ -260,20 +234,19 @@ class ScoredPairs:
 class PairPlan:
     """What scoring one dataset's pairs needs that no measure changes.
 
-    Built once per dataset, annotation map and KG, which must not change
-    after, and shared by every measure run over them (``ssm_baseline``'s
-    ``plan``): the scored pairs in dataset order and the entities without
-    annotations; the distinct annotation sets, in order of first use,
-    with each pair's gene set and disease set as indices into them; and,
-    each built on first use, so by the first run that needs it, BMA and
-    MAX's term-pair ``lookups`` and SimGIC's ``closure_rows``.
+    Built once per dataset, annotation map and KG, of which it keeps
+    only the KG, which must not change after, and shared by every
+    ``ssm_baseline`` run over them: the scored pairs in dataset order and
+    the entities without annotations; the distinct annotation sets, in
+    order of first use, with each pair's gene set and disease set as
+    indices into them; and, each built on first use, so by the first run
+    that needs it, BMA and MAX's term-pair ``lookups`` and SimGIC's
+    ``closure_rows``.
     """
 
     def __init__(self, dataset: "AssociationDataset", kg: KnowledgeGraph,
                  annotations: AnnotationMap):
-        self.dataset = dataset
         self.kg = kg
-        self.annotations = annotations
         self.scored: list[LabeledPair] = []
         self.genes: list[int] = []
         self.diseases: list[int] = []
@@ -298,15 +271,6 @@ class PairPlan:
                 self.diseases.append(di)
         self.sets: list[frozenset[str]] = list(number)
         self.excluded: list[EntityId] = list(excluded)
-
-    def check(self, dataset: "AssociationDataset", kg: KnowledgeGraph,
-              annotations: AnnotationMap) -> None:
-        """ValueError unless the plan was built from these very inputs."""
-        for name, mine, given in (("dataset", self.dataset, dataset),
-                                  ("KG", self.kg, kg),
-                                  ("annotation map", self.annotations, annotations)):
-            if mine is not given:
-                raise ValueError(f"the pair plan was built from another {name}")
 
     @cached_property
     def lookups(self) -> tuple[list[str], list[str], np.ndarray, list[int]]:
@@ -364,35 +328,27 @@ class PairPlan:
         return _closure_rows(self.sets, closure, len(terms))
 
 
-def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
-                 kg: KnowledgeGraph, annotations: AnnotationMap,
-                 ic: InformationContentTable | None = None,
-                 plan: PairPlan | None = None) -> ScoredPairs:
-    """Score every dataset pair with a groupwise measure.
+def ssm_baseline(plan: PairPlan, config: SimilarityConfig,
+                 ic: InformationContentTable) -> ScoredPairs:
+    """Score the plan's pairs with one groupwise measure and an IC table
+    of its flavour (ValueError for another flavour).
 
     Raw scores are min-max normalized to [0, 1] across the scored set
     (corpus IC is unbounded); if all raw scores coincide every pair maps
-    to 1.0. Entities without annotations are reported, not scored.
-    ``ic`` lets measures of one IC flavour share a table (and its MICA
-    masks), and ``plan`` lets all measures share a ``PairPlan`` of these
-    inputs; without them each is built here.
+    to 1.0. Entities without annotations are the plan's ``excluded``,
+    not scored.
 
     A BMA or MAX run calls ``sim_resnik_pair`` once per distinct
     unordered term pair of the plan, all up front, gathers the values
     of every lookup in one step, then calls ``sim_groupwise`` once per
     pair with that pair's block. SimGIC sums IC exactly over each pair's
     shared and joint closure rows, so each score has the bits of
-    ``sim_groupwise``'s ``math.fsum`` form.
+    ``math.fsum`` over the IC of the two sets' shared and joint
+    ancestors.
     """
-    if ic is None:
-        ic = ic_table(config.ic_flavor, kg, annotations)
-    elif ic.flavor != config.ic_flavor:
+    if ic.flavor != config.ic_flavor:
         raise ValueError(f"{config.name} needs a {config.ic_flavor} IC table, "
                          f"got {ic.flavor}")
-    if plan is None:
-        plan = PairPlan(dataset, kg, annotations)
-    else:
-        plan.check(dataset, kg, annotations)
 
     raw: list[float] = []
     if plan.scored:
@@ -407,7 +363,7 @@ def ssm_baseline(dataset: "AssociationDataset", config: SimilarityConfig,
         hi = max(raw)
         for r in rows:
             r.normalized_score = (r.raw_score - lo) / (hi - lo) if hi > lo else 1.0
-    return ScoredPairs(rows, list(plan.excluded))
+    return ScoredPairs(rows)
 
 
 def _best_match_scores(plan: PairPlan, config: SimilarityConfig,
@@ -417,9 +373,8 @@ def _best_match_scores(plan: PairPlan, config: SimilarityConfig,
     left, right, inverse, bounds = plan.lookups
     values = np.fromiter(map(sim_resnik_pair, left, right, repeat(kg), repeat(ic)),
                          dtype=np.float64, count=len(left))[inverse]
-    return [sim_groupwise(sets[gi], sets[di], config, kg, ic,
-                          similarities=values[lo:hi].reshape(len(sets[gi]),
-                                                             len(sets[di])))
+    return [sim_groupwise(sets[gi], sets[di], config,
+                          values[lo:hi].reshape(len(sets[gi]), len(sets[di])))
             for gi, di, lo, hi in zip(plan.genes, plan.diseases, bounds, bounds[1:])]
 
 

@@ -12,10 +12,12 @@ import math
 import numpy as np
 
 from gdapred.artifacts import read_json
-from gdapred.evaluation import NEGATIVE, EvalReport, _confusion, _count_metrics
+from gdapred.evaluation import (NEGATIVE, AssociationDataset, EvalReport, LabeledPair,
+                                _confusion, _count_metrics)
 from gdapred.kg import build_kg
 from gdapred.learn.mlp import _backward, _forward, _init_params, _views
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
+from gdapred.semsim import PairPlan, ic_table, ssm_baseline
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +250,46 @@ def loop_best_match(gene_terms: set[str], disease_terms: set[str],
     if aggregation == "MAX":
         return max(row_best)
     return 0.5 * (sum(row_best) / len(row_best) + sum(col_best) / len(col_best))
+
+
+def set_form_simgic(gene_terms: set[str], disease_terms: set[str], kg,
+                    ic: dict[str, float]) -> float:
+    """SimGIC over the unions of ``ancestor_set``, summed with
+    ``math.fsum``, which is exact, so the result does not depend on set
+    iteration order: the reference for the bits of ``ssm_baseline``'s
+    SimGIC scores."""
+    anc_a = set().union(*map(kg.ancestor_set, gene_terms))
+    anc_b = set().union(*map(kg.ancestor_set, disease_terms))
+    inter = math.fsum(ic[t] for t in anc_a & anc_b if t in ic)
+    union = math.fsum(ic[t] for t in anc_a | anc_b if t in ic)
+    return inter / union if union > 0 else 0.0
+
+
+def score_dataset(dataset, config, kg, annotations: AnnotationMap, ic=None):
+    """``ssm_baseline`` over a plan of its own, with ``ic`` or, without
+    it, the table of the config's flavour built from ``annotations``."""
+    if ic is None:
+        ic = ic_table(config.ic_flavor, kg, annotations)
+    return ssm_baseline(PairPlan(dataset, kg, annotations), config, ic)
+
+
+def score_grid(gene_sets, disease_sets, config, kg, ic) -> list[list[float]]:
+    """The raw ``ssm_baseline`` score of each gene set with each disease
+    set, one row per gene set: each set annotates an entity of its own, in
+    a dataset of every gene x disease pair."""
+    genes = [EntityId(f"g{i}", "gene") for i in range(len(gene_sets))]
+    diseases = [EntityId(f"d{j}", "disease") for j in range(len(disease_sets))]
+    annotations = AnnotationMap(entries={
+        **{g: set(terms) for g, terms in zip(genes, gene_sets)},
+        **{d: set(terms) for d, terms in zip(diseases, disease_sets)}})
+    dataset = AssociationDataset([LabeledPair(g, d, (i + j) % 2)
+                                  for i, g in enumerate(genes)
+                                  for j, d in enumerate(diseases)])
+    scored = score_dataset(dataset, config, kg, annotations, ic)
+    assert [(r.gene, r.disease) for r in scored.rows] == [p.key for p in dataset.pairs]
+    raw = [r.raw_score for r in scored.rows]
+    n = len(diseases)
+    return [raw[i * n:(i + 1) * n] for i in range(len(genes))]
 
 
 def oracle_auc(y_true, scores) -> float:

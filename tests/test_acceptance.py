@@ -28,7 +28,6 @@ from gdapred.evaluation import (
     waf,
 )
 from gdapred.kg import SUBCLASS_OF, VIRTUAL_ROOT, build_kg
-from gdapred.kge import distmult_logistic_loss, transe_margin_loss
 from gdapred.ontology import AnnotationMap, EntityId
 from gdapred.pipeline import (
     PipelineConfig,
@@ -39,7 +38,7 @@ from gdapred.pipeline import (
     cmd_pair,
     cmd_train,
 )
-from gdapred.semsim import SSM_CONFIGS, ic_resnik, ic_seco, sim_groupwise
+from gdapred.semsim import SSM_CONFIGS, ic_resnik, ic_seco
 
 from corpus import PlantedCorpus, write_config
 from helpers import (
@@ -49,8 +48,10 @@ from helpers import (
     negatives,
     oracle_reachable_up,
     random_hp_kg,
+    score_grid,
 )
 from sgns_reference import sgns_loss
+from triple_reference import distmult_logistic_loss, transe_margin_loss
 
 
 def _oracle_closures(kg):
@@ -118,10 +119,12 @@ def test_criterion_1_ssm_oracle_equivalence():
             else:
                 ic_table = ic_resnik(kg, corpus)
             oracle_ic = _oracle_ic(kg, config.ic_flavor, corpus, closures)
-            for gene_terms in gene_map.entries.values():
-                for disease_terms in disease_map.entries.values():
-                    got = sim_groupwise(gene_terms, disease_terms, config,
-                                        kg, ic_table)
+            # one ssm_baseline run over a dataset of every gene x disease pair
+            gene_sets = list(gene_map.entries.values())
+            disease_sets = list(disease_map.entries.values())
+            grid = score_grid(gene_sets, disease_sets, config, kg, ic_table)
+            for gene_terms, row in zip(gene_sets, grid):
+                for disease_terms, got in zip(disease_sets, row):
                     want = _oracle_groupwise(gene_terms, disease_terms,
                                              config.aggregation, oracle_ic,
                                              closures)

@@ -332,6 +332,23 @@ class TestBaselineStage:
         best_waf = max(row["waf"] for row in summary["measures"].values())
         assert best_waf > 0.9
 
+    def test_unannotated_dataset_gene_exits_1(self, tmp_path, caplog):
+        corpus = small_corpus(tmp_path / "data")
+        config_path = write_config(
+            small_config(corpus, tmp_path / "out", kg_variants=["HP"]),
+            tmp_path / "config.json")
+        for stage in ("ingest", "build-kg"):
+            assert main([stage, "--config", str(config_path)]) == 0
+        # a dataset row whose gene has no HP annotation
+        dataset_path = tmp_path / "out" / "ingest" / "dataset.tsv"
+        lines = dataset_path.read_text().splitlines()
+        lines.append("\t".join(["ghost", *lines[1].split("\t")[1:]]))
+        dataset_path.write_text("\n".join(lines) + "\n")
+        assert main(["baseline", "--config", str(config_path)]) == 1
+        assert ("baseline cannot score the persisted dataset: entities without "
+                "annotations: GENE:ghost") in caplog.text
+        assert not list((tmp_path / "out").rglob("scored_*.tsv"))
+
     def test_baseline_only_report(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")
         config_path = write_config(

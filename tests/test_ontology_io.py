@@ -319,12 +319,6 @@ class TestParseAssociations:
         with pytest.raises(ParseError, match=rf"^line 4: empty '{column}' cell$"):
             parse_associations(text)
 
-    def test_renamed_columns(self):
-        text = "geneId\tdiseaseId\tdb\n672\tC0006142\tCTD_human\n"
-        rows = parse_associations(text, gene_column="geneId",
-                                  disease_column="diseaseId", source_column="db")
-        assert rows[0].gene == EntityId("672", "gene")
-
 
 def make_annotations(**kinds):
     out = {}

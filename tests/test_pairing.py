@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gdapred.pairing as pairing
 from gdapred.errors import IntegrityError, ZeroVectorError
 from gdapred.evaluation import AssociationDataset, LabeledPair
 from gdapred.kge import EmbeddingTable
@@ -231,7 +232,7 @@ def toy_dataset_and_table(without=()):
 class TestPairFeatures:
     def test_rows_align_with_dataset(self):
         dataset, table = toy_dataset_and_table()
-        features = build_pair_features(dataset, table, "hadamard")
+        features = build_pair_features(dataset, table, ["hadamard"])["hadamard"]
         assert features.rows.shape == (2, 2)
         assert features.rows[0].tolist() == [2.0, 6.0]
         assert features.rows[1].tolist() == [1.0, -3.0]
@@ -239,7 +240,24 @@ class TestPairFeatures:
     def test_missing_vector_is_integrity_error(self):
         dataset, table = toy_dataset_and_table(without={"GENE:2"})
         with pytest.raises(IntegrityError, match="GENE:2"):
-            build_pair_features(dataset, table, "hadamard")
+            build_pair_features(dataset, table, ["hadamard"])
+
+    def test_one_gather_serves_every_operator(self, monkeypatch):
+        dataset, table = toy_dataset_and_table()
+        gathers = []
+        real = pairing.pair_vectors
+
+        def counting(*args):
+            gathers.append(real(*args))
+            return gathers[-1]
+
+        monkeypatch.setattr(pairing, "pair_vectors", counting)
+        built = build_pair_features(dataset, table, PAIR_OPERATORS)
+        assert len(gathers) == 1
+        assert list(built) == list(PAIR_OPERATORS)
+        for operator, features in built.items():
+            assert features.rows.tobytes() == combine(*gathers[0], operator).tobytes()
+            assert features.pairs == [p.key for p in dataset.pairs]
 
     def test_gather_names_every_missing_entity(self):
         dataset, table = toy_dataset_and_table(without={"GENE:2", "DISEASE:C1"})
@@ -255,7 +273,7 @@ class TestPairFeatures:
 
     def test_tsv_roundtrip(self, tmp_path):
         dataset, table = toy_dataset_and_table()
-        features = build_pair_features(dataset, table, "concatenation")
+        features = build_pair_features(dataset, table, ["concatenation"])["concatenation"]
         path = tmp_path / "features.npy"
         write_pair_features(features, path)
         back = read_pair_features(path)

@@ -57,9 +57,12 @@ from helpers import (
     oracle_pair_sim,
     random_hp_kg,
     row_fsums,
+    score_dataset,
+    score_grid,
     set_form_ic_resnik,
     set_form_ic_seco,
     set_form_masks,
+    set_form_simgic,
 )
 
 
@@ -416,19 +419,22 @@ def matrix_fixture():
     return kg, ic
 
 
+def groupwise(gene_terms, disease_terms, config, kg, ic) -> float:
+    """The raw ``ssm_baseline`` score of one gene set with one disease set."""
+    return score_grid([gene_terms], [disease_terms], config, kg, ic)[0][0]
+
+
 def _groupwise_scores(aggregation: str, hash_seed: str) -> str:
     """repr of one measure's scores on a fixed random DAG, computed in a
     process with the given PYTHONHASHSEED."""
     script = (
         "import numpy as np\n"
-        "from helpers import random_hp_kg\n"
-        "from gdapred.semsim import SimilarityConfig, ic_seco, sim_groupwise\n"
+        "from helpers import random_hp_kg, score_grid\n"
+        "from gdapred.semsim import SimilarityConfig, ic_seco\n"
         "kg, _, genes, diseases = random_hp_kg(np.random.default_rng(0), 300, 40, 30)\n"
-        "ic = ic_seco(kg)\n"
         f"config = SimilarityConfig({aggregation!r}, 'seco')\n"
-        "print(repr([sim_groupwise(g, d, config, kg, ic)\n"
-        "            for g in genes.entries.values()\n"
-        "            for d in diseases.entries.values()]))\n")
+        "print(repr(score_grid(list(genes.entries.values()),\n"
+        "                      list(diseases.entries.values()), config, kg, ic_seco(kg))))\n")
     tests_dir = Path(__file__).resolve().parent
     path = os.pathsep.join([str(tests_dir), str(tests_dir.parent / "src"),
                             os.environ.get("PYTHONPATH", "")])
@@ -443,8 +449,8 @@ class TestSimGroupwise:
         kg, ic = matrix_fixture()
         genes = {"HP:a1", "HP:a2"}
         diseases = {"HP:b1", "HP:b2"}
-        bma = sim_groupwise(genes, diseases, SimilarityConfig("BMA", "seco"), kg, ic)
-        top = sim_groupwise(genes, diseases, SimilarityConfig("MAX", "seco"), kg, ic)
+        bma = groupwise(genes, diseases, SimilarityConfig("BMA", "seco"), kg, ic)
+        top = groupwise(genes, diseases, SimilarityConfig("MAX", "seco"), kg, ic)
         # frozen hand evaluation: 0.5 * ((0.9 + 0.8)/2 + (0.9 + 0.8)/2)
         assert bma == pytest.approx(0.85, abs=1e-12)
         assert top == pytest.approx(0.9, abs=1e-12)
@@ -454,51 +460,51 @@ class TestSimGroupwise:
         ic = ic_seco(kg)
         pair = sim_resnik_pair("HP:b", "HP:c", kg, ic)
         for agg in ("BMA", "MAX"):
-            got = sim_groupwise({"HP:b"}, {"HP:c"},
-                                SimilarityConfig(agg, "seco"), kg, ic)
+            got = groupwise({"HP:b"}, {"HP:c"}, SimilarityConfig(agg, "seco"), kg, ic)
             assert got == pytest.approx(pair, abs=1e-15)
 
     def test_simgic_identity(self):
         kg = chain_kg()
         ic = ic_seco(kg)
-        assert sim_groupwise({"HP:c"}, {"HP:c"},
-                             SimilarityConfig("SIMGIC", "seco"), kg, ic) == 1.0
+        assert groupwise({"HP:c"}, {"HP:c"},
+                         SimilarityConfig("SIMGIC", "seco"), kg, ic) == 1.0
 
     def test_empty_set_rejected(self):
-        kg = chain_kg()
-        ic = ic_seco(kg)
         with pytest.raises(DegenerateDataError):
-            sim_groupwise(set(), {"HP:c"}, SimilarityConfig("BMA", "seco"), kg, ic)
+            sim_groupwise(set(), {"HP:c"}, SimilarityConfig("BMA", "seco"),
+                          np.zeros((0, 1)))
 
     def test_symmetry_and_max_dominates_bma(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
             kg, _, gene_map, disease_map = random_hp_kg(rng, 25, 3, 3)
             corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
+            gene_sets = list(gene_map.entries.values())
+            disease_sets = list(disease_map.entries.values())
             for config in SSM_CONFIGS:
                 ic = ic_seco(kg) if config.ic_flavor == "seco" else ic_resnik(kg, corpus)
-                for gene_terms in gene_map.entries.values():
-                    for disease_terms in disease_map.entries.values():
-                        ab = sim_groupwise(gene_terms, disease_terms, config, kg, ic)
-                        ba = sim_groupwise(disease_terms, gene_terms, config, kg, ic)
-                        assert ab == pytest.approx(ba, abs=1e-12)
+                ab = score_grid(gene_sets, disease_sets, config, kg, ic)
+                ba = score_grid(disease_sets, gene_sets, config, kg, ic)
+                for i, row in enumerate(ab):
+                    for j, value in enumerate(row):
+                        assert value == pytest.approx(ba[j][i], abs=1e-12)
             ic = ic_seco(kg)
-            for gene_terms in gene_map.entries.values():
-                for disease_terms in disease_map.entries.values():
-                    bma = sim_groupwise(gene_terms, disease_terms,
-                                        SimilarityConfig("BMA", "seco"), kg, ic)
-                    top = sim_groupwise(gene_terms, disease_terms,
-                                        SimilarityConfig("MAX", "seco"), kg, ic)
-                    assert top >= bma - 1e-12
+            bma = score_grid(gene_sets, disease_sets, SimilarityConfig("BMA", "seco"),
+                             kg, ic)
+            top = score_grid(gene_sets, disease_sets, SimilarityConfig("MAX", "seco"),
+                             kg, ic)
+            for bma_row, top_row in zip(bma, top):
+                for b, t in zip(bma_row, top_row):
+                    assert t >= b - 1e-12
 
     def test_simgic_in_unit_interval(self):
         rng = np.random.default_rng(71)
         kg, _, gene_map, disease_map = random_hp_kg(rng, 30, 4, 4)
-        ic = ic_seco(kg)
-        for gene_terms in gene_map.entries.values():
-            for disease_terms in disease_map.entries.values():
-                s = sim_groupwise(gene_terms, disease_terms,
-                                  SimilarityConfig("SIMGIC", "seco"), kg, ic)
+        grid = score_grid(list(gene_map.entries.values()),
+                          list(disease_map.entries.values()),
+                          SimilarityConfig("SIMGIC", "seco"), kg, ic_seco(kg))
+        for row in grid:
+            for s in row:
                 assert 0.0 <= s <= 1.0
 
     def test_simgic_independent_of_hash_seed(self):
@@ -517,6 +523,8 @@ class TestSimGroupwise:
             kg, _, gene_map, disease_map = random_hp_kg(
                 rng, int(rng.integers(10, 41)), 4, 4)
             corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
+            gene_sets = list(gene_map.entries.values())
+            disease_sets = list(disease_map.entries.values())
             for config in SSM_CONFIGS:
                 if config.ic_flavor == "seco":
                     ic = ic_seco(kg)
@@ -524,9 +532,9 @@ class TestSimGroupwise:
                 else:
                     ic = ic_resnik(kg, corpus)
                     oracle_ic = oracle_ic_resnik(kg, corpus)
-                for gene_terms in gene_map.entries.values():
-                    for disease_terms in disease_map.entries.values():
-                        got = sim_groupwise(gene_terms, disease_terms, config, kg, ic)
+                grid = score_grid(gene_sets, disease_sets, config, kg, ic)
+                for gene_terms, row in zip(gene_sets, grid):
+                    for disease_terms, got in zip(disease_sets, row):
                         want = oracle_groupwise(gene_terms, disease_terms,
                                                 config.aggregation, kg, oracle_ic)
                         assert got == pytest.approx(want, abs=1e-9)
@@ -540,9 +548,7 @@ class TestSimGroupwise:
     @example(rows=3, cols=2, cells=[0.0] * 36)
     @example(rows=2, cols=3, cells=[-0.0] * 36)
     @example(rows=2, cols=2, cells=[-0.0, 0.0, 0.0, -0.0] + [0.0] * 32)
-    def test_block_has_the_bits_of_the_flat_list_and_the_loop(self, rows, cols, cells):
-        kg = chain_kg()
-        ic = ic_seco(kg)
+    def test_block_has_the_bits_of_the_loop(self, rows, cols, cells):
         # names whose sorted order differs from their draw order
         gene_terms = {f"HP:g{9 - i}" for i in range(rows)}
         disease_terms = {f"HP:d{9 - j}" for j in range(cols)}
@@ -551,23 +557,26 @@ class TestSimGroupwise:
         where.update({t: j for j, t in enumerate(sorted(disease_terms))})
         for aggregation in ("BMA", "MAX"):
             config = SimilarityConfig(aggregation, "seco")
-            got = [sim_groupwise(gene_terms, disease_terms, config, kg, ic,
-                                 similarities=form)
-                   for form in (block, block.ravel().tolist(), block.ravel())]
+            got = sim_groupwise(gene_terms, disease_terms, config, block)
             want = loop_best_match(gene_terms, disease_terms, aggregation,
                                    lambda a, b: float(block[where[a], where[b]]))
-            assert [type(v) for v in got] == [float] * 3
-            assert [v.hex() for v in got] == [want.hex()] * 3, aggregation
+            assert type(got) is float
+            assert got.hex() == want.hex(), aggregation
 
     def test_block_of_the_wrong_shape_rejected(self):
-        kg = chain_kg()
-        ic = ic_seco(kg)
         genes, diseases = {"HP:a", "HP:b"}, {"HP:a", "HP:b", "HP:c"}
         for config in (SimilarityConfig("BMA", "seco"), SimilarityConfig("MAX", "seco")):
+            # a flat list or array of the block's rows is a wrong shape too
             for wrong in (np.zeros((3, 2)), np.zeros((1, 6)), np.zeros((2, 3, 1)),
-                          np.zeros(5), [0.0] * 7):
+                          np.zeros(5), [0.0] * 7, np.zeros(6), [0.0] * 6):
                 with pytest.raises(ValueError, match="2 x 3 terms"):
-                    sim_groupwise(genes, diseases, config, kg, ic, similarities=wrong)
+                    sim_groupwise(genes, diseases, config, wrong)
+
+    @pytest.mark.parametrize("flavor", ["seco", "resnik_corpus"])
+    def test_simgic_is_not_a_best_match_measure(self, flavor):
+        with pytest.raises(ValueError, match=f"SIMGIC_{flavor} is not a best-match"):
+            sim_groupwise({"HP:a"}, {"HP:b"}, SimilarityConfig("SIMGIC", flavor),
+                          np.zeros((1, 1)))
 
 
 def twin_corpus(seed: int, n_terms: int, n_genes: int, n_diseases: int,
@@ -608,8 +617,8 @@ class TestSsmBaseline:
 
     def test_minmax_normalization(self):
         dataset, kg, corpus = self.dataset_and_kg()
-        scored = ssm_baseline(dataset, SimilarityConfig("BMA", "resnik_corpus"),
-                              kg, corpus)
+        scored = score_dataset(dataset, SimilarityConfig("BMA", "resnik_corpus"),
+                               kg, corpus)
         norm = scored.normalized_scores()
         assert min(norm) == 0.0
         assert max(norm) == 1.0
@@ -623,8 +632,8 @@ class TestSsmBaseline:
         corpus = annotations(g1=["HP:c"], g2=["HP:c"], d1=["HP:c"])
         pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
                  LabeledPair(EntityId("g2", "gene"), EntityId("d1", "disease"), 0)]
-        scored = ssm_baseline(AssociationDataset(pairs),
-                              SimilarityConfig("MAX", "seco"), kg, corpus)
+        scored = score_dataset(AssociationDataset(pairs),
+                               SimilarityConfig("MAX", "seco"), kg, corpus)
         assert scored.normalized_scores() == [1.0, 1.0]
 
     def test_unannotated_entity_reported(self):
@@ -633,14 +642,14 @@ class TestSsmBaseline:
         ghost = EntityId("g404", "gene")
         pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
                  LabeledPair(ghost, EntityId("d1", "disease"), 0)]
-        scored = ssm_baseline(AssociationDataset(pairs),
-                              SimilarityConfig("MAX", "seco"), kg, corpus)
-        assert scored.excluded_entities == [ghost]
+        plan = PairPlan(AssociationDataset(pairs), kg, corpus)
+        assert plan.excluded == [ghost]
+        scored = ssm_baseline(plan, SimilarityConfig("MAX", "seco"), ic_seco(kg))
         assert len(scored.rows) == 1
 
     def test_export(self, tmp_path):
         dataset, kg, corpus = self.dataset_and_kg()
-        scored = ssm_baseline(dataset, SimilarityConfig("SIMGIC", "seco"), kg, corpus)
+        scored = score_dataset(dataset, SimilarityConfig("SIMGIC", "seco"), kg, corpus)
         path = tmp_path / "scored.tsv"
         write_scored_pairs(scored, path)
         lines = path.read_text().splitlines()
@@ -675,6 +684,7 @@ class TestSsmBaseline:
         dataset = AssociationDataset(pairs)
         scored_keys = [p.key for p in pairs if p.gene.id != "g_none"]
         tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
+        assert PairPlan(dataset, kg, corpus).excluded == [EntityId("g_none", "gene")]
 
         calls = Counter()
         real_pair = semsim.sim_resnik_pair
@@ -692,17 +702,16 @@ class TestSsmBaseline:
                 # gather every lookup at once): small chunks make SimGIC's
                 # pairs straddle chunk ends
                 patch.setattr(semsim, "_CHUNK", simgic_chunk)
-                scored = ssm_baseline(dataset, config, kg, corpus, ic=ic)
+                scored = score_dataset(dataset, config, kg, corpus, ic)
             assert [(r.gene, r.disease) for r in scored.rows] == scored_keys
-            assert scored.excluded_entities == [EntityId("g_none", "gene")]
             for row in scored.rows:
                 g, d = corpus.entries[row.gene], corpus.entries[row.disease]
-                want = sim_groupwise(g, d, config, kg, ic)
+                if config.aggregation == "SIMGIC":
+                    want = set_form_simgic(g, d, kg, ic.values)
+                else:
+                    want = loop_best_match(g, d, config.aggregation,
+                                           lambda a, b: sim_resnik_pair(a, b, kg, ic))
                 assert repr(row.raw_score) == repr(want), config.name
-                if config.aggregation != "SIMGIC":
-                    assert repr(want) == repr(loop_best_match(
-                        g, d, config.aggregation,
-                        lambda a, b: sim_resnik_pair(a, b, kg, ic)))
             if config.aggregation == "SIMGIC":
                 assert not calls
             else:
@@ -724,18 +733,17 @@ class TestSsmBaseline:
         kg = build_kg("HP", ont, gene_hp=corpus, disease_hp=corpus)
         # HP:u has no IC: it weighs 0.0 on the closure rows
         ic = InformationContentTable("seco", {"HP:a": 1e16, **dict.fromkeys(light, 1.0)})
-        anc_g = semsim._closure_union(gene_terms, kg)
-        anc_d = semsim._closure_union(disease_terms, kg)
-        union = [ic.values[t] for t in sorted(anc_g | anc_d) if t in ic.values]
+        joint = set().union(*map(kg.ancestor_set, gene_terms | disease_terms))
+        union = [ic.values[t] for t in sorted(joint) if t in ic.values]
         assert sum(union) != math.fsum(union)
 
         pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
                  LabeledPair(EntityId("g2", "gene"), EntityId("d2", "disease"), 0)]
-        scored = ssm_baseline(AssociationDataset(pairs),
-                              SimilarityConfig("SIMGIC", "seco"), kg, corpus, ic=ic)
+        scored = score_dataset(AssociationDataset(pairs),
+                               SimilarityConfig("SIMGIC", "seco"), kg, corpus, ic)
         assert [repr(r.raw_score) for r in scored.rows] == [
-            repr(semsim._simgic(anc_g, anc_d, ic)),
-            repr(semsim._simgic(anc_d, anc_g, ic))]
+            repr(set_form_simgic(gene_terms, disease_terms, kg, ic.values)),
+            repr(set_form_simgic(disease_terms, gene_terms, kg, ic.values))]
         assert scored.rows[0].raw_score == (1e16 + 5) / (1e16 + 12)
 
     @pytest.mark.parametrize("config", SSM_CONFIGS, ids=lambda c: c.name)
@@ -749,14 +757,15 @@ class TestSsmBaseline:
         if with_table:
             ic = ic_seco(kg) if config.ic_flavor == "seco" else ic_resnik(
                 kg, annotations(g1=["HP:c"], d1=["HP:b"]))
+        # without a table, the helper builds one from the corpus
         with pytest.raises(UnknownNodeError, match="HP:404"):
-            ssm_baseline(AssociationDataset(pairs), config, kg, corpus, ic=ic)
+            score_dataset(AssociationDataset(pairs), config, kg, corpus, ic)
 
     def test_foreign_flavour_table_rejected(self):
         dataset, kg, corpus = self.dataset_and_kg()
-        with pytest.raises(ValueError):
-            ssm_baseline(dataset, SimilarityConfig("BMA", "resnik_corpus"),
-                         kg, corpus, ic=ic_seco(kg))
+        plan = PairPlan(dataset, kg, corpus)
+        with pytest.raises(ValueError, match="needs a resnik_corpus IC table, got seco"):
+            ssm_baseline(plan, SimilarityConfig("BMA", "resnik_corpus"), ic_seco(kg))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
@@ -779,38 +788,24 @@ class TestSsmBaseline:
             calls[(a, b) if a <= b else (b, a)] += 1
             return real_pair(a, b, *rest)
 
+        assert plan.excluded == [EntityId("g_none", "gene")]
         for config in order:
             ic = tables[config.ic_flavor]
-            alone = ssm_baseline(dataset, config, kg, corpus, ic=ic)
+            # a run alone has a plan of its own
+            alone = score_dataset(dataset, config, kg, corpus, ic)
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(semsim, "sim_resnik_pair", counting)
-                shared = ssm_baseline(dataset, config, kg, corpus, ic=ic, plan=plan)
+                shared = ssm_baseline(plan, config, ic)
             assert [(r.gene, r.disease) for r in shared.rows] == scored_keys
             assert [(repr(r.raw_score), repr(r.normalized_score), r.label)
                     for r in shared.rows] == [
                 (repr(r.raw_score), repr(r.normalized_score), r.label)
                 for r in alone.rows], config.name
-            assert shared.excluded_entities == alone.excluded_entities == [
-                EntityId("g_none", "gene")]
             if config.aggregation == "SIMGIC":
                 assert not calls
             else:
                 assert calls == Counter(dict.fromkeys(distinct, 1)), config.name
-
-    @pytest.mark.parametrize("foreign", ["dataset", "KG", "annotation map"])
-    def test_foreign_plan_rejected(self, foreign):
-        dataset, kg, corpus = self.dataset_and_kg()
-        # equal inputs that are other objects are still other inputs
-        other = {"dataset": AssociationDataset(list(dataset.pairs)),
-                 "KG": KnowledgeGraph(kg.variant, kg.triples),
-                 "annotation map": AnnotationMap(entries=dict(corpus.entries))}
-        plan = PairPlan(*(other[name] if name == foreign else given
-                          for name, given in (("dataset", dataset), ("KG", kg),
-                                              ("annotation map", corpus))))
-        config = SimilarityConfig("BMA", "seco")
-        with pytest.raises(ValueError, match=f"another {foreign}$"):
-            ssm_baseline(dataset, config, kg, corpus, plan=plan)
 
     def test_shared_plan_runs_peak_no_higher_than_one_run_alone(self):
         dataset, kg, corpus = twin_corpus(5, 60, 40, 40, max_terms=12)
@@ -819,12 +814,11 @@ class TestSsmBaseline:
         plan = PairPlan(dataset, kg, corpus)
 
         def alone():
-            ssm_baseline(dataset, measures[0], kg, corpus, ic=tables["seco"])
+            score_dataset(dataset, measures[0], kg, corpus, tables["seco"])
 
         def shared():
             for config in measures:
-                ssm_baseline(dataset, config, kg, corpus,
-                             ic=tables[config.ic_flavor], plan=plan)
+                ssm_baseline(plan, config, tables[config.ic_flavor])
 
         def peak(work) -> int:
             work()  # first-use costs out of the way

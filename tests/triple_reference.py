@@ -1,15 +1,19 @@
 """Reference TransE and DistMult trainers: the spec losses, ``np.add.at``
 and whole-table renormalisation.
 
-This is the straightforward form of `gdapred.kge.train_transe` and
-`gdapred.kge.train_distmult`: the same node and relation order, seeded
-initialisation, per-epoch permutation, corruption draws and learning-rate
-schedule. Each batch gathers every true and corrupted triple's rows,
-takes the per-sample gradients of the public loss functions
-(`transe_margin_loss`, `distmult_logistic_loss`), scatters each of them
-into its table with ``np.add.at``, and for TransE then renormalises the
-whole entity table. Tests compare the fused trainers against it; it is
-not used by the package.
+The loss functions `transe_margin_loss` and `distmult_logistic_loss` are
+the specification of the two trainers: the gradient checks cover them,
+and `gdapred.kge.train_transe` and `gdapred.kge.train_distmult` apply
+exactly their batch gradients, folded.
+
+The trainers here are the straightforward form of the package's: the
+same node and relation order, seeded initialisation, per-epoch
+permutation, corruption draws and learning-rate schedule. Each batch
+gathers every true and corrupted triple's rows, takes the per-sample
+gradients of the loss functions, scatters each of them into its table
+with ``np.add.at``, and for TransE then renormalises the whole entity
+table. Tests compare the fused trainers against them; they are not used
+by the package.
 
 The single-triple scores `transe_score` and `distmult_score` live here
 too: only tests call them.
@@ -20,10 +24,68 @@ batch, so a test can check which cases a run covered.
 
 import numpy as np
 
-from gdapred.kge import (EmbeddingTable, distmult_logistic_loss,
-                         transe_margin_loss)
+from gdapred.kge import EmbeddingTable
 from gdapred.kge.base import decayed_rate
-from gdapred.kge.translational import L2, _distance
+
+L1 = "L1"
+L2 = "L2"
+
+
+def _distance(diff: np.ndarray, norm: str) -> np.ndarray:
+    """The L1 or L2 length of ``diff`` over its last axis."""
+    if norm == L1:
+        return np.sum(np.abs(diff), axis=-1)
+    if norm == L2:
+        return np.linalg.norm(diff, axis=-1)
+    raise ValueError(f"unknown norm {norm!r}")
+
+
+def transe_margin_loss(h, r, t, h2, r2, t2, margin: float = 1.0,
+                       norm: str = L2):
+    """Margin ranking loss ``max(0, margin + d(h + r - t) - d(h2 + r2 - t2))``
+    and its six gradients (zero at the kinks of ``d``).
+
+    Takes one sample, or true triples as (b, 1, d) rows against their
+    corruptions as (b, k, d): the loss is then summed over the b x k
+    samples and each gradient has one row per sample, (b, k, d), for a
+    trainer to accumulate per identifier.
+    """
+    h, r, t, h2, r2, t2 = (np.asarray(v, dtype=np.float64)
+                           for v in (h, r, t, h2, r2, t2))
+    pos, neg = h + r - t, h2 + r2 - t2
+    d_pos, d_neg = _distance(pos, norm), _distance(neg, norm)
+    violation = margin + d_pos - d_neg
+    loss = float(np.sum(np.maximum(violation, 0.0)))
+    if norm == L1:
+        pos, neg = np.sign(pos), np.sign(neg)
+    else:
+        pos /= np.where(d_pos > 0, d_pos, 1.0)[..., None]
+        neg /= np.where(d_neg > 0, d_neg, 1.0)[..., None]
+    active = (violation > 0.0).astype(np.float64)[..., None]
+    g_pos = pos * active
+    neg *= active
+    g_neg = -neg
+    return loss, (g_pos, g_pos, -g_pos, g_neg, g_neg, neg)
+
+
+def distmult_logistic_loss(h, r, t, label, l2_penalty: float = 1e-4):
+    """softplus(-label * score) plus the L2 penalty, and its gradients.
+
+    One triple of vectors with a ±1 label, or (n, d) rows with n labels:
+    the loss is summed over the rows and each gradient has one row per
+    input row.
+    """
+    h, r, t = (np.asarray(v, dtype=np.float64) for v in (h, r, t))
+    label = np.asarray(label, dtype=np.float64)
+    z = -label * np.sum(h * r * t, axis=-1)
+    loss = float(np.sum(np.logaddexp(0.0, z))) + l2_penalty * float(
+        np.sum(h * h) + np.sum(r * r) + np.sum(t * t))
+    factor = (-label / (1.0 + np.exp(-z)))[..., None]
+    grads = (r * t, h * t, h * r)
+    for grad, own in zip(grads, (h, r, t)):
+        grad *= factor
+        grad += 2.0 * l2_penalty * own
+    return loss, grads
 
 
 def _vectors(*vectors):
