@@ -9,70 +9,65 @@ mean of the per-label F-measures; AUC uses the rank statistic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .artifacts import read_tsv, write_json, write_tsv
 from .errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
-from .ontology import EntityId
+from .ontology import DISEASE, GENE, EntityId
 
 POSITIVE = 1
 NEGATIVE = 0
+#: each label's name in the dataset and scored-pairs files, by label
+LABEL_NAMES = ("negative", "positive")
 TRAIN = "train"
 TEST = "test"
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    gene: EntityId
-    disease: EntityId
-    label: int
-
-    @property
-    def key(self) -> tuple[EntityId, EntityId]:
-        return (self.gene, self.disease)
-
-
-@dataclass
+@dataclass(eq=False)
 class AssociationDataset:
-    pairs: list[LabeledPair]
-    split: dict[tuple[EntityId, EntityId], str] | None = None
-    _partitions: dict[str, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    """Gene-disease pairs as columns, row i being one pair: ``genes[i]``
+    and ``diseases[i]`` (one shared `EntityId` per distinct id when read
+    from a file), its 0/1 label ``labels[i]`` and, once split, whether it
+    is in the train partition, ``train[i]``. The columns have equal
+    lengths, no (gene, disease) pair occurs twice and every label is
+    `POSITIVE` or `NEGATIVE`; a dataset that breaks this raises
+    ValueError."""
+    genes: list[EntityId]
+    diseases: list[EntityId]
+    labels: np.ndarray
+    train: np.ndarray | None = None
 
     def __post_init__(self):
-        keys = [p.key for p in self.pairs]
-        if len(set(keys)) != len(keys):
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.train is not None:
+            self.train = np.asarray(self.train, dtype=bool)
+        n = len(self.labels)
+        if not len(self.genes) == len(self.diseases) == n or (
+                self.train is not None and self.train.shape != (n,)):
+            raise ValueError("dataset columns differ in length")
+        if len(set(zip(self.genes, self.diseases))) != n:
             raise ValueError("dataset contains duplicate gene-disease pairs")
+        if not np.all((self.labels == POSITIVE) | (self.labels == NEGATIVE)):
+            raise ValueError(f"labels must be {POSITIVE} or {NEGATIVE}")
 
-    def labels(self) -> np.ndarray:
-        return np.array([p.label for p in self.pairs], dtype=np.int64)
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def id_pairs(self) -> list[tuple[str, str]]:
+        """The (gene id, disease id) of every pair, in row order."""
+        return list(zip([g.id for g in self.genes], [d.id for d in self.diseases]))
 
     def partition_indices(self, partition: str) -> np.ndarray:
-        """The ascending positions of the pairs in ``partition``, computed
-        once, as a read-only array that every call returns again."""
-        if self.split is None:
+        """The ascending positions of the pairs in ``partition``."""
+        if self.train is None:
             raise DegenerateDataError("dataset has no persisted split")
-        if partition not in self._partitions:
-            indices = np.array([i for i, p in enumerate(self.pairs)
-                                if self.split[p.key] == partition], dtype=np.int64)
-            indices.flags.writeable = False
-            self._partitions[partition] = indices
-        return self._partitions[partition]
-
-    @cached_property
-    def node_ids(self) -> list[str]:
-        """Each pair's gene node id, then its disease node id, computed
-        once: do not change the result."""
-        return [e.node_id for p in self.pairs for e in (p.gene, p.disease)]
-
-    def entities(self) -> tuple[set[EntityId], set[EntityId]]:
-        genes = {p.gene for p in self.pairs}
-        diseases = {p.disease for p in self.pairs}
-        return genes, diseases
+        if partition not in (TRAIN, TEST):
+            raise ValueError(f"unknown partition {partition!r}")
+        return np.flatnonzero(self.train == (partition == TRAIN))
 
 
 def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
@@ -114,36 +109,43 @@ def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
             chosen.add((g, d))
             negatives.append((g, d))
 
-    pairs = [LabeledPair(g, d, POSITIVE) for g, d in pos_pairs]
-    pairs += [LabeledPair(g, d, NEGATIVE) for g, d in negatives]
-    return AssociationDataset(pairs)
+    pairs = pos_pairs + negatives
+    return AssociationDataset([g for g, _ in pairs], [d for _, d in pairs],
+                              np.repeat([POSITIVE, NEGATIVE], need))
 
 
 def stratified_split(dataset: AssociationDataset, train_fraction: float = 0.7,
                      seed: int = 0) -> AssociationDataset:
-    """Assign train/test per label; train size rounds half up."""
+    """Assign train/test per label; train size rounds half up. A label
+    with fewer than 2 members, or whose rounded train size leaves one
+    side without any of them, raises DegenerateDataError."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng(seed)
-    split: dict[tuple[EntityId, EntityId], str] = {}
-    for label in (POSITIVE, NEGATIVE):
-        indices = [i for i, p in enumerate(dataset.pairs) if p.label == label]
+    members = {label: np.flatnonzero(dataset.labels == label)
+               for label in (POSITIVE, NEGATIVE)}
+    for label, indices in members.items():
         if len(indices) < 2:
             raise DegenerateDataError(
                 f"label {label} has {len(indices)} members; cannot stratify")
+    rng = np.random.default_rng(seed)
+    train = np.zeros(len(dataset), dtype=bool)
+    for label, indices in members.items():
         n_train = int(math.floor(train_fraction * len(indices) + 0.5))
-        order = rng.permutation(len(indices))
-        for pos, j in enumerate(order):
-            pair = dataset.pairs[indices[j]]
-            split[pair.key] = TRAIN if pos < n_train else TEST
-    return AssociationDataset(list(dataset.pairs), split=split)
+        if n_train in (0, len(indices)):
+            raise DegenerateDataError(
+                f"train_fraction {train_fraction} leaves the "
+                f"{TRAIN if n_train == 0 else TEST} partition without any of "
+                f"the {len(indices)} members of label {label}")
+        train[indices[rng.permutation(len(indices))[:n_train]]] = True
+    return replace(dataset, train=train)
 
 
 def write_dataset(dataset: AssociationDataset, path) -> None:
+    parts = (repeat("") if dataset.train is None else
+             [(TEST, TRAIN)[t] for t in dataset.train.tolist()])
     write_tsv(path, ("gene", "disease", "label", "partition"), (
-        (p.gene.id, p.disease.id, "positive" if p.label == POSITIVE else "negative",
-         dataset.split[p.key] if dataset.split else "")
-        for p in dataset.pairs))
+        (gene, disease, LABEL_NAMES[label], part) for (gene, disease), label, part
+        in zip(dataset.id_pairs(), dataset.labels.tolist(), parts)))
 
 
 def read_dataset(path) -> AssociationDataset:
@@ -152,30 +154,38 @@ def read_dataset(path) -> AssociationDataset:
     gene or disease id, of a repeated (gene, disease) pair, or of the
     first row whose partition cell is set when the first row's is empty,
     or empty when it is set. A file without pairs raises it too."""
-    labels = {"positive": POSITIVE, "negative": NEGATIVE}
-    pairs, split = {}, {}  # (gene id, disease id) -> pair, pair key -> partition
+    label_of = {name: label for label, name in enumerate(LABEL_NAMES)}
+    pairs: dict[tuple[str, str], None] = {}
+    labels, parts = [], []
     rows = read_tsv(path, width=4)
     next(rows)  # header
     for lineno, (gene_id, disease_id, label, part) in enumerate(rows, start=2):
-        if label not in labels or part not in (TRAIN, TEST, ""):
+        if label not in label_of or part not in (TRAIN, TEST, ""):
             raise IntegrityError(f"{path}, line {lineno}: unknown label {label!r} "
                                  f"or partition {part!r}")
         if not gene_id or not disease_id:
             raise IntegrityError(f"{path}, line {lineno}: empty gene or disease id")
-        if pairs and bool(part) != bool(split):
+        if parts and bool(part) != bool(parts[0]):
             raise IntegrityError(f"{path}, line {lineno}: partition {part!r}, but "
                                  "partitions must be set on every row or on none")
-        pair = LabeledPair(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"),
-                           labels[label])
         if (gene_id, disease_id) in pairs:
             raise IntegrityError(f"{path}, line {lineno}: repeats the pair "
                                  f"({gene_id}, {disease_id})")
-        pairs[gene_id, disease_id] = pair
-        if part:
-            split[pair.key] = part
+        pairs[gene_id, disease_id] = None
+        labels.append(label_of[label])
+        parts.append(part)
     if not pairs:
         raise IntegrityError(f"{path}: holds no pairs")
-    return AssociationDataset(list(pairs.values()), split=split or None)
+    gene_ids, disease_ids = zip(*pairs)
+    return AssociationDataset(
+        _entities(gene_ids, GENE), _entities(disease_ids, DISEASE), labels,
+        [p == TRAIN for p in parts] if parts[0] else None)
+
+
+def _entities(ids: Sequence[str], kind: str) -> list[EntityId]:
+    """One `EntityId` of ``kind`` per distinct id, listed for each of ``ids``."""
+    of_id = {i: EntityId(i, kind) for i in set(ids)}
+    return [of_id[i] for i in ids]
 
 
 def _confusion(y_true, scores, thresholds):
@@ -298,21 +308,21 @@ def evaluate_run(dataset: AssociationDataset, mode: str, *, model=None,
     baseline protocol: the threshold maximizing WAF is chosen on the
     full scored set and reported together with the AUC of the scores.
     """
-    if dataset.split is None:
+    if dataset.train is None:
         raise DegenerateDataError("dataset has no persisted split")
     if mode == "classifier":
         if model is None or features is None:
             raise ValueError("classifier mode needs a model and pair features")
         test_idx = dataset.partition_indices(TEST)
-        y_true = dataset.labels()[test_idx]
-        scores = model.predict_proba(features.rows[test_idx])[:, 1]
+        y_true = dataset.labels[test_idx]
+        scores = model.predict_proba(features[test_idx])[:, 1]
         threshold, reported = 0.5, None
     elif mode == "score_threshold":
         if scores is None:
             raise ValueError("score_threshold mode needs scores for every pair")
-        if len(scores) != len(dataset.pairs):
+        if len(scores) != len(dataset):
             raise ValueError("one score per dataset pair is required")
-        y_true = dataset.labels()
+        y_true = dataset.labels
         threshold = reported = threshold_sweep(scores, y_true)[0]
     else:
         raise ValueError(f"unknown evaluation mode {mode!r}")

@@ -57,7 +57,6 @@ class EmbeddingTable:
     nodes: list[str]
     matrix: np.ndarray
     method: str
-    seed: int
     relations: list[str] = field(default_factory=list)
     relation_matrix: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     loss_history: list[float] = field(default_factory=list, compare=False)
@@ -130,11 +129,10 @@ def write_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def read_embeddings(path) -> EmbeddingTable:
-    """The table `write_embeddings` saved, its method "" and seed 0 (the
-    file keeps neither); IntegrityError names the file if its rows do not
-    form a table."""
+    """The table `write_embeddings` saved, its method "" (the file keeps
+    none); IntegrityError names the file if its rows do not form a table."""
     nodes, matrix = read_matrix(path)
     try:
-        return EmbeddingTable(nodes, matrix, "", 0)
+        return EmbeddingTable(nodes, matrix, "")
     except ValueError as err:
         raise IntegrityError(f"{path}: {err}") from None

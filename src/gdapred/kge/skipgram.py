@@ -256,4 +256,4 @@ def train_skipgram(corpus: WalkCorpus, config: KgeTrainConfig,
 
     nodes = sorted(filter(index.__contains__, corpus.node_tokens))
     return EmbeddingTable(nodes, syn0[[index[tok] for tok in nodes]], method_tag,
-                          config.seed, loss_history=history)
+                          loss_history=history)

@@ -147,8 +147,8 @@ class _TripleSgd:
             history.append(check_finite(
                 method, epoch, config.learning_rate, record(epoch_loss),
                 self.E, self.Rel))
-        return EmbeddingTable(self.nodes, self.E, method, config.seed,
-                              self.relations, self.Rel, history)
+        return EmbeddingTable(self.nodes, self.E, method, self.relations,
+                              self.Rel, history)
 
 
 def train_transe(kg: KnowledgeGraph, config: KgeTrainConfig) -> EmbeddingTable:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from .artifacts import read_matrix, write_matrix
 from .errors import IntegrityError, ZeroVectorError
-from .ontology import EntityId
 
 if TYPE_CHECKING:
     from .evaluation import AssociationDataset
@@ -71,46 +68,38 @@ def cosine_unit_score(g, d) -> float | np.ndarray:
     return (1.0 + cosine(g, d)) / 2.0
 
 
-@dataclass
-class PairFeatures:
-    rows: np.ndarray  # one row per dataset pair, in dataset order
-    pairs: list[tuple[EntityId, EntityId]]
-
-
 def pair_vectors(dataset: "AssociationDataset",
                  table: "EmbeddingTable") -> tuple[np.ndarray, np.ndarray]:
     """The gene rows and the disease rows of every dataset pair, in
     dataset order; IntegrityError names the entities ``table`` lacks."""
     row = dict(zip(table.nodes, range(len(table.nodes))))
-    ids = dataset.node_ids
-    index = np.fromiter(map(row.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
-    if (index < 0).any():
-        raise IntegrityError("entities without embedding vectors: " + ", ".join(
-            sorted({i for i, r in zip(ids, index) if r < 0})))
-    return table.matrix[index[0::2]], table.matrix[index[1::2]]
+    index = {e: row.get(e.node_id, -1) for e in {*dataset.genes, *dataset.diseases}}
+    missing = sorted(e.node_id for e, i in index.items() if i < 0)
+    if missing:
+        raise IntegrityError("entities without embedding vectors: " + ", ".join(missing))
+    genes, diseases = ([index[e] for e in side] for side in (dataset.genes, dataset.diseases))
+    return table.matrix[genes], table.matrix[diseases]
 
 
 def build_pair_features(dataset: "AssociationDataset", table: "EmbeddingTable",
-                        operators: Iterable[str]) -> dict[str, PairFeatures]:
-    """Apply each pair operator to every dataset pair's embedding vectors,
-    gathered once."""
+                        operators: Iterable[str]) -> dict[str, np.ndarray]:
+    """Each pair operator's feature matrix, one row per dataset pair in
+    dataset order, from the pairs' embedding vectors, gathered once."""
     vectors = pair_vectors(dataset, table)
-    keys = [p.key for p in dataset.pairs]
     out = {}
     for operator in operators:
         rows = combine(*vectors, operator)
         if not np.all(np.isfinite(rows)):
             raise IntegrityError("pair features contain non-finite entries")
-        out[operator] = PairFeatures(rows, keys)
+        out[operator] = rows
     return out
 
 
-def write_pair_features(features: PairFeatures, path) -> None:
-    write_matrix(path, [f"{gene.id}\t{disease.id}" for gene, disease in features.pairs],
-                 features.rows)
+def write_pair_features(ids: list[tuple[str, str]], rows: np.ndarray, path) -> None:
+    """``rows``, row i with the id ``gene<TAB>disease`` of the pair ``ids[i]``."""
+    write_matrix(path, [f"{g}\t{d}" for g, d in ids], rows)
 
 
-def read_pair_features(path) -> PairFeatures:
-    keys, rows = read_matrix(path, cells=2)
-    return PairFeatures(rows, [(EntityId(gene_id, "gene"), EntityId(disease_id, "disease"))
-                               for gene_id, disease_id in keys])
+def read_pair_features(path) -> tuple[list[tuple[str, str]], np.ndarray]:
+    """The (gene id, disease id) of each row and the feature matrix."""
+    return read_matrix(path, cells=2)

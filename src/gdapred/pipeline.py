@@ -370,12 +370,12 @@ def _classifier_cells(run: StageRun, config: PipelineConfig, dataset):
     kinds = [kind for kind in config.learners if kind != COSINE]
     if not kinds:
         return
-    pairs = [p.key for p in dataset.pairs]
+    pairs = dataset.id_pairs()
     for variant, method, _, features_names in _grid(config):
         for operator, features_name in features_names.items():
             path = run.need("pair", features_name)
-            features = read_pair_features(path)
-            if features.pairs != pairs:
+            ids, features = read_pair_features(path)
+            if ids != pairs:
                 raise IntegrityError(
                     f"{path} does not hold the pairs of the current "
                     "dataset.tsv in order; rerun the pair stage")
@@ -437,7 +437,7 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
     write_tsv(run.output("positives.tsv"), ("gene", "disease", "sources"), (
         (a.gene.id, a.disease.id, ";".join(sorted(a.sources))) for a in kept))
 
-    genes, diseases = dataset.entities()
+    genes, diseases = set(dataset.genes), set(dataset.diseases)
     files = {
         "annotations_gene_hp.tsv": restrict_annotations(gene_hp, genes),
         "annotations_disease_hp.tsv": restrict_annotations(disease_hp, diseases),
@@ -450,7 +450,7 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
         "genes": len({a.gene for a in kept}),
         "diseases": len({a.disease for a in kept}),
         "positive_pairs": len(kept),
-        "dataset_pairs": len(dataset.pairs),
+        "dataset_pairs": len(dataset),
         "raw_association_pairs": len(associations),
         # parser skip counters and prune drop counts, by input name
         "counters": {name: parsed.stats for name, parsed in zip(
@@ -506,10 +506,12 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     rows = {}
     for ssm_config in measures:
         with run.timed(ssm_config.name):
-            scored = ssm_baseline(plan, ssm_config, tables[ssm_config.ic_flavor])
-            write_scored_pairs(scored, run.output(f"scored_{ssm_config.name}.tsv"))
+            raw, normalized = ssm_baseline(plan, ssm_config,
+                                           tables[ssm_config.ic_flavor])
+            write_scored_pairs(dataset, plan.rows, raw, normalized,
+                               run.output(f"scored_{ssm_config.name}.tsv"))
             report = evaluate_run(
-                dataset, "score_threshold", scores=scored.normalized_scores(),
+                dataset, "score_threshold", scores=normalized,
                 config={"measure": ssm_config.name}, seed=config.seeds["split"])
             rows[ssm_config.name] = _write_eval(run, ssm_config.name, report)
 
@@ -557,6 +559,7 @@ def cmd_embed(config: PipelineConfig, run: StageRun) -> dict:
 def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
     """Combine gene/disease vectors for every (variant, method, operator)."""
     dataset = read_dataset(run.need("ingest", "dataset.tsv"))
+    ids = dataset.id_pairs()
     details = {}
     for variant, method, name, features_names in _grid(config):
         table = read_embeddings(run.need("embed", name))
@@ -566,11 +569,9 @@ def cmd_pair(config: PipelineConfig, run: StageRun) -> dict:
             built = build_pair_features(dataset, table, features_names)
             for operator, features_name in features_names.items():
                 features = built[operator]
-                write_pair_features(features, run.output(features_name))
+                write_pair_features(ids, features, run.output(features_name))
                 details[cells[operator]] = {
-                    "rows": int(features.rows.shape[0]),
-                    "columns": int(features.rows.shape[1]),
-                }
+                    "rows": features.shape[0], "columns": features.shape[1]}
     return details
 
 
@@ -579,13 +580,13 @@ def cmd_train(config: PipelineConfig, run: StageRun) -> dict:
     """Fit every requested classifier on the training partition only."""
     dataset = read_dataset(run.need("ingest", "dataset.tsv"))
     train_idx = dataset.partition_indices("train")
-    y_train = dataset.labels()[train_idx]
+    y_train = dataset.labels[train_idx]
     details = {}
     for features, cell_config, model_name, seed in _classifier_cells(
             run, config, dataset):
         kind, cell = cell_config["learner"], _cell_name(cell_config)
         with run.timed(cell):
-            X_train = features.rows[train_idx]
+            X_train = features[train_idx]
             grid = config.grids.get(kind)
             if grid:
                 spec = GridSpec(grid, fold_count=config.grid_folds)
@@ -633,7 +634,7 @@ def cmd_evaluate(config: PipelineConfig, run: StageRun) -> dict:
         with run.timed(_cell_name(cell_config)):
             model_path = run.need("train", model_name)
             model = load_model(model_path)
-            width = features.rows.shape[1]
+            width = features.shape[1]
             if model.n_features_ != width:
                 raise IntegrityError(
                     f"{model_path} was trained on {model.n_features_} feature "

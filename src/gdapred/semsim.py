@@ -32,12 +32,13 @@ import numpy as np
 
 from .artifacts import write_tsv
 from .errors import DegenerateDataError, UnknownNodeError
+from .evaluation import LABEL_NAMES
 from .kg import KnowledgeGraph
 from .ontology import AnnotationMap, EntityId
 from .validation import check_fields, one_of
 
 if TYPE_CHECKING:
-    from .evaluation import AssociationDataset, LabeledPair
+    from .evaluation import AssociationDataset
 
 IC_SECO = "seco"
 IC_RESNIK_CORPUS = "resnik_corpus"
@@ -214,32 +215,15 @@ def sim_groupwise(gene_terms: Collection[str], disease_terms: Collection[str],
     return 0.5 * (sum(row_best) / len(row_best) + sum(col_best) / len(col_best))
 
 
-@dataclass
-class ScoredPair:
-    gene: EntityId
-    disease: EntityId
-    raw_score: float
-    normalized_score: float
-    label: int
-
-
-@dataclass
-class ScoredPairs:
-    rows: list[ScoredPair]
-
-    def normalized_scores(self) -> list[float]:
-        return [r.normalized_score for r in self.rows]
-
-
 class PairPlan:
     """What scoring one dataset's pairs needs that no measure changes.
 
     Built once per dataset, annotation map and KG, of which it keeps
     only the KG, which must not change after, and shared by every
-    ``ssm_baseline`` run over them: the scored pairs in dataset order and
-    the entities without annotations; the distinct annotation sets, in
-    order of first use, with each pair's gene set and disease set as
-    indices into them; and, each built on first use, so by the first run
+    ``ssm_baseline`` run over them: the ascending dataset positions of
+    the scored pairs, ``rows``, and the entities without annotations;
+    the distinct annotation sets, in order of first use, with each
+    pair's gene set and disease set as indices into them; and, each built on first use, so by the first run
     that needs it, BMA and MAX's term-pair ``lookups`` and SimGIC's
     ``closure_rows``.
     """
@@ -247,7 +231,7 @@ class PairPlan:
     def __init__(self, dataset: "AssociationDataset", kg: KnowledgeGraph,
                  annotations: AnnotationMap):
         self.kg = kg
-        self.scored: list[LabeledPair] = []
+        rows: list[int] = []
         self.genes: list[int] = []
         self.diseases: list[int] = []
         number: dict[frozenset[str], int] = {}
@@ -263,12 +247,13 @@ class PairPlan:
                 excluded[entity] = None
             return of_entity[entity]
 
-        for pair in dataset.pairs:
-            gi, di = index(pair.gene), index(pair.disease)
+        for row, (gene, disease) in enumerate(zip(dataset.genes, dataset.diseases)):
+            gi, di = index(gene), index(disease)
             if gi is not None and di is not None:
-                self.scored.append(pair)
+                rows.append(row)
                 self.genes.append(gi)
                 self.diseases.append(di)
+        self.rows = np.array(rows, dtype=np.int64)
         self.sets: list[frozenset[str]] = list(number)
         self.excluded: list[EntityId] = list(excluded)
 
@@ -329,9 +314,10 @@ class PairPlan:
 
 
 def ssm_baseline(plan: PairPlan, config: SimilarityConfig,
-                 ic: InformationContentTable) -> ScoredPairs:
-    """Score the plan's pairs with one groupwise measure and an IC table
-    of its flavour (ValueError for another flavour).
+                 ic: InformationContentTable) -> tuple[np.ndarray, np.ndarray]:
+    """The raw and the normalized scores of the plan's pairs, in the
+    order of ``plan.rows``, with one groupwise measure and an IC table of
+    its flavour (ValueError for another flavour).
 
     Raw scores are min-max normalized to [0, 1] across the scored set
     (corpus IC is unbounded); if all raw scores coincide every pair maps
@@ -351,19 +337,14 @@ def ssm_baseline(plan: PairPlan, config: SimilarityConfig,
                          f"got {ic.flavor}")
 
     raw: list[float] = []
-    if plan.scored:
+    if len(plan.rows):
         if config.aggregation == "SIMGIC":
             raw = _simgic_scores(plan, ic)
         else:
             raw = _best_match_scores(plan, config, ic)
-    rows = [ScoredPair(p.gene, p.disease, r, 0.0, p.label)
-            for p, r in zip(plan.scored, raw)]
-    if rows:
-        lo = min(raw)
-        hi = max(raw)
-        for r in rows:
-            r.normalized_score = (r.raw_score - lo) / (hi - lo) if hi > lo else 1.0
-    return ScoredPairs(rows)
+    raw = np.array(raw, dtype=np.float64)
+    lo, hi = raw.min(initial=np.inf), raw.max(initial=-np.inf)
+    return raw, np.divide(raw - lo, hi - lo, out=np.ones_like(raw), where=hi > lo)
 
 
 def _best_match_scores(plan: PairPlan, config: SimilarityConfig,
@@ -456,7 +437,11 @@ class _ExactSums:
         return total / self.scale
 
 
-def write_scored_pairs(scored: ScoredPairs, path) -> None:
+def write_scored_pairs(dataset: "AssociationDataset", rows: np.ndarray,
+                       raw: np.ndarray, normalized: np.ndarray, path) -> None:
+    """One line per dataset pair at ``rows``, with its two scores."""
+    ids = dataset.id_pairs()
     write_tsv(path, ("gene", "disease", "raw_score", "normalized_score", "label"), (
-        (r.gene.id, r.disease.id, r.raw_score, r.normalized_score,
-         "positive" if r.label else "negative") for r in scored.rows))
+        (*ids[i], r, n, LABEL_NAMES[label]) for i, r, n, label in zip(
+            rows.tolist(), raw.tolist(), normalized.tolist(),
+            dataset.labels[rows].tolist())))

@@ -8,12 +8,14 @@ lists, and every similarity value follows straight from its definition.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from gdapred.artifacts import read_json
-from gdapred.evaluation import (NEGATIVE, AssociationDataset, EvalReport, LabeledPair,
-                                _confusion, _count_metrics)
+from gdapred.errors import DegenerateDataError
+from gdapred.evaluation import (NEGATIVE, POSITIVE, TEST, TRAIN, AssociationDataset,
+                                EvalReport, _confusion, _count_metrics)
 from gdapred.kg import build_kg
 from gdapred.learn.mlp import _backward, _forward, _init_params, _views
 from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
@@ -91,9 +93,48 @@ def random_hp_kg(rng: np.random.Generator, n_terms: int, n_genes: int,
     return kg, ontology, gene_map, disease_map
 
 
+class Pair(NamedTuple):
+    """One row of an `AssociationDataset`."""
+    gene: EntityId
+    disease: EntityId
+    label: int
+
+
+def dataset_of(rows) -> AssociationDataset:
+    """The unsplit `AssociationDataset` of (gene, disease, label) rows."""
+    return AssociationDataset([r[0] for r in rows], [r[1] for r in rows],
+                              [r[2] for r in rows])
+
+
+def pairs_of(dataset: AssociationDataset, rows=None) -> list[Pair]:
+    """The dataset's rows as `Pair`s: every row in order, or those at ``rows``."""
+    rows = range(len(dataset)) if rows is None else rows
+    return [Pair(dataset.genes[i], dataset.diseases[i], int(dataset.labels[i]))
+            for i in rows]
+
+
 def negatives(dataset):
     """The negative pairs of an `AssociationDataset`."""
-    return [p for p in dataset.pairs if p.label == NEGATIVE]
+    return [p for p in pairs_of(dataset) if p.label == NEGATIVE]
+
+
+def oracle_split(labels, train_fraction: float, seed: int) -> np.ndarray:
+    """The train mask of the per-pair form of `stratified_split`: per
+    label, a permutation of its rows in row order, whose first
+    round-half-up(``train_fraction`` x members) go to train. It does not
+    check for an empty partition."""
+    rng = np.random.default_rng(seed)
+    split: dict[int, str] = {}
+    for label in (POSITIVE, NEGATIVE):
+        indices = [i for i, y in enumerate(labels) if y == label]
+        if len(indices) < 2:
+            raise DegenerateDataError(
+                f"label {label} has {len(indices)} members; cannot stratify")
+        n_train = int(math.floor(train_fraction * len(indices) + 0.5))
+        order = rng.permutation(len(indices))
+        for pos, j in enumerate(order):
+            split[indices[j]] = TRAIN if pos < n_train else TEST
+    return np.array([split[i] == TRAIN for i in range(len(labels))], dtype=bool)
 
 
 def read_report(path) -> EvalReport:
@@ -265,12 +306,27 @@ def set_form_simgic(gene_terms: set[str], disease_terms: set[str], kg,
     return inter / union if union > 0 else 0.0
 
 
-def score_dataset(dataset, config, kg, annotations: AnnotationMap, ic=None):
+class Scored(NamedTuple):
+    """One line of a scored-pairs file, as `score_dataset` lists it."""
+    gene: EntityId
+    disease: EntityId
+    raw_score: float
+    normalized_score: float
+    label: int
+
+
+def score_dataset(dataset, config, kg, annotations: AnnotationMap,
+                  ic=None) -> list[Scored]:
     """``ssm_baseline`` over a plan of its own, with ``ic`` or, without
-    it, the table of the config's flavour built from ``annotations``."""
+    it, the table of the config's flavour built from ``annotations``: one
+    `Scored` per scored pair, in dataset order."""
     if ic is None:
         ic = ic_table(config.ic_flavor, kg, annotations)
-    return ssm_baseline(PairPlan(dataset, kg, annotations), config, ic)
+    plan = PairPlan(dataset, kg, annotations)
+    raw, normalized = ssm_baseline(plan, config, ic)
+    assert raw.dtype == normalized.dtype == np.float64
+    return [Scored(*pair[:2], r, n, pair.label) for pair, r, n in zip(
+        pairs_of(dataset, plan.rows.tolist()), raw.tolist(), normalized.tolist(), strict=True)]
 
 
 def score_grid(gene_sets, disease_sets, config, kg, ic) -> list[list[float]]:
@@ -282,12 +338,12 @@ def score_grid(gene_sets, disease_sets, config, kg, ic) -> list[list[float]]:
     annotations = AnnotationMap(entries={
         **{g: set(terms) for g, terms in zip(genes, gene_sets)},
         **{d: set(terms) for d, terms in zip(diseases, disease_sets)}})
-    dataset = AssociationDataset([LabeledPair(g, d, (i + j) % 2)
-                                  for i, g in enumerate(genes)
-                                  for j, d in enumerate(diseases)])
+    dataset = dataset_of([(g, d, (i + j) % 2)
+                          for i, g in enumerate(genes)
+                          for j, d in enumerate(diseases)])
     scored = score_dataset(dataset, config, kg, annotations, ic)
-    assert [(r.gene, r.disease) for r in scored.rows] == [p.key for p in dataset.pairs]
-    raw = [r.raw_score for r in scored.rows]
+    assert [(r.gene, r.disease) for r in scored] == [p[:2] for p in pairs_of(dataset)]
+    raw = [r.raw_score for r in scored]
     n = len(diseases)
     return [raw[i * n:(i + 1) * n] for i in range(len(genes))]
 

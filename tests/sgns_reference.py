@@ -99,7 +99,7 @@ def train_skipgram_reference(corpus, config, method_tag="walk"):
 
     nodes = sorted(tok for tok in corpus.node_tokens if tok in index)
     return EmbeddingTable(nodes, syn0[[index[tok] for tok in nodes]].reshape(-1, dim),
-                          method_tag, config.seed, loss_history=history)
+                          method_tag, loss_history=history)
 
 
 def segment_unique_reference(tokens, segments, n_segments, n_tokens):

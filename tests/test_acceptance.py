@@ -18,8 +18,6 @@ import numpy as np
 import pytest
 
 from gdapred.evaluation import (
-    AssociationDataset,
-    LabeledPair,
     sample_negatives,
     stratified_split,
     threshold_sweep,
@@ -42,11 +40,13 @@ from gdapred.semsim import SSM_CONFIGS, ic_resnik, ic_seco
 
 from corpus import PlantedCorpus, write_config
 from helpers import (
+    dataset_of,
     finite_difference,
     max_relative_error,
     mlp_gradient_error,
     negatives,
     oracle_reachable_up,
+    pairs_of,
     random_hp_kg,
     score_grid,
 )
@@ -270,15 +270,15 @@ def test_criterion_5_dataset_contracts():
             assert g in pos_genes and d in pos_diseases
         trials += 1
 
-    pairs = [LabeledPair(EntityId(f"g{i}", "gene"),
-                         EntityId(f"d{i}", "disease"), 1) for i in range(10)]
-    pairs += [LabeledPair(EntityId(f"g{100+i}", "gene"),
-                          EntityId(f"d{100+i}", "disease"), 0) for i in range(10)]
-    first = stratified_split(AssociationDataset(pairs), 0.7, seed=99)
-    again = stratified_split(AssociationDataset(pairs), 0.7, seed=99)
-    assert first.split == again.split
-    train = [first.pairs[i] for i in first.partition_indices("train")]
-    test = [first.pairs[i] for i in first.partition_indices("test")]
+    pairs = [(EntityId(f"g{i}", "gene"), EntityId(f"d{i}", "disease"), 1)
+             for i in range(10)]
+    pairs += [(EntityId(f"g{100+i}", "gene"), EntityId(f"d{100+i}", "disease"), 0)
+              for i in range(10)]
+    first = stratified_split(dataset_of(pairs), 0.7, seed=99)
+    again = stratified_split(dataset_of(pairs), 0.7, seed=99)
+    assert np.array_equal(first.train, again.train)
+    train = pairs_of(first, first.partition_indices("train"))
+    test = pairs_of(first, first.partition_indices("test"))
     assert sum(p.label for p in train) == 7 and len(train) == 14
     assert sum(p.label for p in test) == 3 and len(test) == 6
     print("\nACCEPTANCE 5 PASS: 1000 seeded negative-sampling trials stay "

@@ -26,8 +26,7 @@ from gdapred.artifacts import (
 from gdapred.errors import IntegrityError
 from gdapred.kg import read_triples
 from gdapred.kge import EmbeddingTable, read_embeddings, write_embeddings
-from gdapred.ontology import EntityId
-from gdapred.pairing import PairFeatures, read_pair_features, write_pair_features
+from gdapred.pairing import read_pair_features, write_pair_features
 from gdapred.pipeline import read_annotation_tsv
 
 from helpers import by_id, save_arrays, utf8
@@ -183,7 +182,7 @@ class TestTableArtifacts:
         order = sorted(range(len(nodes)), key=nodes.__getitem__)
         original = EmbeddingTable([nodes[i] for i in order],
                                   np.reshape([rows[i] for i in order], (len(nodes), dim)),
-                                  "walk", 3)
+                                  "walk")
         path = tmp_path_factory.mktemp("emb") / "e.npy"
         write_embeddings(original, path)
         back = read_embeddings(path)
@@ -200,14 +199,13 @@ class TestTableArtifacts:
     def test_pair_features_roundtrip_exact(self, tmp_path_factory, table, diseases):
         genes, rows, width = table
         assume(genes)  # a features file always has rows
-        pairs = [(EntityId(g, "gene"), EntityId(d, "disease"))
-                 for g, d in zip(genes, diseases)]
-        original = PairFeatures(np.array(rows, dtype=np.float64), pairs)
+        pairs = list(zip(genes, diseases))
+        original = np.array(rows, dtype=np.float64)
         path = tmp_path_factory.mktemp("pf") / "f.npy"
-        write_pair_features(original, path)
-        back = read_pair_features(path)
-        assert back.pairs == pairs
-        assert same_bits(back.rows, original.rows)
+        write_pair_features(pairs, original, path)
+        ids, back = read_pair_features(path)
+        assert ids == pairs
+        assert same_bits(back, original)
 
     def test_matrix_file_layout(self, tmp_path):
         # two np.save arrays: the float64 matrix, then the UTF-8 ids as uint8
@@ -224,7 +222,7 @@ class TestTableArtifacts:
         assert ids == [] and matrix.shape == (0, 3)
 
     def test_embeddings_truncated_is_integrity_error(self, tmp_path):
-        table = EmbeddingTable(["N:a", "N:b"], [[0.0, 0.0], [1.0, 1.0]], "walk", 0)
+        table = EmbeddingTable(["N:a", "N:b"], [[0.0, 0.0], [1.0, 1.0]], "walk")
         path = tmp_path / "e.npy"
         write_embeddings(table, path)
         data = path.read_bytes()

@@ -364,6 +364,16 @@ class TestBaselineStage:
 
 
 class TestCliSurface:
+    def test_first_call_freezes_the_startup_objects_once(self, tmp_path, monkeypatch):
+        import gdapred.cli as cli
+        frozen = []
+        monkeypatch.setattr(cli, "_frozen", False)
+        monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+        missing = str(tmp_path / "missing.json")
+        assert main(["ingest", "--config", missing]) == 1
+        assert main(["ingest", "--config", missing]) == 1
+        assert frozen == [True]
+
     def test_missing_artifact_names_stage(self, tmp_path):
         corpus = small_corpus(tmp_path / "data")
         config = PipelineConfig.from_file(write_config(

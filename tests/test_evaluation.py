@@ -10,7 +10,6 @@ from gdapred.artifacts import read_json
 from gdapred.errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
 from gdapred.evaluation import (
     AssociationDataset,
-    LabeledPair,
     evaluate_run,
     read_dataset,
     roc_auc,
@@ -25,15 +24,23 @@ from gdapred.evaluation import (
 from gdapred.ontology import EntityId
 
 from helpers import (
+    dataset_of,
     negatives,
     oracle_auc,
     oracle_per_label_metrics,
     oracle_roc_points,
+    oracle_split,
     oracle_threshold_waf_table,
     oracle_waf,
+    pairs_of,
     per_label_metrics,
     read_report,
 )
+
+
+#: ids a dataset file can hold: no tab, line break or surrogate
+DATASET_IDS = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="\t\n\r"), min_size=1)
 
 
 def gene(i):
@@ -92,19 +99,43 @@ class TestSampleNegatives:
                      if (i + j) % 3 == 0]
         a = sample_negatives(positives, seed=123)
         b = sample_negatives(positives, seed=123)
-        assert a.pairs == b.pairs
+        assert pairs_of(a) == pairs_of(b)
+
+
+class TestAssociationDataset:
+    @pytest.mark.parametrize("genes, diseases, labels, train, match", [
+        ([gene(1)], [disease(1), disease(2)], [1, 0], None, "differ in length"),
+        ([gene(1), gene(2)], [disease(1)] * 2, [1], None, "differ in length"),
+        ([gene(1), gene(2)], [disease(1)] * 2, [1, 0], [True], "differ in length"),
+        ([gene(1)] * 2, [disease(1)] * 2, [1, 0], None, "duplicate gene-disease"),
+        ([gene(1), gene(2)], [disease(1)] * 2, [1, 2], None, "labels must be 1 or 0"),
+        ([gene(1), gene(2)], [disease(1)] * 2, [1, -1], None, "labels must be 1 or 0"),
+    ])
+    def test_broken_columns_are_value_errors(self, genes, diseases, labels, train,
+                                             match):
+        with pytest.raises(ValueError, match=match):
+            AssociationDataset(genes, diseases, labels, train)
+
+    def test_read_shares_one_entity_per_id(self, tmp_path):
+        path = tmp_path / "dataset.tsv"
+        path.write_text("gene\tdisease\tlabel\tpartition\n"
+                        "g1\td1\tpositive\t\ng1\td2\tnegative\t\n")
+        ds = read_dataset(path)
+        assert ds.genes[0] is ds.genes[1] and ds.genes[0] == gene(1)
+        assert ds.diseases == [disease(1), disease(2)]
+        assert ds.labels.tolist() == [1, 0] and ds.train is None
 
 
 class TestStratifiedSplit:
     def balanced(self, n_pos, n_neg):
-        pairs = [LabeledPair(gene(i), disease(i), 1) for i in range(n_pos)]
-        pairs += [LabeledPair(gene(100 + i), disease(100 + i), 0) for i in range(n_neg)]
-        return AssociationDataset(pairs)
+        pairs = [(gene(i), disease(i), 1) for i in range(n_pos)]
+        pairs += [(gene(100 + i), disease(100 + i), 0) for i in range(n_neg)]
+        return dataset_of(pairs)
 
     def test_exact_counts_10_10(self):
         ds = stratified_split(self.balanced(10, 10), 0.7, seed=0)
-        train = [ds.pairs[i] for i in ds.partition_indices("train")]
-        test = [ds.pairs[i] for i in ds.partition_indices("test")]
+        train = pairs_of(ds, ds.partition_indices("train"))
+        test = pairs_of(ds, ds.partition_indices("test"))
         assert sum(p.label for p in train) == 7
         assert sum(1 - p.label for p in train) == 7
         assert sum(p.label for p in test) == 3
@@ -113,51 +144,85 @@ class TestStratifiedSplit:
     def test_round_half_up(self):
         ds = stratified_split(self.balanced(5, 5), 0.7, seed=0)
         # 0.7 * 5 = 3.5 rounds up to 4
-        train = [ds.pairs[i] for i in ds.partition_indices("train")]
+        train = pairs_of(ds, ds.partition_indices("train"))
         assert sum(p.label for p in train) == 4
 
     def test_seed_determinism(self):
         a = stratified_split(self.balanced(10, 10), 0.7, seed=5)
         b = stratified_split(self.balanced(10, 10), 0.7, seed=5)
-        assert a.split == b.split
+        assert np.array_equal(a.train, b.train)
 
     def test_partition_contract(self):
         ds = stratified_split(self.balanced(13, 9), 0.7, seed=2)
         train = set(ds.partition_indices("train").tolist())
         test = set(ds.partition_indices("test").tolist())
         assert train & test == set()
-        assert train | test == set(range(len(ds.pairs)))
+        assert train | test == set(range(len(ds)))
 
     @settings(max_examples=40, deadline=None)
     @given(n_pos=st.integers(2, 15), n_neg=st.integers(2, 15),
            fraction=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
-    def test_partitions_are_computed_once_and_read_only(self, n_pos, n_neg,
-                                                        fraction, seed):
-        ds = stratified_split(self.balanced(n_pos, n_neg), fraction, seed=seed)
-        for partition in ("train", "test", "validation"):
+    def test_partition_indices_are_the_mask_positions(self, n_pos, n_neg,
+                                                      fraction, seed):
+        try:
+            ds = stratified_split(self.balanced(n_pos, n_neg), fraction, seed=seed)
+        except DegenerateDataError:
+            return  # a fraction that leaves a partition empty
+        for partition, member in (("train", True), ("test", False)):
             first = ds.partition_indices(partition)
-            want = np.array([i for i, p in enumerate(ds.pairs)
-                             if ds.split[p.key] == partition], dtype=np.int64)
+            want = np.array([i for i, t in enumerate(ds.train.tolist())
+                             if t == member], dtype=np.int64)
             assert first.dtype == np.int64 and np.array_equal(first, want)
-            assert np.array_equal(ds.partition_indices(partition), first)
-            with pytest.raises(ValueError, match="read-only"):
-                first[:1] = 0
+            first[:1] = -1  # each call returns an array of its own
             assert np.array_equal(ds.partition_indices(partition), want)
+        with pytest.raises(ValueError, match="unknown partition 'validation'"):
+            ds.partition_indices("validation")
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.integers(0, 1), max_size=40),
+           fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_train_mask_equals_the_per_pair_oracle(self, labels, fraction, seed):
+        ds = dataset_of([(gene(i), disease(i), y) for i, y in enumerate(labels)])
+        try:
+            want = oracle_split(labels, fraction, seed)
+        except DegenerateDataError as err:
+            with pytest.raises(DegenerateDataError, match=str(err)):
+                stratified_split(ds, fraction, seed=seed)
+            return
+        y = np.array(labels)
+        if any(want[y == label].all() or not want[y == label].any() for label in (0, 1)):
+            with pytest.raises(DegenerateDataError, match="partition without any"):
+                stratified_split(ds, fraction, seed=seed)
+            return
+        split = stratified_split(ds, fraction, seed=seed)
+        assert split.train.dtype == bool
+        assert np.array_equal(split.train, want)
+        assert pairs_of(split) == pairs_of(ds)
+
+    @pytest.mark.parametrize("fraction, side", [(0.9, "test"), (0.1, "train")])
+    def test_fraction_that_empties_a_partition_is_rejected(self, fraction, side):
+        # 2 members per label: round(0.9 x 2) = 2 leaves none for test,
+        # round(0.1 x 2) = 0 none for train
+        with pytest.raises(DegenerateDataError,
+                           match=f"leaves the {side} partition without any of "
+                                 "the 2 members of label 1"):
+            stratified_split(self.balanced(2, 2), fraction, seed=0)
 
     def test_single_member_label_rejected(self):
-        pairs = [LabeledPair(gene(1), disease(1), 1),
-                 LabeledPair(gene(2), disease(2), 0),
-                 LabeledPair(gene(3), disease(3), 0)]
+        pairs = [(gene(1), disease(1), 1),
+                 (gene(2), disease(2), 0),
+                 (gene(3), disease(3), 0)]
         with pytest.raises(DegenerateDataError):
-            stratified_split(AssociationDataset(pairs), 0.7, seed=0)
+            stratified_split(dataset_of(pairs), 0.7, seed=0)
 
     def test_tsv_roundtrip(self, tmp_path):
         ds = stratified_split(self.balanced(6, 6), 0.7, seed=9)
         path = tmp_path / "dataset.tsv"
         write_dataset(ds, path)
         back = read_dataset(path)
-        assert back.pairs == ds.pairs
-        assert back.split == ds.split
+        assert pairs_of(back) == pairs_of(ds)
+        assert np.array_equal(back.train, ds.train)
 
 
     @pytest.mark.parametrize("column, cell", [
@@ -208,8 +273,29 @@ class TestStratifiedSplit:
         path = tmp_path / "dataset.tsv"
         write_dataset(self.balanced(2, 3), path)
         back = read_dataset(path)
-        assert back.pairs == self.balanced(2, 3).pairs
-        assert back.split is None
+        assert pairs_of(back) == pairs_of(self.balanced(2, 3))
+        assert back.train is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(DATASET_IDS, DATASET_IDS, st.integers(0, 1),
+                                   st.booleans()),
+                         min_size=1, max_size=12, unique_by=lambda r: r[:2]),
+           split=st.booleans())
+    @example(rows=[("HLA A", "é ü", 1, True), (" g", "d\x00", 0, False)], split=True)
+    def test_roundtrip_over_random_columns(self, tmp_path_factory, rows, split):
+        ds = dataset_of([(EntityId(g, "gene"), EntityId(d, "disease"), y)
+                         for g, d, y, _ in rows])
+        if split:
+            ds.train = np.array([t for *_, t in rows])
+        path = tmp_path_factory.mktemp("ds") / "dataset.tsv"
+        write_dataset(ds, path)
+        back = read_dataset(path)
+        assert pairs_of(back) == pairs_of(ds)
+        assert back.labels.dtype == np.int64
+        if split:
+            assert back.train.dtype == bool and np.array_equal(back.train, ds.train)
+        else:
+            assert back.train is None
 
 
 class TestWaf:
@@ -405,14 +491,13 @@ class PerfectModel:
 
 class TestEvaluateRun:
     def split_dataset(self, n=20):
-        pairs = [LabeledPair(gene(i), disease(i), 1) for i in range(n)]
-        pairs += [LabeledPair(gene(100 + i), disease(100 + i), 0) for i in range(n)]
-        return stratified_split(AssociationDataset(pairs), 0.7, seed=1)
+        pairs = [(gene(i), disease(i), 1) for i in range(n)]
+        pairs += [(gene(100 + i), disease(100 + i), 0) for i in range(n)]
+        return stratified_split(dataset_of(pairs), 0.7, seed=1)
 
     def test_perfect_classifier(self):
         ds = self.split_dataset()
-        features = type("F", (), {})()
-        features.rows = np.array([[1.0] if p.label else [-1.0] for p in ds.pairs])
+        features = np.array([[1.0] if p.label else [-1.0] for p in pairs_of(ds)])
         report = evaluate_run(ds, "classifier", model=PerfectModel(),
                               features=features)
         assert report.waf == 1.0
@@ -421,25 +506,25 @@ class TestEvaluateRun:
 
     def test_coin_flip_scores_auc_near_half(self):
         n = 5000
-        pairs = [LabeledPair(gene(i), disease(i), 1) for i in range(n)]
-        pairs += [LabeledPair(gene(n + i), disease(n + i), 0) for i in range(n)]
-        ds = stratified_split(AssociationDataset(pairs), 0.7, seed=3)
+        pairs = [(gene(i), disease(i), 1) for i in range(n)]
+        pairs += [(gene(n + i), disease(n + i), 0) for i in range(n)]
+        ds = stratified_split(dataset_of(pairs), 0.7, seed=3)
         rng = np.random.default_rng(42)
         report = evaluate_run(ds, "score_threshold", scores=rng.random(2 * n))
         assert abs(report.auc - 0.5) < 0.03
 
     def test_score_mode_reports_chosen_threshold(self):
         ds = self.split_dataset()
-        scores = np.array([1.0 if p.label else 0.0 for p in ds.pairs])
+        scores = np.array([1.0 if p.label else 0.0 for p in pairs_of(ds)])
         report = evaluate_run(ds, "score_threshold", scores=scores)
         assert report.waf == 1.0
         assert report.threshold == 0.0  # smallest threshold wins the tie
 
     def test_missing_split_rejected(self):
-        pairs = [LabeledPair(gene(1), disease(1), 1),
-                 LabeledPair(gene(2), disease(2), 0)]
+        pairs = [(gene(1), disease(1), 1),
+                 (gene(2), disease(2), 0)]
         with pytest.raises(DegenerateDataError):
-            evaluate_run(AssociationDataset(pairs), "score_threshold",
+            evaluate_run(dataset_of(pairs), "score_threshold",
                          scores=[0.5, 0.5])
 
     def test_argument_validation(self):
@@ -484,8 +569,7 @@ class TestEvaluateRun:
         evaluate_run(ds, "score_threshold", scores=np.linspace(0.0, 1.0, 40))
         assert sorted(calls) == ["roc_auc", "threshold_sweep"]
         calls.clear()
-        features = type("F", (), {})()
-        features.rows = np.array([[1.0] if p.label else [-1.0] for p in ds.pairs])
+        features = np.array([[1.0] if p.label else [-1.0] for p in pairs_of(ds)])
         evaluate_run(ds, "classifier", model=PerfectModel(), features=features)
         assert calls == ["roc_auc"]
 

@@ -781,9 +781,9 @@ class TestEmbedDispatch:
     def test_table_validation(self):
         for nodes, matrix, match in self.BAD_TABLES:
             with pytest.raises(ValueError, match=match):
-                EmbeddingTable(nodes, matrix, "walk", 0)
+                EmbeddingTable(nodes, matrix, "walk")
             with pytest.raises(ValueError, match=match):
-                EmbeddingTable(["N:a"], [[0.0, 1.0]], "transe", 0, nodes, matrix)
+                EmbeddingTable(["N:a"], [[0.0, 1.0]], "transe", nodes, matrix)
 
     def test_read_embeddings_count_mismatch(self, tmp_path):
         # and the files whose ids are not sorted or not distinct
@@ -811,7 +811,7 @@ class TestEmbedDispatch:
 
     def test_node_id_with_a_space_roundtrips(self, tmp_path):
         table = EmbeddingTable(["DISEASE:C1", "GENE:HLA A"],
-                               [[5e-324, 1.0], [0.1, -0.0]], "walk", 0)
+                               [[5e-324, 1.0], [0.1, -0.0]], "walk")
         path = tmp_path / "emb.npy"
         write_embeddings(table, path)
         back = read_embeddings(path)

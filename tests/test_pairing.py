@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 import gdapred.pairing as pairing
 from gdapred.errors import IntegrityError, ZeroVectorError
-from gdapred.evaluation import AssociationDataset, LabeledPair
 from gdapred.kge import EmbeddingTable
 from gdapred.ontology import EntityId
 from gdapred.pairing import (
@@ -21,6 +20,8 @@ from gdapred.pairing import (
     read_pair_features,
     write_pair_features,
 )
+
+from helpers import dataset_of
 
 
 class TestCombine:
@@ -217,8 +218,7 @@ def toy_dataset_and_table(without=()):
     in ``without``."""
     g1, g2 = EntityId("1", "gene"), EntityId("2", "gene")
     d1 = EntityId("C1", "disease")
-    dataset = AssociationDataset([
-        LabeledPair(g1, d1, 1), LabeledPair(g2, d1, 0)])
+    dataset = dataset_of([(g1, d1, 1), (g2, d1, 0)])
     vectors = {
         "DISEASE:C1": [2.0, 3.0],
         "GENE:1": [1.0, 2.0],
@@ -226,16 +226,16 @@ def toy_dataset_and_table(without=()):
     }
     nodes = [node for node in vectors if node not in without]
     return dataset, EmbeddingTable(nodes, np.reshape([vectors[n] for n in nodes],
-                                                     (len(nodes), 2)), "walk", 0)
+                                                     (len(nodes), 2)), "walk")
 
 
 class TestPairFeatures:
     def test_rows_align_with_dataset(self):
         dataset, table = toy_dataset_and_table()
         features = build_pair_features(dataset, table, ["hadamard"])["hadamard"]
-        assert features.rows.shape == (2, 2)
-        assert features.rows[0].tolist() == [2.0, 6.0]
-        assert features.rows[1].tolist() == [1.0, -3.0]
+        assert features.shape == (2, 2)
+        assert features[0].tolist() == [2.0, 6.0]
+        assert features[1].tolist() == [1.0, -3.0]
 
     def test_missing_vector_is_integrity_error(self):
         dataset, table = toy_dataset_and_table(without={"GENE:2"})
@@ -256,8 +256,7 @@ class TestPairFeatures:
         assert len(gathers) == 1
         assert list(built) == list(PAIR_OPERATORS)
         for operator, features in built.items():
-            assert features.rows.tobytes() == combine(*gathers[0], operator).tobytes()
-            assert features.pairs == [p.key for p in dataset.pairs]
+            assert features.tobytes() == combine(*gathers[0], operator).tobytes()
 
     def test_gather_names_every_missing_entity(self):
         dataset, table = toy_dataset_and_table(without={"GENE:2", "DISEASE:C1"})
@@ -275,7 +274,7 @@ class TestPairFeatures:
         dataset, table = toy_dataset_and_table()
         features = build_pair_features(dataset, table, ["concatenation"])["concatenation"]
         path = tmp_path / "features.npy"
-        write_pair_features(features, path)
-        back = read_pair_features(path)
-        assert np.array_equal(back.rows, features.rows)
-        assert back.pairs == features.pairs
+        write_pair_features(dataset.id_pairs(), features, path)
+        ids, back = read_pair_features(path)
+        assert np.array_equal(back, features)
+        assert ids == [("1", "C1"), ("2", "C1")] == dataset.id_pairs()

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import gdapred.semsim as semsim
 from gdapred.cli import main
 from gdapred.errors import CycleError, DegenerateDataError, UnknownNodeError
-from gdapred.evaluation import AssociationDataset, LabeledPair
 from gdapred.kg import (
     HAS_ANNOTATION,
     SUBCLASS_OF,
@@ -50,11 +49,13 @@ from gdapred.semsim import (
 
 from corpus import PlantedCorpus, write_config
 from helpers import (
+    dataset_of,
     loop_best_match,
     oracle_groupwise,
     oracle_ic_resnik,
     oracle_ic_seco,
     oracle_pair_sim,
+    pairs_of,
     random_hp_kg,
     row_fsums,
     score_dataset,
@@ -598,10 +599,10 @@ def twin_corpus(seed: int, n_terms: int, n_genes: int, n_diseases: int,
         corpus.entries[entity] = set(terms)
         (genes if entity.kind == "gene" else diseases).append(entity)
     genes.append(EntityId("g_none", "gene"))
-    pairs = [LabeledPair(g, d, int((i + j) % 2))
+    pairs = [(g, d, int((i + j) % 2))
              for i, g in enumerate(genes) for j, d in enumerate(diseases)]
     pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
-    return AssociationDataset(pairs), kg, corpus
+    return dataset_of(pairs), kg, corpus
 
 
 class TestSsmBaseline:
@@ -611,18 +612,18 @@ class TestSsmBaseline:
         corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
         genes = sorted(gene_map.entries, key=lambda e: e.id)
         diseases = sorted(disease_map.entries, key=lambda e: e.id)
-        pairs = [LabeledPair(g, d, int((i + j) % 2))
+        pairs = [(g, d, int((i + j) % 2))
                  for i, g in enumerate(genes) for j, d in enumerate(diseases)]
-        return AssociationDataset(pairs), kg, corpus
+        return dataset_of(pairs), kg, corpus
 
     def test_minmax_normalization(self):
         dataset, kg, corpus = self.dataset_and_kg()
         scored = score_dataset(dataset, SimilarityConfig("BMA", "resnik_corpus"),
                                kg, corpus)
-        norm = scored.normalized_scores()
+        norm = [r.normalized_score for r in scored]
         assert min(norm) == 0.0
         assert max(norm) == 1.0
-        raw = [r.raw_score for r in scored.rows]
+        raw = [r.raw_score for r in scored]
         order_raw = np.argsort(raw)
         order_norm = np.argsort(norm)
         assert list(order_raw) == list(order_norm)
@@ -630,31 +631,38 @@ class TestSsmBaseline:
     def test_degenerate_range_maps_to_one(self):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], g2=["HP:c"], d1=["HP:c"])
-        pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 LabeledPair(EntityId("g2", "gene"), EntityId("d1", "disease"), 0)]
-        scored = score_dataset(AssociationDataset(pairs),
+        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
+                 (EntityId("g2", "gene"), EntityId("d1", "disease"), 0)]
+        scored = score_dataset(dataset_of(pairs),
                                SimilarityConfig("MAX", "seco"), kg, corpus)
-        assert scored.normalized_scores() == [1.0, 1.0]
+        assert [r.normalized_score for r in scored] == [1.0, 1.0]
 
     def test_unannotated_entity_reported(self):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], d1=["HP:b"])
         ghost = EntityId("g404", "gene")
-        pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 LabeledPair(ghost, EntityId("d1", "disease"), 0)]
-        plan = PairPlan(AssociationDataset(pairs), kg, corpus)
+        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
+                 (ghost, EntityId("d1", "disease"), 0)]
+        plan = PairPlan(dataset_of(pairs), kg, corpus)
         assert plan.excluded == [ghost]
-        scored = ssm_baseline(plan, SimilarityConfig("MAX", "seco"), ic_seco(kg))
-        assert len(scored.rows) == 1
+        raw, normalized = ssm_baseline(plan, SimilarityConfig("MAX", "seco"), ic_seco(kg))
+        assert plan.rows.tolist() == [0]
+        assert len(raw) == len(normalized) == 1
 
     def test_export(self, tmp_path):
         dataset, kg, corpus = self.dataset_and_kg()
-        scored = score_dataset(dataset, SimilarityConfig("SIMGIC", "seco"), kg, corpus)
+        config = SimilarityConfig("SIMGIC", "seco")
+        plan = PairPlan(dataset, kg, corpus)
+        raw, normalized = ssm_baseline(plan, config, ic_seco(kg))
         path = tmp_path / "scored.tsv"
-        write_scored_pairs(scored, path)
+        write_scored_pairs(dataset, plan.rows, raw, normalized, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "gene\tdisease\traw_score\tnormalized_score\tlabel"
-        assert len(lines) == len(scored.rows) + 1
+        assert len(lines) == len(raw) + 1
+        assert lines[1:] == [
+            f"{r.gene.id}\t{r.disease.id}\t{r.raw_score!r}\t{r.normalized_score!r}\t"
+            + ("positive" if r.label else "negative")
+            for r in score_dataset(dataset, config, kg, corpus)]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_terms=st.integers(2, 30),
@@ -678,11 +686,11 @@ class TestSsmBaseline:
             (genes if entity.kind == "gene" else diseases).append(entity)
         # an unannotated gene is left out without shifting the other rows
         genes.append(EntityId("g_none", "gene"))
-        pairs = [LabeledPair(g, d, int((i + j) % 2))
+        pairs = [(g, d, int((i + j) % 2))
                  for i, g in enumerate(genes) for j, d in enumerate(diseases)]
         pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
-        dataset = AssociationDataset(pairs)
-        scored_keys = [p.key for p in pairs if p.gene.id != "g_none"]
+        dataset = dataset_of(pairs)
+        scored_keys = [(g, d) for g, d, _ in pairs if g.id != "g_none"]
         tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
         assert PairPlan(dataset, kg, corpus).excluded == [EntityId("g_none", "gene")]
 
@@ -703,8 +711,8 @@ class TestSsmBaseline:
                 # pairs straddle chunk ends
                 patch.setattr(semsim, "_CHUNK", simgic_chunk)
                 scored = score_dataset(dataset, config, kg, corpus, ic)
-            assert [(r.gene, r.disease) for r in scored.rows] == scored_keys
-            for row in scored.rows:
+            assert [(r.gene, r.disease) for r in scored] == scored_keys
+            for row in scored:
                 g, d = corpus.entries[row.gene], corpus.entries[row.disease]
                 if config.aggregation == "SIMGIC":
                     want = set_form_simgic(g, d, kg, ic.values)
@@ -737,21 +745,21 @@ class TestSsmBaseline:
         union = [ic.values[t] for t in sorted(joint) if t in ic.values]
         assert sum(union) != math.fsum(union)
 
-        pairs = [LabeledPair(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 LabeledPair(EntityId("g2", "gene"), EntityId("d2", "disease"), 0)]
-        scored = score_dataset(AssociationDataset(pairs),
+        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
+                 (EntityId("g2", "gene"), EntityId("d2", "disease"), 0)]
+        scored = score_dataset(dataset_of(pairs),
                                SimilarityConfig("SIMGIC", "seco"), kg, corpus, ic)
-        assert [repr(r.raw_score) for r in scored.rows] == [
+        assert [repr(r.raw_score) for r in scored] == [
             repr(set_form_simgic(gene_terms, disease_terms, kg, ic.values)),
             repr(set_form_simgic(disease_terms, gene_terms, kg, ic.values))]
-        assert scored.rows[0].raw_score == (1e16 + 5) / (1e16 + 12)
+        assert scored[0].raw_score == (1e16 + 5) / (1e16 + 12)
 
     @pytest.mark.parametrize("config", SSM_CONFIGS, ids=lambda c: c.name)
     @pytest.mark.parametrize("with_table", [True, False])
     def test_unknown_annotation_term_is_typed_error(self, config, with_table):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], g2=["HP:b", "HP:404"], d1=["HP:b"])
-        pairs = [LabeledPair(EntityId(g, "gene"), EntityId("d1", "disease"), 1)
+        pairs = [(EntityId(g, "gene"), EntityId("d1", "disease"), 1)
                  for g in ("g1", "g2")]
         ic = None
         if with_table:
@@ -759,7 +767,7 @@ class TestSsmBaseline:
                 kg, annotations(g1=["HP:c"], d1=["HP:b"]))
         # without a table, the helper builds one from the corpus
         with pytest.raises(UnknownNodeError, match="HP:404"):
-            score_dataset(AssociationDataset(pairs), config, kg, corpus, ic)
+            score_dataset(dataset_of(pairs), config, kg, corpus, ic)
 
     def test_foreign_flavour_table_rejected(self):
         dataset, kg, corpus = self.dataset_and_kg()
@@ -777,7 +785,7 @@ class TestSsmBaseline:
         dataset, kg, corpus = twin_corpus(seed, n_terms, n_genes, n_diseases)
         tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
         plan = PairPlan(dataset, kg, corpus)
-        scored_keys = [p.key for p in dataset.pairs if p.gene.id != "g_none"]
+        scored_keys = [p[:2] for p in pairs_of(dataset) if p.gene.id != "g_none"]
         distinct = {(a, b) if a <= b else (b, a) for key in scored_keys
                     for a in corpus.entries[key[0]] for b in corpus.entries[key[1]]}
 
@@ -796,12 +804,13 @@ class TestSsmBaseline:
             calls.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(semsim, "sim_resnik_pair", counting)
-                shared = ssm_baseline(plan, config, ic)
-            assert [(r.gene, r.disease) for r in shared.rows] == scored_keys
-            assert [(repr(r.raw_score), repr(r.normalized_score), r.label)
-                    for r in shared.rows] == [
+                raw, normalized = ssm_baseline(plan, config, ic)
+            shared = pairs_of(dataset, plan.rows)
+            assert [p[:2] for p in shared] == scored_keys
+            assert [(repr(r), repr(n), p.label) for r, n, p in zip(
+                raw.tolist(), normalized.tolist(), shared, strict=True)] == [
                 (repr(r.raw_score), repr(r.normalized_score), r.label)
-                for r in alone.rows], config.name
+                for r in alone], config.name
             if config.aggregation == "SIMGIC":
                 assert not calls
             else:
