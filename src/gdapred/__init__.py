@@ -17,13 +17,14 @@ from .kge import EmbeddingTable, KgeTrainConfig, embed  # noqa: E402
 from .ontology import (  # noqa: E402
     AnnotationMap,
     CuratedAssociation,
-    EntityId,
     Ontology,
     OntologyTerm,
+    entity_node,
     filter_associations,
     parse_associations,
     parse_gaf,
     parse_obo,
+    plain_id,
 )
 from .pairing import combine, cosine  # noqa: E402
 from .semsim import (  # noqa: E402
@@ -36,11 +37,11 @@ from .semsim import (  # noqa: E402
 
 __all__ = [
     "AnnotationMap", "AssociationDataset", "CuratedAssociation",
-    "EmbeddingTable", "EntityId", "EvalReport", "KgeTrainConfig",
-    "KnowledgeGraph", "Ontology", "OntologyTerm", "PairPlan",
-    "SimilarityConfig", "__version__", "build_kg", "combine", "cosine",
-    "embed", "evaluate_run", "filter_associations", "ic_resnik", "ic_seco",
-    "parse_associations", "parse_gaf", "parse_obo", "roc_auc",
-    "sample_negatives", "ssm_baseline", "stratified_split",
+    "EmbeddingTable", "EvalReport", "KgeTrainConfig", "KnowledgeGraph",
+    "Ontology", "OntologyTerm", "PairPlan", "SimilarityConfig",
+    "__version__", "build_kg", "combine", "cosine", "embed",
+    "entity_node", "evaluate_run", "filter_associations", "ic_resnik",
+    "ic_seco", "parse_associations", "parse_gaf", "parse_obo", "plain_id",
+    "roc_auc", "sample_negatives", "ssm_baseline", "stratified_split",
     "threshold_sweep", "waf",
 ]

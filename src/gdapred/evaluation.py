@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import read_tsv, write_json, write_tsv
 from .errors import DegenerateDataError, InfeasibleNegativesError, IntegrityError
-from .ontology import DISEASE, GENE, EntityId
+from .ontology import DISEASE, GENE, entity_node, plain_id
 
 POSITIVE = 1
 NEGATIVE = 0
@@ -30,14 +30,14 @@ TEST = "test"
 @dataclass(eq=False)
 class AssociationDataset:
     """Gene-disease pairs as columns, row i being one pair: ``genes[i]``
-    and ``diseases[i]`` (one shared `EntityId` per distinct id when read
-    from a file), its 0/1 label ``labels[i]`` and, once split, whether it
-    is in the train partition, ``train[i]``. The columns have equal
-    lengths, no (gene, disease) pair occurs twice and every label is
-    `POSITIVE` or `NEGATIVE`; a dataset that breaks this raises
-    ValueError."""
-    genes: list[EntityId]
-    diseases: list[EntityId]
+    and ``diseases[i]``, as KG node ids (``GENE:672``), its 0/1 label
+    ``labels[i]`` and, once split, whether it is in the train partition,
+    ``train[i]``. The files hold the plain ids (``672``): `id_pairs`
+    gives them. The columns have equal lengths, no (gene, disease) pair
+    occurs twice and every label is `POSITIVE` or `NEGATIVE`; a dataset
+    that breaks this raises ValueError."""
+    genes: list[str]
+    diseases: list[str]
     labels: np.ndarray
     train: np.ndarray | None = None
 
@@ -58,8 +58,8 @@ class AssociationDataset:
         return len(self.labels)
 
     def id_pairs(self) -> list[tuple[str, str]]:
-        """The (gene id, disease id) of every pair, in row order."""
-        return list(zip([g.id for g in self.genes], [d.id for d in self.diseases]))
+        """The plain (gene id, disease id) of every pair, in row order."""
+        return list(zip(map(plain_id, self.genes), map(plain_id, self.diseases)))
 
     def partition_indices(self, partition: str) -> np.ndarray:
         """The ascending positions of the pairs in ``partition``."""
@@ -70,7 +70,7 @@ class AssociationDataset:
         return np.flatnonzero(self.train == (partition == TRAIN))
 
 
-def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
+def sample_negatives(positives: Iterable[tuple[str, str]],
                      seed: int) -> AssociationDataset:
     """Build a balanced dataset by sampling unknown combinations.
 
@@ -82,8 +82,8 @@ def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
     pos_set = set(pos_pairs)
     if len(pos_set) != len(pos_pairs):
         raise ValueError("positive pairs contain duplicates")
-    genes = sorted({g for g, _ in pos_pairs}, key=lambda e: e.id)
-    diseases = sorted({d for _, d in pos_pairs}, key=lambda e: e.id)
+    genes = sorted({g for g, _ in pos_pairs})
+    diseases = sorted({d for _, d in pos_pairs})
     if len(genes) < 2 or len(diseases) < 2:
         raise DegenerateDataError("need at least 2 distinct genes and diseases")
     need = len(pos_pairs)
@@ -93,14 +93,14 @@ def sample_negatives(positives: Iterable[tuple[EntityId, EntityId]],
             f"only {feasible} unknown combinations available, {need} required")
 
     rng = np.random.default_rng(seed)
-    negatives: list[tuple[EntityId, EntityId]] = []
+    negatives: list[tuple[str, str]] = []
     if need > feasible // 2:
         # rejection sampling would crawl near exhaustion; enumerate instead
         candidates = [(g, d) for g in genes for d in diseases if (g, d) not in pos_set]
         order = rng.permutation(len(candidates))
         negatives = [candidates[i] for i in order[:need]]
     else:
-        chosen: set[tuple[EntityId, EntityId]] = set()
+        chosen: set[tuple[str, str]] = set()
         while len(negatives) < need:
             g = genes[int(rng.integers(len(genes)))]
             d = diseases[int(rng.integers(len(diseases)))]
@@ -178,14 +178,9 @@ def read_dataset(path) -> AssociationDataset:
         raise IntegrityError(f"{path}: holds no pairs")
     gene_ids, disease_ids = zip(*pairs)
     return AssociationDataset(
-        _entities(gene_ids, GENE), _entities(disease_ids, DISEASE), labels,
+        [entity_node(GENE, g) for g in gene_ids],
+        [entity_node(DISEASE, d) for d in disease_ids], labels,
         [p == TRAIN for p in parts] if parts[0] else None)
-
-
-def _entities(ids: Sequence[str], kind: str) -> list[EntityId]:
-    """One `EntityId` of ``kind`` per distinct id, listed for each of ``ids``."""
-    of_id = {i: EntityId(i, kind) for i in set(ids)}
-    return [of_id[i] for i in ids]
 
 
 def _confusion(y_true, scores, thresholds):

@@ -14,13 +14,12 @@ import numpy as np
 
 from .artifacts import read_tsv, write_tsv
 from .errors import ConfigurationError, IntegrityError, UnknownNodeError
-from .ontology import AnnotationMap, Ontology, curie_prefix, parents_first
+from .ontology import ENTITY_PREFIXES, AnnotationMap, Ontology, curie_prefix, parents_first
 
 SUBCLASS_OF = "subClassOf"
 EQUIVALENT_TO = "equivalentTo"
 HAS_ANNOTATION = "hasAnnotation"
 VIRTUAL_ROOT = "VR:ROOT"
-ENTITY_PREFIXES = ("GENE", "DISEASE")
 
 KG_VARIANTS = ("HP", "HP_GO", "HP_GO_LD")
 
@@ -178,7 +177,7 @@ class KnowledgeGraph:
 
 
 def is_entity_node(node: str) -> bool:
-    return curie_prefix(node) in ENTITY_PREFIXES
+    return curie_prefix(node) in ENTITY_PREFIXES.values()
 
 
 def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
@@ -212,7 +211,7 @@ def build_kg(variant: str, hp: Ontology, go: Ontology | None = None,
     for amap in annotation_maps:
         for entity, annotated in amap.entries.items():
             missing |= annotated - terms
-            triples.update((entity.node_id, HAS_ANNOTATION, term)
+            triples.update((entity, HAS_ANNOTATION, term)
                            for term in annotated & terms)
     if missing:
         raise IntegrityError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import graphlib
 import logging
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -43,23 +44,18 @@ def curie_prefix(term: str) -> str:
     return term.split(":", 1)[0]
 
 
-@dataclass(frozen=True)
-class EntityId:
-    """A gene or disease identifier in the association vocabulary."""
+#: each entity kind's prefix: an entity is the KG node ``GENE:672``
+ENTITY_PREFIXES = {GENE: "GENE", DISEASE: "DISEASE"}
 
-    id: str
-    kind: str
 
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("entity id must be non-empty")
-        if self.kind not in (GENE, DISEASE):
-            raise ValueError(f"unknown entity kind {self.kind!r}")
+def entity_node(kind: str, plain: str) -> str:
+    """The node id, interned, of the ``kind`` entity with the plain id ``plain``."""
+    return sys.intern(f"{ENTITY_PREFIXES[kind]}:{plain}")
 
-    @property
-    def node_id(self) -> str:
-        """Graph node identifier, namespaced so ids cannot collide."""
-        return f"{self.kind.upper()}:{self.id}"
+
+def plain_id(node: str) -> str:
+    """The plain id, as files write it, of the entity node ``node``."""
+    return node.partition(":")[2]
 
 
 @dataclass
@@ -222,18 +218,15 @@ def _data_rows(text: str, comment: str) -> Iterator[tuple[int, list[str]]]:
 
 @dataclass
 class AnnotationMap:
-    """Entity -> set of ontology term ids."""
+    """Entity node id -> set of ontology term ids."""
 
-    entries: dict[EntityId, set[str]] = field(default_factory=dict)
+    entries: dict[str, set[str]] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict, compare=False)
 
-    def add(self, entity: EntityId, term: str) -> None:
+    def add(self, entity: str, term: str) -> None:
         self.entries.setdefault(entity, set()).add(term)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, entity: EntityId) -> bool:
+    def __contains__(self, entity: str) -> bool:
         return entity in self.entries
 
 
@@ -243,8 +236,8 @@ def parse_gaf(text: str, accession_to_gene: Mapping[str, str],
 
     ``accession_to_gene`` translates the protein accession in column 2
     to the gene vocabulary used by the association source. Rows with a
-    NOT qualifier, an excluded evidence code, or an unmapped accession
-    are skipped (the latter counted in ``stats``).
+    NOT qualifier, an excluded evidence code, or an accession mapped to
+    no id or an empty one are skipped (each counted in ``stats``).
     """
     exclude_evidence = exclude_evidence or set()
     amap = AnnotationMap(stats={
@@ -269,10 +262,10 @@ def parse_gaf(text: str, accession_to_gene: Mapping[str, str],
             amap.stats["rows_skipped_evidence"] += 1
             continue
         gene_id = accession_to_gene.get(cols[1])
-        if gene_id is None:
+        if not gene_id:
             amap.stats["rows_skipped_unmapped"] += 1
             continue
-        amap.add(EntityId(gene_id, GENE), term)
+        amap.add(entity_node(GENE, gene_id), term)
         amap.stats["rows_used"] += 1
     if data_rows == 0:
         raise DegenerateDataError("GAF input contains no data rows")
@@ -288,7 +281,7 @@ def parse_gene_phenotype(text: str) -> AnnotationMap:
             logger.warning("gene-phenotype line %d has no HP term, skipped", lineno)
             amap.stats["rows_skipped_malformed"] += 1
             continue
-        amap.add(EntityId(cols[0], GENE), term)
+        amap.add(entity_node(GENE, cols[0]), term)
         amap.stats["rows_used"] += 1
     return amap
 
@@ -298,7 +291,8 @@ def parse_disease_phenotype(text: str,
     """Map diseases to HP terms from an HPOA-style TSV.
 
     ``disease_mapping`` translates the OMIM:/ORPHA: database ids keying
-    the file into the disease vocabulary of the association source.
+    the file into the disease vocabulary of the association source; a
+    row mapped to no id or an empty one is skipped and counted.
     """
     if not disease_mapping:
         raise ConfigurationError("disease mapping is empty")
@@ -323,10 +317,10 @@ def parse_disease_phenotype(text: str,
             amap.stats["rows_skipped_malformed"] += 1
             continue
         disease_id = disease_mapping.get(cols[0])
-        if disease_id is None:
+        if not disease_id:
             amap.stats["rows_skipped_unmapped"] += 1
             continue
-        amap.add(EntityId(disease_id, DISEASE), term)
+        amap.add(entity_node(DISEASE, disease_id), term)
         amap.stats["rows_used"] += 1
     return amap
 
@@ -343,8 +337,9 @@ def parse_mapping(text: str) -> dict[str, str]:
 
 @dataclass
 class CuratedAssociation:
-    gene: EntityId
-    disease: EntityId
+    """One curated pair, by gene and disease node id, and its sources."""
+    gene: str
+    disease: str
     sources: set[str]
 
 
@@ -360,7 +355,7 @@ def parse_associations(text: str) -> list[CuratedAssociation]:
         if name not in header:
             raise ParseError(f"association file missing required column {name!r}")
         idx[name] = header.index(name)
-    merged: dict[tuple[EntityId, EntityId], set[str]] = {}
+    merged: dict[tuple[str, str], set[str]] = {}
     for lineno, cols in rows:
         if len(cols) <= max(idx.values()):
             logger.warning("association row %r too short, skipped", "\t".join(cols))
@@ -368,8 +363,8 @@ def parse_associations(text: str) -> list[CuratedAssociation]:
         for name in (GENE_COLUMN, DISEASE_COLUMN):
             if not cols[idx[name]]:
                 raise ParseError(f"line {lineno}: empty {name!r} cell")
-        gene = EntityId(cols[idx[GENE_COLUMN]], GENE)
-        disease = EntityId(cols[idx[DISEASE_COLUMN]], DISEASE)
+        gene = entity_node(GENE, cols[idx[GENE_COLUMN]])
+        disease = entity_node(DISEASE, cols[idx[DISEASE_COLUMN]])
         merged.setdefault((gene, disease), set()).add(cols[idx[SOURCE_COLUMN]])
     return [CuratedAssociation(g, d, srcs) for (g, d), srcs in merged.items()]
 
@@ -386,7 +381,7 @@ def filter_associations(assocs: Iterable[CuratedAssociation],
     is deduplicated and ordered by (gene id, disease id), so it does not
     depend on input row order.
     """
-    seen: set[tuple[EntityId, EntityId]] = set()
+    seen: set[tuple[str, str]] = set()
     kept: list[CuratedAssociation] = []
     for a in assocs:
         if a.sources & excluded_sources:
@@ -398,7 +393,7 @@ def filter_associations(assocs: Iterable[CuratedAssociation],
             continue
         seen.add(key)
         kept.append(a)
-    kept.sort(key=lambda a: (a.gene.id, a.disease.id))
+    kept.sort(key=lambda a: (a.gene, a.disease))
     return kept
 
 
@@ -437,7 +432,7 @@ def prune_annotations(amap: AnnotationMap,
 
 
 def restrict_annotations(amap: AnnotationMap,
-                         entities: Iterable[EntityId]) -> AnnotationMap:
+                         entities: Iterable[str]) -> AnnotationMap:
     wanted = set(entities)
     return AnnotationMap(
         entries={e: set(t) for e, t in amap.entries.items() if e in wanted})

@@ -72,12 +72,17 @@ def pair_vectors(dataset: "AssociationDataset",
                  table: "EmbeddingTable") -> tuple[np.ndarray, np.ndarray]:
     """The gene rows and the disease rows of every dataset pair, in
     dataset order; IntegrityError names the entities ``table`` lacks."""
-    row = dict(zip(table.nodes, range(len(table.nodes))))
-    index = {e: row.get(e.node_id, -1) for e in {*dataset.genes, *dataset.diseases}}
-    missing = sorted(e.node_id for e, i in index.items() if i < 0)
-    if missing:
-        raise IntegrityError("entities without embedding vectors: " + ", ".join(missing))
-    genes, diseases = ([index[e] for e in side] for side in (dataset.genes, dataset.diseases))
+    # object arrays compare as str does: a numpy str array drops trailing NULs
+    nodes = np.array(table.nodes, dtype=object)
+    wanted = np.array([*dataset.genes, *dataset.diseases], dtype=object)
+    # the table's nodes are sorted, so a node's row is where its id sorts
+    rows = np.searchsorted(nodes, wanted)
+    found = rows < len(nodes)
+    found[found] = nodes[rows[found]] == wanted[found]
+    if not found.all():
+        raise IntegrityError("entities without embedding vectors: "
+                             + ", ".join(sorted(set(wanted[~found].tolist()))))
+    genes, diseases = np.split(rows, [len(dataset.genes)])
     return table.matrix[genes], table.matrix[diseases]
 
 

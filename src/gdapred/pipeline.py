@@ -53,7 +53,7 @@ from .learn import (
 )
 from .ontology import (
     AnnotationMap,
-    EntityId,
+    entity_node,
     filter_associations,
     merge_annotation_maps,
     parse_associations,
@@ -62,6 +62,7 @@ from .ontology import (
     parse_gene_phenotype,
     parse_mapping,
     parse_obo,
+    plain_id,
     prune_annotations,
     restrict_annotations,
 )
@@ -316,19 +317,21 @@ def _stage(name: str, dirname: str):
 
 def write_annotation_tsv(amap: AnnotationMap, path: Path) -> None:
     write_tsv(path, ("entity", "term"), (
-        (entity.id, term)
-        for entity in sorted(amap.entries, key=lambda e: e.id)
+        (plain_id(entity), term)
+        for entity in sorted(amap.entries)
         for term in sorted(amap.entries[entity])))
 
 
 def read_annotation_tsv(path: Path, kind: str) -> AnnotationMap:
+    """The ``kind`` entities' annotations; IntegrityError names the line
+    of an empty entity id or term."""
     amap = AnnotationMap()
     rows = read_tsv(path, width=2)
     next(rows)  # header
     for lineno, (entity_id, term) in enumerate(rows, start=2):
-        if not entity_id:
-            raise IntegrityError(f"{path}, line {lineno}: empty entity id")
-        amap.add(EntityId(entity_id, kind), term)
+        if not entity_id or not term:
+            raise IntegrityError(f"{path}, line {lineno}: empty entity id or term")
+        amap.add(entity_node(kind, entity_id), term)
     return amap
 
 
@@ -435,7 +438,8 @@ def cmd_ingest(config: PipelineConfig, run: StageRun) -> dict:
     write_dataset(dataset, dataset_path)
 
     write_tsv(run.output("positives.tsv"), ("gene", "disease", "sources"), (
-        (a.gene.id, a.disease.id, ";".join(sorted(a.sources))) for a in kept))
+        (plain_id(a.gene), plain_id(a.disease), ";".join(sorted(a.sources)))
+        for a in kept))
 
     genes, diseases = set(dataset.genes), set(dataset.diseases)
     files = {
@@ -495,7 +499,7 @@ def cmd_baseline(config: PipelineConfig, run: StageRun) -> dict:
     if plan.excluded:
         raise IntegrityError(
             "baseline cannot score the persisted dataset: entities without "
-            "annotations: " + ", ".join(e.node_id for e in plan.excluded))
+            "annotations: " + ", ".join(plan.excluded))
     measures = [c for c in SSM_CONFIGS if c.name in config.ssm_measures]
     # one IC table per flavour, shared by its measures and timed apart
     # from them

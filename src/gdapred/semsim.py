@@ -34,7 +34,7 @@ from .artifacts import write_tsv
 from .errors import DegenerateDataError, UnknownNodeError
 from .evaluation import LABEL_NAMES
 from .kg import KnowledgeGraph
-from .ontology import AnnotationMap, EntityId
+from .ontology import AnnotationMap
 from .validation import check_fields, one_of
 
 if TYPE_CHECKING:
@@ -235,10 +235,10 @@ class PairPlan:
         self.genes: list[int] = []
         self.diseases: list[int] = []
         number: dict[frozenset[str], int] = {}
-        of_entity: dict[EntityId, int | None] = {}
-        excluded: dict[EntityId, None] = {}
+        of_entity: dict[str, int | None] = {}
+        excluded: dict[str, None] = {}
 
-        def index(entity: EntityId) -> int | None:
+        def index(entity: str) -> int | None:
             if entity not in of_entity:
                 terms = annotations.entries.get(entity)
                 of_entity[entity] = number.setdefault(
@@ -255,7 +255,7 @@ class PairPlan:
                 self.diseases.append(di)
         self.rows = np.array(rows, dtype=np.int64)
         self.sets: list[frozenset[str]] = list(number)
-        self.excluded: list[EntityId] = list(excluded)
+        self.excluded: list[str] = list(excluded)
 
     @cached_property
     def lookups(self) -> tuple[list[str], list[str], np.ndarray, list[int]]:

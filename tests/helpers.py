@@ -18,7 +18,7 @@ from gdapred.evaluation import (NEGATIVE, POSITIVE, TEST, TRAIN, AssociationData
                                 EvalReport, _confusion, _count_metrics)
 from gdapred.kg import build_kg
 from gdapred.learn.mlp import _backward, _forward, _init_params, _views
-from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
+from gdapred.ontology import AnnotationMap, Ontology, OntologyTerm
 from gdapred.semsim import PairPlan, ic_table, ssm_baseline
 
 
@@ -76,11 +76,11 @@ def random_annotations(rng: np.random.Generator, ontology: Ontology,
     for i in range(n_genes):
         k = int(rng.integers(1, max_terms + 1))
         chosen = rng.choice(len(term_ids), size=min(k, len(term_ids)), replace=False)
-        gene_map.entries[EntityId(f"g{i}", "gene")] = {term_ids[int(c)] for c in chosen}
+        gene_map.entries[f"GENE:g{i}"] = {term_ids[int(c)] for c in chosen}
     for i in range(n_diseases):
         k = int(rng.integers(1, max_terms + 1))
         chosen = rng.choice(len(term_ids), size=min(k, len(term_ids)), replace=False)
-        disease_map.entries[EntityId(f"d{i}", "disease")] = {term_ids[int(c)] for c in chosen}
+        disease_map.entries[f"DISEASE:d{i}"] = {term_ids[int(c)] for c in chosen}
     return gene_map, disease_map
 
 
@@ -95,8 +95,8 @@ def random_hp_kg(rng: np.random.Generator, n_terms: int, n_genes: int,
 
 class Pair(NamedTuple):
     """One row of an `AssociationDataset`."""
-    gene: EntityId
-    disease: EntityId
+    gene: str
+    disease: str
     label: int
 
 
@@ -308,8 +308,8 @@ def set_form_simgic(gene_terms: set[str], disease_terms: set[str], kg,
 
 class Scored(NamedTuple):
     """One line of a scored-pairs file, as `score_dataset` lists it."""
-    gene: EntityId
-    disease: EntityId
+    gene: str
+    disease: str
     raw_score: float
     normalized_score: float
     label: int
@@ -333,8 +333,8 @@ def score_grid(gene_sets, disease_sets, config, kg, ic) -> list[list[float]]:
     """The raw ``ssm_baseline`` score of each gene set with each disease
     set, one row per gene set: each set annotates an entity of its own, in
     a dataset of every gene x disease pair."""
-    genes = [EntityId(f"g{i}", "gene") for i in range(len(gene_sets))]
-    diseases = [EntityId(f"d{j}", "disease") for j in range(len(disease_sets))]
+    genes = [f"GENE:g{i}" for i in range(len(gene_sets))]
+    diseases = [f"DISEASE:d{j}" for j in range(len(disease_sets))]
     annotations = AnnotationMap(entries={
         **{g: set(terms) for g, terms in zip(genes, gene_sets)},
         **{d: set(terms) for d, terms in zip(diseases, disease_sets)}})

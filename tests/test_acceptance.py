@@ -26,7 +26,7 @@ from gdapred.evaluation import (
     waf,
 )
 from gdapred.kg import SUBCLASS_OF, VIRTUAL_ROOT, build_kg
-from gdapred.ontology import AnnotationMap, EntityId
+from gdapred.ontology import AnnotationMap
 from gdapred.pipeline import (
     PipelineConfig,
     cmd_build_kg,
@@ -250,8 +250,8 @@ def test_criterion_5_dataset_contracts():
     while trials < 1000:
         n_g = int(rng.integers(2, 9))
         n_d = int(rng.integers(2, 9))
-        genes = [EntityId(f"g{i}", "gene") for i in range(n_g)]
-        diseases = [EntityId(f"d{j}", "disease") for j in range(n_d)]
+        genes = [f"GENE:g{i}" for i in range(n_g)]
+        diseases = [f"DISEASE:d{j}" for j in range(n_d)]
         all_pairs = [(g, d) for g in genes for d in diseases]
         n_pos = int(rng.integers(1, len(all_pairs)))
         chosen = rng.choice(len(all_pairs), size=n_pos, replace=False)
@@ -270,9 +270,9 @@ def test_criterion_5_dataset_contracts():
             assert g in pos_genes and d in pos_diseases
         trials += 1
 
-    pairs = [(EntityId(f"g{i}", "gene"), EntityId(f"d{i}", "disease"), 1)
+    pairs = [(f"GENE:g{i}", f"DISEASE:d{i}", 1)
              for i in range(10)]
-    pairs += [(EntityId(f"g{100+i}", "gene"), EntityId(f"d{100+i}", "disease"), 0)
+    pairs += [(f"GENE:g{100+i}", f"DISEASE:d{100+i}", 0)
               for i in range(10)]
     first = stratified_split(dataset_of(pairs), 0.7, seed=99)
     again = stratified_split(dataset_of(pairs), 0.7, seed=99)
@@ -349,7 +349,7 @@ def test_criterion_7_kg_variant_contracts(tmp_path):
     root_triples = {t for t in plain.triples if VIRTUAL_ROOT in t}
     assert root_triples == {(root, SUBCLASS_OF, VIRTUAL_ROOT)
                             for root in hp.roots | go.roots}
-    entities = {entity.node_id for amap in (gene_hp, disease_hp, gene_go)
+    entities = {entity for amap in (gene_hp, disease_hp, gene_go)
                 for entity, terms in amap.entries.items() if terms}
     assert plain.node_count == len(hp.terms) + len(go.terms) + 1 + len(entities)
     print("\nACCEPTANCE 7 PASS: LD-variant triples are a superset of the "

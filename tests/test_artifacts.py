@@ -324,6 +324,12 @@ class TestTableArtifacts:
         with pytest.raises(IntegrityError, match=r"a\.tsv, line 3: empty entity id"):
             read_annotation_tsv(path, "gene")
 
+    def test_annotations_empty_term_is_integrity_error(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("entity\tterm\ng1\tHP:0000001\ng2\t\n")
+        with pytest.raises(IntegrityError, match=r"a\.tsv, line 3: empty entity id or term"):
+            read_annotation_tsv(path, "gene")
+
     def test_annotations_row_of_another_width_is_integrity_error(self, tmp_path):
         # the header has three cells, the reader takes two
         path = tmp_path / "a.tsv"

@@ -21,7 +21,6 @@ from gdapred.evaluation import (
     write_dataset,
     write_roc_tsv,
 )
-from gdapred.ontology import EntityId
 
 from helpers import (
     dataset_of,
@@ -44,11 +43,11 @@ DATASET_IDS = st.text(st.characters(blacklist_categories=("Cs",),
 
 
 def gene(i):
-    return EntityId(f"g{i}", "gene")
+    return f"GENE:g{i}"
 
 
 def disease(i):
-    return EntityId(f"d{i}", "disease")
+    return f"DISEASE:d{i}"
 
 
 def pair_grid(n_genes, n_diseases):
@@ -283,7 +282,7 @@ class TestStratifiedSplit:
            split=st.booleans())
     @example(rows=[("HLA A", "é ü", 1, True), (" g", "d\x00", 0, False)], split=True)
     def test_roundtrip_over_random_columns(self, tmp_path_factory, rows, split):
-        ds = dataset_of([(EntityId(g, "gene"), EntityId(d, "disease"), y)
+        ds = dataset_of([(f"GENE:{g}", f"DISEASE:{d}", y)
                          for g, d, y, _ in rows])
         if split:
             ds.train = np.array([t for *_, t in rows])

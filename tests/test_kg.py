@@ -21,7 +21,7 @@ from gdapred.kg import (
     read_triples,
     write_triples,
 )
-from gdapred.ontology import AnnotationMap, EntityId, Ontology, OntologyTerm
+from gdapred.ontology import AnnotationMap, Ontology, OntologyTerm, entity_node
 from gdapred.semsim import ic_seco
 
 from helpers import oracle_reachable_up, random_hp_kg, string_walk_adjacency
@@ -46,7 +46,7 @@ def annotations(**entries):
     amap = AnnotationMap()
     for key, terms in entries.items():
         kind = "gene" if key.startswith("g") else "disease"
-        amap.entries[EntityId(key, kind)] = set(terms)
+        amap.entries[entity_node(kind, key)] = set(terms)
     return amap
 
 

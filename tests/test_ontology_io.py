@@ -17,11 +17,12 @@ from gdapred.errors import (
     DegenerateDataError,
     ParseError,
 )
+from gdapred.kg import is_entity_node
 from gdapred.ontology import (
     AnnotationMap,
-    EntityId,
     Ontology,
     OntologyTerm,
+    entity_node,
     filter_associations,
     merge_annotation_maps,
     parse_associations,
@@ -30,6 +31,7 @@ from gdapred.ontology import (
     parse_gene_phenotype,
     parse_mapping,
     parse_obo,
+    plain_id,
     prune_annotations,
 )
 
@@ -204,7 +206,7 @@ class TestParseGaf:
 
     def test_single_row(self):
         amap = parse_gaf(gaf_row(), self.MAP)
-        assert amap.entries == {EntityId("672", "gene"): {"GO:0007605"}}
+        assert amap.entries == {"GENE:672": {"GO:0007605"}}
 
     def test_not_qualifier_excluded(self):
         amap = parse_gaf(gaf_row(qual="NOT|involved_in"), self.MAP)
@@ -214,17 +216,22 @@ class TestParseGaf:
     def test_set_union_same_gene(self):
         text = gaf_row(term="GO:0007605") + "\n" + gaf_row(term="GO:0050954")
         amap = parse_gaf(text, self.MAP)
-        assert amap.entries[EntityId("672", "gene")] == {"GO:0007605", "GO:0050954"}
+        assert amap.entries["GENE:672"] == {"GO:0007605", "GO:0050954"}
 
     def test_unmapped_accession_counted(self):
         amap = parse_gaf(gaf_row(acc="P999"), self.MAP)
         assert amap.entries == {}
         assert amap.stats["rows_skipped_unmapped"] == 1
 
+    def test_accession_mapped_to_an_empty_id_counted(self):
+        amap = parse_gaf(gaf_row(acc="P9"), {**self.MAP, "P9": ""})
+        assert amap.entries == {}
+        assert amap.stats["rows_skipped_unmapped"] == 1
+
     def test_evidence_filter(self):
         text = gaf_row(ev="IEA") + "\n" + gaf_row(ev="EXP", term="GO:0050954")
         amap = parse_gaf(text, self.MAP, exclude_evidence={"IEA"})
-        assert amap.entries == {EntityId("672", "gene"): {"GO:0050954"}}
+        assert amap.entries == {"GENE:672": {"GO:0050954"}}
         assert amap.stats["rows_skipped_evidence"] == 1
 
     def test_short_row_skipped_with_warning(self):
@@ -241,12 +248,12 @@ class TestParseGaf:
 class TestParseGenePhenotype:
     def test_single_row(self):
         amap = parse_gene_phenotype("672\tBRCA1\tHP:0000365\tHearing impairment\n")
-        assert amap.entries == {EntityId("672", "gene"): {"HP:0000365"}}
+        assert amap.entries == {"GENE:672": {"HP:0000365"}}
 
     def test_duplicate_rows_collapse(self):
         text = "672\tBRCA1\tHP:0000365\tx\n" * 2
         amap = parse_gene_phenotype(text)
-        assert amap.entries[EntityId("672", "gene")] == {"HP:0000365"}
+        assert amap.entries["GENE:672"] == {"HP:0000365"}
 
     def test_two_genes_three_rows(self):
         text = ("672\tA\tHP:0000365\tx\n"
@@ -260,6 +267,11 @@ class TestParseGenePhenotype:
         assert amap.entries == {}
         assert amap.stats["rows_skipped_malformed"] == 1
 
+    def test_empty_gene_id_skipped(self):
+        amap = parse_gene_phenotype("\tA\tHP:0000365\tx\n672\tA\tHP:0000365\tx\n")
+        assert amap.entries == {"GENE:672": {"HP:0000365"}}
+        assert amap.stats == {"rows_used": 1, "rows_skipped_malformed": 1}
+
 
 class TestParseDiseasePhenotype:
     MAP = {"OMIM:101200": "C0001193"}
@@ -267,11 +279,17 @@ class TestParseDiseasePhenotype:
     def test_mapped_row(self):
         amap = parse_disease_phenotype(
             "OMIM:101200\tApert\t\tHP:0000365\tref\tTAS\n", self.MAP)
-        assert amap.entries == {EntityId("C0001193", "disease"): {"HP:0000365"}}
+        assert amap.entries == {"DISEASE:C0001193": {"HP:0000365"}}
 
     def test_unmapped_row_counted(self):
         amap = parse_disease_phenotype(
             "OMIM:999999\tX\t\tHP:0000365\tref\tTAS\n", self.MAP)
+        assert amap.entries == {}
+        assert amap.stats["rows_skipped_unmapped"] == 1
+
+    def test_disease_mapped_to_an_empty_id_counted(self):
+        amap = parse_disease_phenotype(
+            "OMIM:9\tX\t\tHP:0000365\tref\tTAS\n", {**self.MAP, "OMIM:9": ""})
         assert amap.entries == {}
         assert amap.stats["rows_skipped_unmapped"] == 1
 
@@ -292,7 +310,7 @@ class TestParseAssociations:
     def test_single_row(self):
         rows = parse_associations(self.HEADER + "672\tC0006142\tCTD_human\n")
         assert len(rows) == 1
-        assert rows[0].gene == EntityId("672", "gene")
+        assert rows[0].gene == "GENE:672"
         assert rows[0].sources == {"CTD_human"}
 
     def test_sources_merge(self):
@@ -331,9 +349,9 @@ def make_annotations(**kinds):
 
 
 class TestFilterAssociations:
-    G1 = EntityId("1", "gene")
-    G2 = EntityId("2", "gene")
-    D1 = EntityId("C1", "disease")
+    G1 = "GENE:1"
+    G2 = "GENE:2"
+    D1 = "DISEASE:C1"
 
     def maps(self):
         return make_annotations(
@@ -368,7 +386,7 @@ class TestFilterAssociations:
         forward = filter_associations(assocs, set(), **maps)
         backward = filter_associations(list(reversed(assocs)), set(), **maps)
         assert forward == backward
-        assert [a.gene.id for a in forward] == ["1", "2"]
+        assert [a.gene for a in forward] == ["GENE:1", "GENE:2"]
 
 
 class TestMappingAndHelpers:
@@ -376,25 +394,35 @@ class TestMappingAndHelpers:
         mapping = parse_mapping("P1\t672\nP1\t999\nP2\t673\n")
         assert mapping == {"P1": "672", "P2": "673"}
 
+    @pytest.mark.parametrize("kind, plain, node", [("gene", "672", "GENE:672"),
+                                                  ("disease", "OMIM:1", "DISEASE:OMIM:1")])
+    def test_entity_node_and_plain_id(self, kind, plain, node):
+        assert entity_node(kind, plain) == node
+        assert plain_id(node) == plain
+        assert is_entity_node(node)
+
+    def test_parse_mapping_skips_an_empty_id(self):
+        assert parse_mapping("P1\t\n\t672\nP2\t673\n") == {"P2": "673"}
+
     def test_prune_annotations(self):
         ont = parse_obo("[Term]\nid: HP:0000001\n\n"
                         "[Term]\nid: HP:0000002\nis_obsolete: true\n")
         amap = AnnotationMap(entries={
-            EntityId("1", "gene"): {"HP:0000001", "HP:0000002"},
-            EntityId("2", "gene"): {"HP:0000999"},
+            "GENE:1": {"HP:0000001", "HP:0000002"},
+            "GENE:2": {"HP:0000999"},
         })
         pruned = prune_annotations(amap, [ont])
-        assert pruned.entries == {EntityId("1", "gene"): {"HP:0000001"}}
+        assert pruned.entries == {"GENE:1": {"HP:0000001"}}
         assert pruned.stats["dropped_obsolete"] == 1
         assert pruned.stats["dropped_unknown"] == 1
         assert pruned.stats["dropped_entities"] == 1
 
     def test_merge_annotation_maps(self):
-        a = AnnotationMap(entries={EntityId("1", "gene"): {"HP:1"}})
-        b = AnnotationMap(entries={EntityId("1", "gene"): {"HP:2"},
-                                   EntityId("C1", "disease"): {"HP:1"}})
+        a = AnnotationMap(entries={"GENE:1": {"HP:1"}})
+        b = AnnotationMap(entries={"GENE:1": {"HP:2"},
+                                   "DISEASE:C1": {"HP:1"}})
         merged = merge_annotation_maps(a, b)
-        assert merged.entries[EntityId("1", "gene")] == {"HP:1", "HP:2"}
+        assert merged.entries["GENE:1"] == {"HP:1", "HP:2"}
         assert len(merged.entries) == 2
 
 

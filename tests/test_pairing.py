@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 import gdapred.pairing as pairing
 from gdapred.errors import IntegrityError, ZeroVectorError
 from gdapred.kge import EmbeddingTable
-from gdapred.ontology import EntityId
 from gdapred.pairing import (
     PAIR_OPERATORS,
     build_pair_features,
@@ -216,8 +215,8 @@ class TestRows:
 def toy_dataset_and_table(without=()):
     """Two pairs and a table of their entities' vectors, less the nodes
     in ``without``."""
-    g1, g2 = EntityId("1", "gene"), EntityId("2", "gene")
-    d1 = EntityId("C1", "disease")
+    g1, g2 = "GENE:1", "GENE:2"
+    d1 = "DISEASE:C1"
     dataset = dataset_of([(g1, d1, 1), (g2, d1, 0)])
     vectors = {
         "DISEASE:C1": [2.0, 3.0],
@@ -241,6 +240,20 @@ class TestPairFeatures:
         dataset, table = toy_dataset_and_table(without={"GENE:2"})
         with pytest.raises(IntegrityError, match="GENE:2"):
             build_pair_features(dataset, table, ["hadamard"])
+
+    @pytest.mark.parametrize("gene", ["GENE:2\x00", "GENE:", "GENE:9"])
+    def test_gather_matches_whole_node_ids(self, gene):
+        # a NUL-ended id, one that sorts first and one that sorts last
+        _, table = toy_dataset_and_table()
+        dataset = dataset_of([(gene, "DISEASE:C1", 1), ("GENE:1", "DISEASE:C1", 0)])
+        with pytest.raises(IntegrityError) as err:
+            pair_vectors(dataset, table)
+        assert str(err.value) == f"entities without embedding vectors: {gene}"
+
+    def test_empty_table_names_every_entity(self):
+        dataset, table = toy_dataset_and_table(without={"GENE:1", "GENE:2", "DISEASE:C1"})
+        with pytest.raises(IntegrityError, match="vectors: DISEASE:C1, GENE:1, GENE:2$"):
+            pair_vectors(dataset, table)
 
     def test_one_gather_serves_every_operator(self, monkeypatch):
         dataset, table = toy_dataset_and_table()

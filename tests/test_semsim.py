@@ -27,10 +27,11 @@ from gdapred.kg import (
 )
 from gdapred.ontology import (
     AnnotationMap,
-    EntityId,
     Ontology,
     OntologyTerm,
+    entity_node,
     merge_annotation_maps,
+    plain_id,
 )
 from gdapred.pipeline import PipelineConfig, cmd_baseline, read_annotation_tsv
 from gdapred.semsim import (
@@ -78,7 +79,7 @@ def annotations(**entries):
     amap = AnnotationMap()
     for key, terms in entries.items():
         kind = "gene" if key.startswith("g") else "disease"
-        amap.entries[EntityId(key, kind)] = set(terms)
+        amap.entries[entity_node(kind, key)] = set(terms)
     return amap
 
 
@@ -220,9 +221,9 @@ def random_dag(rng, n_terms: int, n_roots: int, join: bool, unknown: bool):
     corpus = AnnotationMap()
     for i in range(6):
         chosen = rng.choice(len(terms), size=int(rng.integers(1, 4)), replace=False)
-        corpus.entries[EntityId(f"e{i}", "gene")] = {terms[int(c)] for c in chosen}
+        corpus.entries[f"GENE:e{i}"] = {terms[int(c)] for c in chosen}
     if unknown:
-        corpus.entries[EntityId("e0", "gene")].add("HP:404")
+        corpus.entries["GENE:e0"].add("HP:404")
     return kg, corpus
 
 
@@ -590,15 +591,15 @@ def twin_corpus(seed: int, n_terms: int, n_genes: int, n_diseases: int,
     kg, _, gene_map, disease_map = random_hp_kg(
         rng, n_terms, n_genes, n_diseases, max_terms=max_terms)
     corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
-    genes = sorted(gene_map.entries, key=lambda e: e.id)
-    diseases = sorted(disease_map.entries, key=lambda e: e.id)
-    twins = {EntityId("g_same", "gene"): gene_map.entries[genes[0]],
-             EntityId("g_swap", "gene"): disease_map.entries[diseases[-1]],
-             EntityId("d_swap", "disease"): gene_map.entries[genes[-1]]}
+    genes = sorted(gene_map.entries)
+    diseases = sorted(disease_map.entries)
+    twins = {"GENE:g_same": gene_map.entries[genes[0]],
+             "GENE:g_swap": disease_map.entries[diseases[-1]],
+             "DISEASE:d_swap": gene_map.entries[genes[-1]]}
     for entity, terms in twins.items():
         corpus.entries[entity] = set(terms)
-        (genes if entity.kind == "gene" else diseases).append(entity)
-    genes.append(EntityId("g_none", "gene"))
+        (genes if entity.startswith("GENE:") else diseases).append(entity)
+    genes.append("GENE:g_none")
     pairs = [(g, d, int((i + j) % 2))
              for i, g in enumerate(genes) for j, d in enumerate(diseases)]
     pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
@@ -610,8 +611,8 @@ class TestSsmBaseline:
         rng = np.random.default_rng(79)
         kg, _, gene_map, disease_map = random_hp_kg(rng, 20, 4, 4)
         corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
-        genes = sorted(gene_map.entries, key=lambda e: e.id)
-        diseases = sorted(disease_map.entries, key=lambda e: e.id)
+        genes = sorted(gene_map.entries)
+        diseases = sorted(disease_map.entries)
         pairs = [(g, d, int((i + j) % 2))
                  for i, g in enumerate(genes) for j, d in enumerate(diseases)]
         return dataset_of(pairs), kg, corpus
@@ -631,8 +632,8 @@ class TestSsmBaseline:
     def test_degenerate_range_maps_to_one(self):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], g2=["HP:c"], d1=["HP:c"])
-        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 (EntityId("g2", "gene"), EntityId("d1", "disease"), 0)]
+        pairs = [("GENE:g1", "DISEASE:d1", 1),
+                 ("GENE:g2", "DISEASE:d1", 0)]
         scored = score_dataset(dataset_of(pairs),
                                SimilarityConfig("MAX", "seco"), kg, corpus)
         assert [r.normalized_score for r in scored] == [1.0, 1.0]
@@ -640,9 +641,9 @@ class TestSsmBaseline:
     def test_unannotated_entity_reported(self):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], d1=["HP:b"])
-        ghost = EntityId("g404", "gene")
-        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 (ghost, EntityId("d1", "disease"), 0)]
+        ghost = "GENE:g404"
+        pairs = [("GENE:g1", "DISEASE:d1", 1),
+                 (ghost, "DISEASE:d1", 0)]
         plan = PairPlan(dataset_of(pairs), kg, corpus)
         assert plan.excluded == [ghost]
         raw, normalized = ssm_baseline(plan, SimilarityConfig("MAX", "seco"), ic_seco(kg))
@@ -660,7 +661,7 @@ class TestSsmBaseline:
         assert lines[0] == "gene\tdisease\traw_score\tnormalized_score\tlabel"
         assert len(lines) == len(raw) + 1
         assert lines[1:] == [
-            f"{r.gene.id}\t{r.disease.id}\t{r.raw_score!r}\t{r.normalized_score!r}\t"
+            f"{plain_id(r.gene)}\t{plain_id(r.disease)}\t{r.raw_score!r}\t{r.normalized_score!r}\t"
             + ("positive" if r.label else "negative")
             for r in score_dataset(dataset, config, kg, corpus)]
 
@@ -675,24 +676,24 @@ class TestSsmBaseline:
         kg, _, gene_map, disease_map = random_hp_kg(
             rng, n_terms, n_genes, n_diseases, max_terms=5)
         corpus = AnnotationMap(entries={**gene_map.entries, **disease_map.entries})
-        genes = sorted(gene_map.entries, key=lambda e: e.id)
-        diseases = sorted(disease_map.entries, key=lambda e: e.id)
+        genes = sorted(gene_map.entries)
+        diseases = sorted(disease_map.entries)
         # entities that share a term set, on the same side and across sides
-        twins = {EntityId("g_same", "gene"): gene_map.entries[genes[0]],
-                 EntityId("g_swap", "gene"): disease_map.entries[diseases[-1]],
-                 EntityId("d_swap", "disease"): gene_map.entries[genes[-1]]}
+        twins = {"GENE:g_same": gene_map.entries[genes[0]],
+                 "GENE:g_swap": disease_map.entries[diseases[-1]],
+                 "DISEASE:d_swap": gene_map.entries[genes[-1]]}
         for entity, terms in twins.items():
             corpus.entries[entity] = set(terms)
-            (genes if entity.kind == "gene" else diseases).append(entity)
+            (genes if entity.startswith("GENE:") else diseases).append(entity)
         # an unannotated gene is left out without shifting the other rows
-        genes.append(EntityId("g_none", "gene"))
+        genes.append("GENE:g_none")
         pairs = [(g, d, int((i + j) % 2))
                  for i, g in enumerate(genes) for j, d in enumerate(diseases)]
         pairs = [pairs[int(k)] for k in rng.permutation(len(pairs))]
         dataset = dataset_of(pairs)
-        scored_keys = [(g, d) for g, d, _ in pairs if g.id != "g_none"]
+        scored_keys = [(g, d) for g, d, _ in pairs if g != "GENE:g_none"]
         tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
-        assert PairPlan(dataset, kg, corpus).excluded == [EntityId("g_none", "gene")]
+        assert PairPlan(dataset, kg, corpus).excluded == ["GENE:g_none"]
 
         calls = Counter()
         real_pair = semsim.sim_resnik_pair
@@ -745,8 +746,8 @@ class TestSsmBaseline:
         union = [ic.values[t] for t in sorted(joint) if t in ic.values]
         assert sum(union) != math.fsum(union)
 
-        pairs = [(EntityId("g1", "gene"), EntityId("d1", "disease"), 1),
-                 (EntityId("g2", "gene"), EntityId("d2", "disease"), 0)]
+        pairs = [("GENE:g1", "DISEASE:d1", 1),
+                 ("GENE:g2", "DISEASE:d2", 0)]
         scored = score_dataset(dataset_of(pairs),
                                SimilarityConfig("SIMGIC", "seco"), kg, corpus, ic)
         assert [repr(r.raw_score) for r in scored] == [
@@ -759,7 +760,7 @@ class TestSsmBaseline:
     def test_unknown_annotation_term_is_typed_error(self, config, with_table):
         kg = chain_kg()
         corpus = annotations(g1=["HP:c"], g2=["HP:b", "HP:404"], d1=["HP:b"])
-        pairs = [(EntityId(g, "gene"), EntityId("d1", "disease"), 1)
+        pairs = [(f"GENE:{g}", "DISEASE:d1", 1)
                  for g in ("g1", "g2")]
         ic = None
         if with_table:
@@ -785,7 +786,7 @@ class TestSsmBaseline:
         dataset, kg, corpus = twin_corpus(seed, n_terms, n_genes, n_diseases)
         tables = {"seco": ic_seco(kg), "resnik_corpus": ic_resnik(kg, corpus)}
         plan = PairPlan(dataset, kg, corpus)
-        scored_keys = [p[:2] for p in pairs_of(dataset) if p.gene.id != "g_none"]
+        scored_keys = [p[:2] for p in pairs_of(dataset) if p.gene != "GENE:g_none"]
         distinct = {(a, b) if a <= b else (b, a) for key in scored_keys
                     for a in corpus.entries[key[0]] for b in corpus.entries[key[1]]}
 
@@ -796,7 +797,7 @@ class TestSsmBaseline:
             calls[(a, b) if a <= b else (b, a)] += 1
             return real_pair(a, b, *rest)
 
-        assert plan.excluded == [EntityId("g_none", "gene")]
+        assert plan.excluded == ["GENE:g_none"]
         for config in order:
             ic = tables[config.ic_flavor]
             # a run alone has a plan of its own
